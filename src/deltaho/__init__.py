@@ -27,7 +27,6 @@ from .oracle import (
     OracleSpectrum,
     Tridiagonal,
     build_hamiltonian,
-    classify_parity,
     eigen_lowest,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "OracleSpectrum",
     "Tridiagonal",
     "build_hamiltonian",
-    "classify_parity",
     "eigen_lowest",
 ]

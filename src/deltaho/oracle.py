@@ -3,10 +3,12 @@
 The dimensionless Hamiltonian is discretized on a symmetric grid with
 Dirichlet walls, the contact term entering as a single on-site spike of
 size g over the grid spacing.  Eigenvalues come from Sturm-sequence
-bisection and eigenvectors from inverse iteration, with no machinery
-shared with the analytic solver; agreement between the two routes is the
-point of this module, so nothing here may import from spectrum or
-wavefunction.
+bisection on the full matrix.  Parity labels come from the same Sturm
+count run on the matrix's even and odd mirror blocks: the spike sits on
+the centre node, so it enters the even block only, as in the continuum
+problem.  Nothing here is shared with the analytic solver; agreement
+between the two routes is the point of this module, so nothing here may
+import from spectrum or wavefunction.
 """
 
 import dataclasses
@@ -14,28 +16,27 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 _EPS = math.ulp(1.0)
 _BISECT_TOL = 1e-10
-_RNG_SEED = 0x5EED
+# Half-width of the window in which a block's Sturm count must rise by one
+# at a full-matrix eigenvalue.  It sits far above the count's backward
+# error (eps * |H|, about 3e-11 at N = 4000) and the bisection width, and
+# far below any level spacing the 1e-3 comparison gate can resolve.
+_LABEL_WINDOW = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
-    """Discretization knobs: window half-width, interval count, state count."""
+    """Discretization knobs: window half-width and interval count."""
 
     half_width: float = 8.0
     n_intervals: int = 4000
-    n_eigen: int = 8
 
     def __post_init__(self):
         if self.half_width < 6.0:
             raise ValueError("half_width below 6 truncates the states under test")
         if self.n_intervals < 4 or self.n_intervals % 2 != 0:
             raise ValueError("n_intervals must be even (origin on a node) and >= 4")
-        if self.n_eigen < 1:
-            raise ValueError("n_eigen must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,112 +134,61 @@ def _gershgorin(h):
     return float(np.min(h.diag - pad)), float(np.max(h.diag + pad))
 
 
-def _apply(h, v):
-    out = h.diag * v
-    if h.size > 1:
-        out[:-1] += h.off * v[1:]
-        out[1:] += h.off * v[:-1]
-    return out
+def _mirror_blocks(h):
+    """The even and odd blocks of a mirror-symmetric h, keyed by parity.
+
+    Mirror-symmetric and antisymmetric combinations of node pairs split h
+    exactly into two blocks whose spectra make up the spectrum of h.  A
+    1x1 matrix has no odd block.
+    """
+    d, e = h.diag, h.off
+    if not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
+        raise ValueError("matrix is not mirror-symmetric, so it has no parities")
+    m = h.size
+    c = m // 2
+    if m == 1:
+        return {"even": h}
+    if m % 2:
+        # the centre node joins the even block through sqrt(2) times its
+        # bond; the odd combinations vanish on it
+        even_off = e[c:].copy()
+        even_off[0] *= math.sqrt(2.0)
+        return {"even": Tridiagonal(d[c:], even_off), "odd": Tridiagonal(d[c + 1 :], e[c + 1 :])}
+    # the bond across the centre adds to the even pair and subtracts
+    # from the odd one
+    even_diag = d[c:].copy()
+    odd_diag = d[c:].copy()
+    even_diag[0] += e[c - 1]
+    odd_diag[0] -= e[c - 1]
+    return {"even": Tridiagonal(even_diag, e[c:]), "odd": Tridiagonal(odd_diag, e[c:])}
 
 
-def _solve_shifted(h, shift, rhs):
-    # tridiagonal Gaussian elimination with partial pivoting; the shifted
-    # matrix is nearly singular on purpose, so pivoting is not optional.
-    # Pivoted rows reach two places right of the diagonal, hence p, q, r.
-    n = h.size
-    diag = h.diag
-    off = h.off
-    pivmin = _EPS * max(1.0, float(np.max(np.abs(diag - shift))))
-    p = np.empty(n)
-    q = np.zeros(n)
-    r = np.zeros(n)
-    x = np.array(rhs, dtype=float)
-    cur_p = diag[0] - shift
-    cur_q = off[0] if n > 1 else 0.0
-    cur_r = 0.0
-    for i in range(n - 1):
-        nxt_lead = off[i]
-        nxt_q = diag[i + 1] - shift
-        nxt_r = off[i + 1] if i + 1 < n - 1 else 0.0
-        if abs(nxt_lead) > abs(cur_p):
-            cur_p, cur_q, cur_r, nxt_lead, nxt_q, nxt_r = (
-                nxt_lead, nxt_q, nxt_r, cur_p, cur_q, cur_r,
-            )
-            x[i], x[i + 1] = x[i + 1], x[i]
-        if abs(cur_p) < pivmin:
-            cur_p = pivmin if cur_p >= 0.0 else -pivmin
-        m = nxt_lead / cur_p
-        p[i], q[i], r[i] = cur_p, cur_q, cur_r
-        cur_p = nxt_q - m * cur_q
-        cur_q = nxt_r - m * cur_r
-        cur_r = 0.0
-        x[i + 1] -= m * x[i]
-    if abs(cur_p) < pivmin:
-        cur_p = pivmin if cur_p >= 0.0 else -pivmin
-    p[n - 1] = cur_p
-    x[n - 1] /= p[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - q[n - 2] * x[n - 1]) / p[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - q[i] * x[i + 1] - r[i] * x[i + 2]) / p[i]
-    return x
-
-
-def _unit(w):
-    # peak-rescale before the norm: the solve can amplify past 1e154,
-    # where the sum of squares overflows even though entries are finite
-    peak = float(np.max(np.abs(w)))
-    if not math.isfinite(peak) or peak == 0.0:
-        return None
-    w = w / peak
-    return w / float(np.linalg.norm(w))
-
-
-def _inverse_iteration(h, lam, rng, neighbors):
-    scale = max(1.0, float(np.max(np.abs(h.diag))))
-    for _restart in range(3):
-        v = _unit(rng.standard_normal(h.size))
-        rho = lam
-        degenerate = False
-        for _ in range(3):
-            w = _unit(_solve_shifted(h, lam, v))
-            if w is not None:
-                for u in neighbors:
-                    w = _unit(w - (u @ w) * u)
-                    if w is None:
-                        break
-            if w is None:
-                degenerate = True
-                break
-            rho_new = float(w @ _apply(h, w))
-            v = w
-            if abs(rho_new - rho) < 1e-12:
-                rho = rho_new
-                break
-            rho = rho_new
-        if degenerate:
-            continue
-        residual = float(np.max(np.abs(_apply(h, v) - rho * v)))
-        if residual <= 1e-10 * scale:
-            return v
-    raise ConvergenceError(
-        f"inverse iteration failed near eigenvalue {lam!r} after 3 restarts"
-    )
+def _parity(blocks, lam):
+    rises = {
+        parity: count_below(block, lam + _LABEL_WINDOW) - count_below(block, lam - _LABEL_WINDOW)
+        for parity, block in blocks.items()
+    }
+    if sum(rises.values()) != 1:
+        raise ValueError(
+            f"eigenvalue {lam!r} has {sum(rises.values())} block eigenvalues "
+            f"within {_LABEL_WINDOW:g}, not one; its parity is undefined"
+        )
+    return max(rises, key=rises.get)
 
 
 def eigen_lowest(h, k, classify=True):
     """The k smallest eigenvalues, with parity labels unless classify is off.
 
-    Bisection on the Sturm count brackets each eigenvalue to 1e-10
-    absolute; inverse iteration (fixed seed, so runs are reproducible)
-    recovers a vector per eigenvalue for the parity call.  Vectors are
-    reorthogonalized against neighbors closer than 1e-6, which this
-    problem does not produce but costs nothing to guard against.
-    Matrices without mirror symmetry have no parity to report; pass
-    classify=False to get the eigenvalues alone.
+    Bisection on the Sturm count of h brackets each eigenvalue to 1e-10
+    absolute.  Each eigenvalue is then labelled by the mirror block whose
+    own Sturm count rises by one within _LABEL_WINDOW of it.  Labelling
+    raises ValueError when h is not mirror-symmetric, or when that window
+    holds no block eigenvalue or more than one; pass classify=False to
+    get the eigenvalues alone.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
+    blocks = _mirror_blocks(h) if classify else None
     glo, ghi = _gershgorin(h)
     eigenvalues = []
     lo_start = glo
@@ -252,26 +202,5 @@ def eigen_lowest(h, k, classify=True):
                 lo = mid
         eigenvalues.append(0.5 * (lo + hi))
         lo_start = lo
-    if not classify:
-        return OracleSpectrum(tuple(eigenvalues), (), h.delta_y)
-    rng = np.random.default_rng(_RNG_SEED)
-    vectors = []
-    parities = []
-    for j, lam in enumerate(eigenvalues):
-        neighbors = [vectors[i] for i in range(j) if abs(eigenvalues[i] - lam) < 1e-6]
-        vec = _inverse_iteration(h, lam, rng, neighbors)
-        vectors.append(vec)
-        parities.append(classify_parity(vec))
-    return OracleSpectrum(tuple(eigenvalues), tuple(parities), h.delta_y)
-
-
-def classify_parity(vector):
-    """Label a vector on a symmetric grid by its dominant mirror symmetry."""
-    v = np.asarray(vector, dtype=float)
-    mirrored = v[::-1]
-    even_defect = float(np.sum(np.abs(v - mirrored)))
-    odd_defect = float(np.sum(np.abs(v + mirrored)))
-    scale = max(even_defect, odd_defect)
-    if scale == 0.0 or abs(even_defect - odd_defect) < 0.01 * scale:
-        raise ValueError("vector has no dominant parity; eigenstates should")
-    return "even" if even_defect < odd_defect else "odd"
+    parities = tuple(_parity(blocks, lam) for lam in eigenvalues) if classify else ()
+    return OracleSpectrum(tuple(eigenvalues), parities, h.delta_y)

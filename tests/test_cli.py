@@ -195,6 +195,13 @@ class TestCompare:
         assert result["analytic"][0] == pytest.approx(-12.49, abs=1e-4)
         assert result["oracle"][0] == pytest.approx(-12.49, abs=2e-3)
 
+    @pytest.mark.parametrize("grid_n", ["4002", "6", "4"])
+    def test_grid_n_must_allow_halving(self, capsys, grid_n):
+        # the halving run uses grid_n / 2 intervals, which must be even too
+        code = main(["compare", "--g", "1", "--states", "1", "--grid-n", grid_n])
+        assert code == 2
+        assert "--grid-n" in capsys.readouterr().err
+
 
 class TestUnits:
     def test_natural_units(self, capsys):
@@ -279,6 +286,28 @@ class TestConfigFile:
         monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
         _, out = run_cli(capsys, "solve", "--g", "1.0")
         assert json.loads(out)["g"] == 1.0
+
+
+class TestStrongCouplingSolve:
+    def test_high_states_at_g100(self, capsys):
+        # origin values reach 1e18 here, so the kink residual is judged
+        # relative to them; mpmath roots of the same pole-free condition
+        mpmath = pytest.importorskip("mpmath")
+        code, out = run_cli(capsys, "solve", "--g", "100", "--states", "40")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["states"]) == 40
+        with mpmath.workdps(30):
+            for entry in report["states"]:
+                if entry["parity"] == "odd":
+                    assert entry["nu"] == entry["index"]
+                    continue
+                ref = mpmath.findroot(
+                    lambda nu: nu * mpmath.rgamma(1 - nu / 2)
+                    - 100 * mpmath.rgamma(mpmath.mpf(1) / 2 - nu / 2),
+                    mpmath.mpf(entry["nu"]),
+                )
+                assert entry["nu"] == pytest.approx(float(ref), rel=1e-13, abs=1e-13)
 
 
 class TestRunReport:

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from deltaho import oracle, spectrum
-from deltaho.errors import ConvergenceError
+from deltaho import spectrum
 from deltaho.oracle import (
     OracleConfig,
     OracleSpectrum,
     Tridiagonal,
     build_hamiltonian,
-    classify_parity,
     count_below,
     eigen_lowest,
 )
@@ -59,8 +57,7 @@ class TestSmallMatrices:
         assert spec.parities == ()
 
     def test_diagonal_matrix_has_no_parity(self):
-        # the lowest eigenvector is a coordinate axis, equidistant from
-        # both mirror classes, so classification must refuse it
+        # diag [1, 2, 3] is not mirror-symmetric, so no labels exist
         h = Tridiagonal(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             eigen_lowest(h, 2)
@@ -82,25 +79,53 @@ class TestSmallMatrices:
         assert np.max(np.abs(np.array(spec.epsilons) - dense[:5])) < 1e-8
 
 
-class TestClassifyParity:
-    def test_palindrome_is_even(self):
-        assert classify_parity([1.0, 2.0, 1.0]) == "even"
+def _mirror_symmetric(rng, n):
+    # a randomized single well, so the low levels are well separated, with
+    # random bond signs in a mirror-symmetric pattern; the centre bond of an
+    # even size is then positive, which makes the ground state odd
+    x = np.linspace(-1.0, 1.0, n)
+    d = 400.0 * x * x + rng.uniform(0.0, 1.0, n)
+    if n % 2:
+        d[n // 2] += rng.uniform(-20.0, 20.0)
+    e = 100.0 + rng.uniform(0.0, 10.0, n - 1)
+    signs = rng.choice((-1.0, 1.0), n - 1)
+    return Tridiagonal(d + d[::-1], (e + e[::-1]) * signs * signs[::-1])
 
-    def test_antisymmetric_is_odd(self):
-        assert classify_parity([-1.0, 0.0, 1.0]) == "odd"
 
-    def test_axis_vector_is_ambiguous(self):
+def _dense(h):
+    return np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
+
+
+class TestMirrorBlockParity:
+    @pytest.mark.parametrize("n", [201, 200])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_labels_match_dense_eigenvectors(self, n, seed):
+        h = _mirror_symmetric(np.random.default_rng(seed), n)
+        spec = eigen_lowest(h, 10)
+        values, vecs = np.linalg.eigh(_dense(h))
+        expected = tuple(
+            "even" if vecs[:, j] @ vecs[::-1, j] > 0.0 else "odd" for j in range(10)
+        )
+        assert spec.parities == expected
+        assert spec.parities[0] == ("even" if n % 2 else "odd")
+        assert np.max(np.abs(np.array(spec.epsilons) - values[:10])) < 1e-8
+
+    def test_asymmetric_off_diagonal_is_rejected(self):
+        d = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
+        e = np.array([-1.0, -0.5, -0.5, -0.25])
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            eigen_lowest(Tridiagonal(d, e), 2)
+        assert len(eigen_lowest(Tridiagonal(d, e), 2, classify=False).epsilons) == 2
+
+    def test_one_by_one_is_even(self):
+        assert eigen_lowest(Tridiagonal(np.array([4.0]), np.array([])), 1).parities == ("even",)
+
+    def test_degenerate_pair_is_rejected(self):
+        # two uncoupled copies of one level: an even and an odd eigenvector
+        # share the eigenvalue, so neither label is right
+        h = Tridiagonal(np.array([1.0, 5.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
-            classify_parity([1.0, 0.0, 0.0])
-
-    def test_zero_vector_is_ambiguous(self):
-        with pytest.raises(ValueError):
-            classify_parity([0.0, 0.0, 0.0])
-
-    def test_noise_does_not_flip_a_clear_label(self):
-        rng = np.random.default_rng(3)
-        base = np.exp(-np.linspace(-4, 4, 101) ** 2)
-        assert classify_parity(base + 1e-9 * rng.standard_normal(101)) == "even"
+            eigen_lowest(h, 1)
 
 
 class TestHamiltonianBuild:
@@ -131,7 +156,6 @@ class TestHamiltonianBuild:
             {"n_intervals": 401},
             {"n_intervals": 2},
             {"half_width": 5.0},
-            {"n_eigen": 0},
         ],
     )
     def test_config_rejections(self, kwargs):
