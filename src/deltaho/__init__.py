@@ -1,4 +1,13 @@
-"""Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin."""
+"""Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin.
+
+The spectrum layer (eigen condition, root solves, origin-kink residual)
+is pure scalar arithmetic and is imported eagerly.  The numpy-backed
+layers, eigenfunction sampling (`wavefunction`) and the finite-difference
+oracle (`oracle`), load on first access of one of their names (PEP 562),
+so `import deltaho` alone never imports numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -9,26 +18,44 @@ from .spectrum import (
     bound_state_asymptote,
     eigen_equation,
     full_spectrum,
+    jump_check,
     solve_even,
     solve_odd,
 )
-from .wavefunction import (
-    GridFunction,
-    GridSpec,
-    eval_even,
-    eval_odd,
-    jump_check,
-    normalize,
-    orthogonality,
-    sample_state,
-)
-from .oracle import (
-    OracleConfig,
-    OracleSpectrum,
-    Tridiagonal,
-    build_hamiltonian,
-    eigen_lowest,
-)
+
+# public name -> submodule that defines it, imported on first access
+_LAZY = {
+    "wavefunction": "wavefunction",
+    "GridFunction": "wavefunction",
+    "GridSpec": "wavefunction",
+    "eval_even": "wavefunction",
+    "eval_odd": "wavefunction",
+    "normalize": "wavefunction",
+    "orthogonality": "wavefunction",
+    "sample_state": "wavefunction",
+    "oracle": "oracle",
+    "OracleConfig": "oracle",
+    "OracleSpectrum": "oracle",
+    "Tridiagonal": "oracle",
+    "build_hamiltonian": "oracle",
+    "eigen_lowest": "oracle",
+}
+
+
+def __getattr__(name):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f".{module_name}", __name__)
+    value = module if name == module_name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

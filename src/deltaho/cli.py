@@ -23,7 +23,7 @@ import sys
 import tempfile
 from importlib import resources
 
-from . import __version__, oracle, specfun, spectrum, wavefunction
+from . import __version__, specfun, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
@@ -168,7 +168,7 @@ def _stamp_comments(args):
 def _state_residual(sol, g):
     if sol.parity == "odd":
         return 0.0
-    return wavefunction.jump_check(sol.nu, g)
+    return spectrum.jump_check(sol.nu, g)
 
 
 def _make_report(g, cfg, stamp):
@@ -290,7 +290,10 @@ def _figure_nu_vs_g(args):
 
 def _figure_wavefunctions(args):
     # density of the second even level as the coupling grows, next to
-    # the odd neighbor it approaches; one file per coupling sign
+    # the odd neighbor it approaches; one file per coupling sign.  The
+    # only figure that samples states, so the only one that loads numpy
+    from . import wavefunction
+
     panels = (
         ("wavefunctions_positive.csv", (1.0, 2.5, 5.0, 10.0), 3),
         ("wavefunctions_negative.csv", (-1.0, -2.5, -5.0, -10.0), 1),
@@ -338,6 +341,8 @@ def cmd_figures(args):
 # --- compare ---------------------------------------------------------------------
 
 def cmd_compare(args):
+    from . import oracle  # numpy; kept off the path of the other commands
+
     g = _require(args, "g")
     k = args.states if args.states is not None else 6
     grid_n = args.grid_n if args.grid_n is not None else 4000
@@ -427,6 +432,8 @@ def cmd_units(args):
 
 # --- argument plumbing --------------------------------------------------------------
 
+_FORMATS = ("csv", "json")
+
 _CONFIG_PARSERS = {
     "g": float,
     "states": int,
@@ -469,6 +476,9 @@ def load_config_file():
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         parser = _CONFIG_PARSERS[key]
         value = _parse_bool(raw_value) if parser is None else parser(raw_value.strip())
+        if key == "format" and value not in _FORMATS:
+            raise ValueError(f"{path}:{lineno}: format must be one of "
+                             f"{', '.join(_FORMATS)}, got {value!r}")
         values[key] = value
     return values
 
@@ -492,7 +502,7 @@ def _solver_config(args):
 def _add_common_flags(sub):
     sub.add_argument("--g", type=float, default=None, help="dimensionless coupling")
     sub.add_argument("--states", type=int, default=None, help="number of states")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", choices=_FORMATS, default=None)
     sub.add_argument("--out", default=None, help="output directory (default: stdout)")
     sub.add_argument("--grid-n", dest="grid_n", type=int, default=None,
                      help="oracle grid intervals")

@@ -13,6 +13,7 @@ import from spectrum or wavefunction.
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -33,8 +34,12 @@ class OracleConfig:
     n_intervals: int = 4000
 
     def __post_init__(self):
+        if not math.isfinite(self.half_width):
+            raise ValueError(f"half_width must be finite, got {self.half_width!r}")
         if self.half_width < 6.0:
             raise ValueError("half_width below 6 truncates the states under test")
+        if not isinstance(self.n_intervals, numbers.Integral):
+            raise ValueError(f"n_intervals must be an integer, got {self.n_intervals!r}")
         if self.n_intervals < 4 or self.n_intervals % 2 != 0:
             raise ValueError("n_intervals must be even (origin on a node) and >= 4")
 

@@ -10,7 +10,7 @@ import dataclasses
 import math
 
 from .errors import BracketError, ConvergenceError
-from .specfun import log_gamma, reciprocal_gamma
+from .specfun import kummer_u_half_origin, log_gamma, reciprocal_gamma
 
 _EPS = math.ulp(1.0)
 _MAX_DOUBLINGS = 60
@@ -70,6 +70,19 @@ def eigen_equation(nu, g):
     the search brackets can see.
     """
     return nu * reciprocal_gamma(1.0 - 0.5 * nu) - g * reciprocal_gamma(0.5 - 0.5 * nu)
+
+
+def jump_check(nu, g):
+    """Residual of the derivative-jump condition at the origin.
+
+    The even extension gives psi'(0-) = -psi'(0+), so the condition reads
+    2 psi'(0+) = 2 g psi(0).  Both sides come from analytic origin limits;
+    finite differences across the kink would converge far too slowly.
+    Zero within 1e-8 exactly when nu solves the eigenvalue equation at
+    this coupling, a finite positive value otherwise.
+    """
+    value, slope = kummer_u_half_origin(nu)
+    return abs(2.0 * slope - 2.0 * g * value)
 
 
 def _bound_equation(nu, g):

@@ -1,7 +1,8 @@
-"""Eigenfunction evaluation, normalization, and origin diagnostics.
+"""Eigenfunction evaluation, sampling, normalization, and overlaps.
 
 Even states are e^(-y^2/2) U(-nu/2, 1/2, y^2) extended symmetrically, so a
-nonzero coupling leaves a kink at the origin; odd states are the plain
+nonzero coupling leaves a kink at the origin (its residual is
+spectrum.jump_check, next to the eigen condition); odd states are the plain
 oscillator functions e^(-y^2/2) H_n(y) and never feel the contact term.
 Amplitudes are fixed by unit L2 norm with a positive value just right of
 the origin.
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InsufficientDomainError
-from .specfun import hermite, kummer_u_half, kummer_u_half_origin
+from .specfun import hermite, kummer_u_half
 
 # exp(-y^2/2) is unrepresentable long before this; returning 0 instead of
 # evaluating keeps huge-order Hermite values from overflowing first
@@ -125,19 +126,6 @@ def normalize(f):
     norm = math.sqrt(float(weights @ (f.values * f.values)))
     scaled = GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm)
     return scaled, norm
-
-
-def jump_check(nu, g):
-    """Residual of the derivative-jump condition at the origin.
-
-    The even extension gives psi'(0-) = -psi'(0+), so the condition reads
-    2 psi'(0+) = 2 g psi(0).  Both sides come from analytic origin limits;
-    finite differences across the kink would converge far too slowly.
-    Zero within 1e-8 exactly when nu solves the eigenvalue equation at
-    this coupling, a finite positive value otherwise.
-    """
-    value, slope = kummer_u_half_origin(nu)
-    return abs(2.0 * slope - 2.0 * g * value)
 
 
 def _sample_raw(sol, half, step):

@@ -202,6 +202,14 @@ class TestCompare:
         assert code == 2
         assert "--grid-n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid_l", ["inf", "nan"])
+    def test_nonfinite_grid_l_is_a_usage_error(self, capsys, grid_l):
+        code = main(["compare", "--g", "1", "--states", "2", "--grid-l", grid_l])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "half_width" in err
+        assert "mirror" not in err
+
 
 class TestUnits:
     def test_natural_units(self, capsys):
@@ -279,6 +287,26 @@ class TestConfigFile:
         report = json.loads(out)
         assert report["g"] == 2.5
         assert len(report["states"]) == 3
+
+    @pytest.mark.parametrize("command", [["solve", "--g", "1"], ["units"]])
+    def test_config_format_must_be_a_known_choice(self, capsys, monkeypatch,
+                                                  tmp_path, command):
+        conf = tmp_path / "deltaho.conf"
+        conf.write_text("# output\nformat=xml\n")
+        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
+        code = main(command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{conf}:2:" in captured.err and "format" in captured.err
+
+    def test_config_format_json_is_accepted(self, capsys, monkeypatch, tmp_path):
+        conf = tmp_path / "deltaho.conf"
+        conf.write_text("format = json\n")
+        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
+        code, out = run_cli(capsys, "units", "--alpha", "1")
+        assert code == 0
+        assert json.loads(out)["g"] == 1.0
 
     def test_flags_override_config(self, capsys, monkeypatch, tmp_path):
         conf = tmp_path / "deltaho.conf"

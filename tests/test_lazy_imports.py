@@ -1,0 +1,103 @@
+"""The light path stays free of numpy, and the lazy package API stays whole.
+
+`import deltaho` and the scalar commands (solve, table, units and the two
+cheap figures) never touch numpy; eigenfunction sampling and the oracle
+load it on first use.  Each numpy check runs in a fresh interpreter, since
+the test process itself has numpy loaded long before.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import deltaho
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("DELTAHO_CONFIG", None)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+def _assert_numpy_free(code, tmp_path):
+    probe = code + "\nprint('numpy' in sys.modules)\n"
+    result = _fresh_python(probe, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+class TestNumpyFreePath:
+    def test_import_package(self, tmp_path):
+        _assert_numpy_free("import sys, deltaho", tmp_path)
+
+    def test_import_cli(self, tmp_path):
+        _assert_numpy_free("import sys, deltaho.cli", tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--g", "1", "--states", "4"],
+            ["solve", "--g", "-2.5", "--format", "csv"],
+            ["table"],
+            ["units", "--alpha", "-2", "--nu", "3"],
+            ["figures", "eq-solution", "--out", "figs"],
+            ["figures", "nu-vs-g", "--out", "figs"],
+        ],
+        ids=["solve-json", "solve-csv", "table", "units", "eq-solution", "nu-vs-g"],
+    )
+    def test_light_commands(self, tmp_path, argv):
+        code = f"""
+            import sys
+            from deltaho import cli
+            assert cli.main({argv!r}) == 0
+        """
+        _assert_numpy_free(textwrap.dedent(code), tmp_path)
+
+
+class TestLazyExports:
+    def test_every_exported_name_resolves(self):
+        for name in deltaho.__all__:
+            assert getattr(deltaho, name) is not None, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from deltaho import *", namespace)
+        missing = [name for name in deltaho.__all__ if name not in namespace]
+        assert missing == []
+
+    def test_dir_lists_every_name(self):
+        listed = dir(deltaho)
+        assert [name for name in deltaho.__all__ if name not in listed] == []
+        assert "oracle" in listed and "wavefunction" in listed
+
+    def test_submodules_reachable_after_plain_import(self, tmp_path):
+        code = """
+            import deltaho
+            print(deltaho.oracle.__name__, deltaho.wavefunction.__name__)
+        """
+        result = _fresh_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["deltaho.oracle", "deltaho.wavefunction"]
+
+    def test_lazy_names_are_the_module_objects(self):
+        from deltaho import oracle, spectrum, wavefunction
+
+        assert deltaho.sample_state is wavefunction.sample_state
+        assert deltaho.OracleConfig is oracle.OracleConfig
+        assert deltaho.jump_check is spectrum.jump_check
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            deltaho.no_such_name  # noqa: B018

@@ -162,6 +162,19 @@ class TestHamiltonianBuild:
         with pytest.raises(ValueError):
             OracleConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("half_width", math.inf),
+            ("half_width", math.nan),
+            ("n_intervals", 4000.0),
+            ("n_intervals", "4000"),
+        ],
+    )
+    def test_config_rejection_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OracleConfig(**{field: value})
+
     def test_tridiagonal_shape_validation(self):
         with pytest.raises(ValueError):
             Tridiagonal(np.array([1.0, 2.0]), np.array([0.0, 0.0]))

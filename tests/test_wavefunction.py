@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from deltaho.errors import InsufficientDomainError
-from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, solve_even
+from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, jump_check, solve_even
 from deltaho.wavefunction import (
     GridFunction,
     GridSpec,
     _simpson_weights,
     eval_even,
     eval_odd,
-    jump_check,
     normalize,
     orthogonality,
     sample_state,
