@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from importlib import resources
 
 from . import __version__, specfun, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
@@ -101,8 +100,9 @@ def _kink_scale(sol, g):
 @functools.lru_cache(maxsize=1)
 def reference_table():
     """Fixture of four-decimal even levels, keyed by coupling (0 included)."""
-    path = resources.files("deltaho").joinpath("data/even_levels.json")
-    raw = json.loads(path.read_text())
+    path = os.path.join(os.path.dirname(__file__), "data", "even_levels.json")
+    with open(path, encoding="utf-8") as handle:
+        raw = json.load(handle)
     table = {0.0: tuple(raw["zero_coupling"])}
     for column in raw["columns"]:
         table[float(column["g"])] = tuple(column["nu"])
@@ -168,7 +168,15 @@ def _stamp_comments(args):
 def _state_residual(sol, g):
     if sol.parity == "odd":
         return 0.0
-    return spectrum.jump_check(sol.nu, g)
+    try:
+        return spectrum.jump_check(sol.nu, g)
+    except OverflowError:
+        # the origin values grow like Gamma(nu/2) and leave the double
+        # range near nu = 343, although the root itself is fine
+        raise OverflowError(
+            f"state {sol.index} (nu={sol.nu!r}): its kink residual is past "
+            "the double range"
+        ) from None
 
 
 def _make_report(g, cfg, stamp):
@@ -259,8 +267,9 @@ def cmd_table(args):
 # --- figures --------------------------------------------------------------------
 
 def _figure_eq_solution(args):
-    # the pole-free eigenvalue function sampled densely enough to plot
-    # every crossing on [-15, 9]
+    # the scaled eigenvalue function (finite everywhere, with the zeros
+    # of the paper's condition) sampled densely enough to plot every
+    # crossing on [-15, 9]
     nus = [round(-15.0 + 0.01 * i, 2) for i in range(2401)]
     header = ["nu"] + [f"g={g:g}" for g in _FIGURE_COUPLINGS]
     rows = [tuple(header)]
@@ -269,7 +278,7 @@ def _figure_eq_solution(args):
         for g in _FIGURE_COUPLINGS:
             cells.append(_fmt(spectrum.eigen_equation(nu, g), args.full_precision))
         rows.append(tuple(cells))
-    comments = ["pole-free eigenvalue function on nu in [-15, 9], step 0.01"]
+    comments = ["scaled eigenvalue function on nu in [-15, 9], step 0.01"]
     comments += _stamp_comments(args)
     _emit(_csv_text(rows, comments), args, "eq_solution.csv")
 

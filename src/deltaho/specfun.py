@@ -1,11 +1,13 @@
 """Real-valued special functions for the oscillator-plus-delta solver.
 
-Gamma family (Lanczos approximation), Kummer's confluent hypergeometric
-functions restricted to the parameter family the solver needs, and
-physicists' Hermite polynomials.  Everything is scalar double-precision
-code with no dependencies beyond the standard library; the accuracy
-targets come from the eigenvalue solver, which resolves the quantum
-label to about 1e-13.
+The Gamma family (taken from the standard library's math.gamma and
+math.lgamma, with the reciprocal extended to an entire function), the
+ratio Gamma(y + 1/2)/Gamma(y + 1) that the eigenvalue condition is built
+on, Kummer's confluent hypergeometric functions restricted to the
+parameter family the solver needs, and physicists' Hermite polynomials.
+Everything is scalar double-precision code with no dependencies beyond
+the standard library; the accuracy targets come from the eigenvalue
+solver, which resolves the quantum label to a few ulps.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from .errors import ConvergenceError
 
 __all__ = [
     "SQRT_PI",
+    "sinpi",
+    "cospi",
     "gamma",
     "log_gamma",
     "reciprocal_gamma",
+    "gamma_ratio",
     "kummer_m",
     "kummer_u_half",
     "kummer_u_half_origin",
@@ -27,35 +32,13 @@ __all__ = [
 
 SQRT_PI = 1.7724538509055160273
 
-_LOG_PI = 1.1447298858494001741
-
-# Lanczos series, g = 607/128, 15 terms: relative error ~1e-15 for x > 0.
-_LANCZOS_SHIFT = 5.2421875  # g + 1/2
-_LANCZOS_C0 = 0.999999999999997092
-_LANCZOS_C = (
-    57.1562356658629235,
-    -59.5979603554754912,
-    14.1360979747417471,
-    -0.491913816097620199,
-    0.339946499848118887e-4,
-    0.465236289270485756e-4,
-    -0.983744753048795646e-4,
-    0.158088703224912494e-3,
-    -0.210264441724104883e-3,
-    0.217439618115212643e-3,
-    -0.164318106536763890e-3,
-    0.844182239838527433e-4,
-    -0.261908384015814087e-4,
-    0.368991826595316234e-5,
-)
-
 _M_MAX_TERMS = 500
 _M_SETTLE_COUNT = 3
 _U_SERIES_CUTOFF = 20.0
 _U_ASYMPTOTIC_CAP = 64
 
 
-def _sinpi(x: float) -> float:
+def sinpi(x: float) -> float:
     """sin(pi*x) with exact argument reduction, safe for large |x|."""
     y = math.remainder(x, 2.0)
     a = abs(y)
@@ -66,66 +49,52 @@ def _sinpi(x: float) -> float:
     return math.copysign(math.sin(math.pi * (1.0 - a)), y)
 
 
-def _lanczos_series(x: float) -> float:
-    total = _LANCZOS_C0
-    y = x
-    for c in _LANCZOS_C:
-        y += 1.0
-        total += c / y
-    return total
+def cospi(x: float) -> float:
+    """cos(pi*x) with the same exact argument reduction as sinpi."""
+    # |remainder| lies in [0, 1], where 1/2 - |remainder| is exact except
+    # below 1/4; there cos(pi*x) is flat enough that the rounding is harmless
+    return sinpi(0.5 - abs(math.remainder(x, 2.0)))
+
+
+gamma = math.gamma  # ValueError at the poles, OverflowError past x = 171.62
 
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0.0:
         raise ValueError(f"log_gamma needs a positive argument, got x={x}")
-    shifted = x + _LANCZOS_SHIFT
-    return (
-        (x + 0.5) * math.log(shifted)
-        - shifted
-        + math.log(2.5066282746310005 * _lanczos_series(x) / x)
-    )
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) on the real line, poles excluded."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma has a pole at x={x}")
-    if x > 0.0:
-        # The power is split in half so the intermediate stays representable
-        # all the way to the true overflow point near x = 171.62.
-        shifted = x + _LANCZOS_SHIFT
-        half = shifted ** (0.5 * x + 0.25) * math.exp(-0.5 * shifted) / math.sqrt(x)
-        out = half * half * (2.5066282746310005 * _lanczos_series(x))
-        if math.isinf(out):
-            raise OverflowError(f"gamma({x}) exceeds the double range")
-        return out
-    s = _sinpi(x)
-    if x > -170.0:
-        return math.pi / (s * gamma(1.0 - x))
-    # Reflection assembled in log form: |Gamma| underflows out here unless
-    # x sits hard against a pole, and exp degrades to 0.0 instead of
-    # overflowing the pre-division.
-    return math.copysign(
-        math.exp(_LOG_PI - math.log(abs(s)) - log_gamma(1.0 - x)), s
-    )
+    return math.lgamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) as an entire function: exactly 0.0 at x = 0, -1, -2, ..."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    if x > 0.0:
-        if x > 171.0:
-            # Underflows to 0.0 instead of raising.
-            return math.exp(-log_gamma(x))
-        return 1.0 / gamma(x)
-    s = _sinpi(x)
-    if x > -170.0:
-        return s * gamma(1.0 - x) / math.pi
-    return math.copysign(
-        math.exp(math.log(abs(s)) - _LOG_PI + log_gamma(1.0 - x)), s
-    )
+    if -170.0 < x < 171.0:
+        return 1.0 / math.gamma(x)
+    # Past the range where Gamma(x) is a normal double, go through
+    # log|Gamma|: the result underflows to 0.0 for large x and overflows
+    # loudly near x = -200, where its true magnitude leaves the double range.
+    sign = 1.0 if x > 0.0 else sinpi(x)
+    return math.copysign(math.exp(-math.lgamma(x)), sign)
+
+
+def gamma_ratio(y: float) -> float:
+    """Gamma(y + 1/2) / Gamma(y + 1) for y >= 0, about 1/sqrt(y) at large y.
+
+    Finite and positive on the whole non-negative double range.  Past
+    y = 170 the Gammas overflow, so the ratio comes from its asymptotic
+    series (DLMF 5.11.13) in log form, whose first omitted term,
+    17/(14336 y^7), is below 3e-19 there.
+    """
+    if y < 1.0:
+        return math.gamma(y + 0.5) / math.gamma(y + 1.0)
+    if y < 170.0:
+        # y - 1/2 and y are exact where y + 1/2 and y + 1 may round, and
+        # Gamma amplifies an argument rounding by its log-derivative
+        return (y - 0.5) / y * (math.gamma(y - 0.5) / math.gamma(y))
+    t = 1.0 / y
+    return math.exp(t * (-0.125 + t * t * (1.0 / 192.0 - t * t / 640.0))) / math.sqrt(y)
 
 
 def kummer_m(a: float, b: float, z: float) -> float:

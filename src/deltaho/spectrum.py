@@ -1,7 +1,7 @@
 """Bound-state spectrum of the oscillator with a contact term at the origin.
 
-Even-parity levels solve a transcendental equation built from reciprocal
-Gamma factors; odd-parity levels vanish at the origin and stay at their
+Even-parity levels solve a transcendental equation built from Gamma
+factors; odd-parity levels vanish at the origin and stay at their
 unperturbed positions.  States are labeled by the real quantum number nu,
 with dimensionless energy epsilon = nu + 1/2 in oscillator units.
 """
@@ -10,7 +10,7 @@ import dataclasses
 import math
 
 from .errors import BracketError, ConvergenceError
-from .specfun import kummer_u_half_origin, log_gamma, reciprocal_gamma
+from .specfun import cospi, gamma_ratio, kummer_u_half_origin, sinpi
 
 _EPS = math.ulp(1.0)
 _MAX_DOUBLINGS = 60
@@ -61,15 +61,23 @@ class SolverConfig:
 
 
 def eigen_equation(nu, g):
-    """Pole-free form of the even-parity eigenvalue condition.
+    """Even-parity eigenvalue condition, scaled to stay finite everywhere.
 
-    Returns nu/Gamma(1 - nu/2) - g/Gamma(1/2 - nu/2).  The ratio form
-    nu - g*Gamma(1-nu/2)/Gamma(1/2-nu/2) has poles at even integers,
-    exactly where roots pile up as g -> 0; multiplying through by the
-    entire function 1/Gamma(1-nu/2) removes them without moving any root
-    the search brackets can see.
+    The paper's condition nu/Gamma(1 - nu/2) = g/Gamma(1/2 - nu/2), its
+    difference multiplied by the positive factor Gamma(1 - nu/2) for
+    nu <= 0 and 1/Gamma(1 + nu/2) for nu > 0.  With Q(y) =
+    Gamma(y + 1/2)/Gamma(y + 1) ~ 1/sqrt(y) it reads
+
+        nu > 0:   (2 sin(pi nu/2) - g cos(pi nu/2) Q(nu/2)) / pi
+        nu <= 0:  nu - g / Q(-nu/2)
+
+    No poles and no overflow; the factor is C^1 and equals 1 at nu = 0,
+    so roots, signs and the value -g/sqrt(pi) there are unchanged.
     """
-    return nu * reciprocal_gamma(1.0 - 0.5 * nu) - g * reciprocal_gamma(0.5 - 0.5 * nu)
+    if nu > 0.0:
+        y = 0.5 * nu
+        return (2.0 * sinpi(y) - g * cospi(y) * gamma_ratio(y)) / math.pi
+    return nu - g / gamma_ratio(-0.5 * nu)
 
 
 def jump_check(nu, g):
@@ -85,16 +93,6 @@ def jump_check(nu, g):
     return abs(2.0 * slope - 2.0 * g * value)
 
 
-def _bound_equation(nu, g):
-    # log-Gamma form of the same condition, for nu <= 0 only.  The
-    # reciprocal-Gamma form underflows to a flat zero once the bound state
-    # sinks past nu ~ -350, destroying the sign information bisection
-    # needs; this form stays O(|nu|) at any depth.  Both Gamma arguments
-    # are positive here, and on nu <= 0 the two forms differ by a strictly
-    # positive factor, so roots and signs agree.
-    return nu - g * math.exp(log_gamma(1.0 - 0.5 * nu) - log_gamma(0.5 - 0.5 * nu))
-
-
 def _bound_lower_edge(g, nu_min):
     lo = nu_min if nu_min is not None else -2.0 * max(1.0, g * g)
     if not math.isfinite(lo):
@@ -104,7 +102,7 @@ def _bound_lower_edge(g, nu_min):
             "the coupling is too strong to represent the lowest level"
         )
     for _ in range(_MAX_DOUBLINGS):
-        if _bound_equation(lo, g) < 0.0:
+        if eigen_equation(lo, g) < 0.0:
             return lo
         lo *= 2.0
     raise BracketError(
@@ -182,14 +180,10 @@ def solve_even(g, cfg=None):
         raise ValueError("coupling must be finite")
     if g == 0.0:
         return [EigenSolution("even", 2.0 * k, 2 * k) for k in range(cfg.n_states)]
-    solutions = []
-    for k, (lo, hi) in enumerate(bracket_even_roots(g, cfg.n_states, cfg.nu_min)):
-        if g < 0.0 and k == 0:
-            func = lambda nu: _bound_equation(nu, g)
-        else:
-            func = lambda nu: eigen_equation(nu, g)
-        solutions.append(EigenSolution("even", _refine_root(func, lo, hi, cfg), 2 * k))
-    return solutions
+    func = lambda nu: eigen_equation(nu, g)
+    brackets = bracket_even_roots(g, cfg.n_states, cfg.nu_min)
+    return [EigenSolution("even", _refine_root(func, lo, hi, cfg), 2 * k)
+            for k, (lo, hi) in enumerate(brackets)]
 
 
 def solve_odd(n_states):

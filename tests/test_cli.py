@@ -259,6 +259,14 @@ class TestExitCodes:
     def test_solver_range_failure(self, capsys):
         assert run_cli(capsys, "solve", "--g", "-1e200")[0] == 3
 
+    def test_kink_residual_past_double_range_names_the_state(self, capsys):
+        # the roots solve, but the origin values of state 344 (nu ~ 344)
+        # overflow a double, so its residual cannot be reported
+        code = main(["solve", "--g", "1", "--states", "400"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "state 344" in err and "double range" in err
+
     def test_missing_config_file(self, capsys, monkeypatch):
         monkeypatch.setenv("DELTAHO_CONFIG", "/nonexistent/deltaho.conf")
         assert run_cli(capsys, "solve", "--g", "1")[0] == 4

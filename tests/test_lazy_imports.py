@@ -19,14 +19,14 @@ import deltaho
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh_python(code, tmp_path):
+def _fresh_python(code, tmp_path, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env.pop("DELTAHO_CONFIG", None)
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, *flags, "-c", textwrap.dedent(code)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
 
@@ -64,6 +64,20 @@ class TestNumpyFreePath:
             assert cli.main({argv!r}) == 0
         """
         _assert_numpy_free(textwrap.dedent(code), tmp_path)
+
+
+class TestStdlibFootprint:
+    def test_reference_table_needs_no_importlib_resources(self, tmp_path):
+        # -S skips site .pth files, some of which import importlib.resources
+        # themselves and would hide a load made by the package
+        code = """
+            import sys, deltaho.cli
+            deltaho.cli.reference_table()
+            print('importlib.resources' in sys.modules)
+        """
+        result = _fresh_python(code, tmp_path, "-S")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
 
 class TestLazyExports:

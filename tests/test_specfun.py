@@ -1,24 +1,30 @@
 """Unit tests for the special-function layer.
 
 Reference values were frozen from a 40-digit mpmath evaluation done at
-development time; mpmath is not a runtime or test dependency.  Tolerances
-near z = 20 are wider because the confluent series and the large-z
-expansion both lose accuracy approaching the seam between them.
+development time.  mpmath is a test dependency (the `test` extra) but
+not a runtime one; the one test that calls it live, the Gamma-ratio
+gate, is skipped without it.  Tolerances near z = 20 are wider because
+the confluent series and the large-z expansion both lose accuracy
+approaching the seam between them.
 """
 
 import math
+import random
 
 import pytest
 
 from deltaho.specfun import (
     SQRT_PI,
+    cospi,
     gamma,
+    gamma_ratio,
     hermite,
     kummer_m,
     kummer_u_half,
     kummer_u_half_origin,
     log_gamma,
     reciprocal_gamma,
+    sinpi,
 )
 
 
@@ -144,6 +150,39 @@ def test_reflection_identity(x):
     lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
     rhs = _sinpi(x) / math.pi
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_sinpi_cospi_exact_at_special_points():
+    for n in range(-6, 7):
+        assert sinpi(float(n)) == 0.0
+        assert cospi(n + 0.5) == 0.0
+        assert cospi(float(n)) == (-1.0) ** n
+    # exact reduction: an even integer offset changes nothing, even where
+    # pi*x itself is far past the resolution of a double
+    for d in (0.25, 0.5, 0.75, 1.25, 3.75):
+        assert cospi(2.0**50 + d) == cospi(d)
+        assert sinpi(2.0**50 + d) == sinpi(d)
+
+
+@pytest.mark.parametrize("x", [-3.3, -0.75, 0.0, 0.1, 0.25, 0.6, 1.0, 2.4, 1e5 + 0.3])
+def test_cospi_matches_math(x):
+    assert cospi(x) == pytest.approx(math.cos(math.pi * x), rel=1e-10, abs=1e-15)
+
+
+def test_gamma_ratio_matches_mpmath():
+    """Gamma(y + 1/2)/Gamma(y + 1) to 1e-14 relative on y in [0, 1e300]."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(5113)
+    ys = [0.0, 1e-300, 1e-8, 0.5, 1.0, 31.5, 63.0, 169.999, 170.0, 1e300]
+    ys += [rng.uniform(0.0, 400.0) for _ in range(300)]
+    ys += [10.0 ** rng.uniform(-6.0, 300.0) for _ in range(200)]
+    # just below a power of two, where forming y + 1/2 or y + 1 rounds
+    ys += [2.0**e - rng.random() for e in range(1, 8) for _ in range(20)]
+    for y in ys:
+        with mpmath.workdps(30 + int(math.log10(max(1.0, y)))):
+            m = mpmath.mpf(y)
+            ref = mpmath.exp(mpmath.loggamma(m + 0.5) - mpmath.loggamma(m + 1))
+            assert abs(gamma_ratio(y) / ref - 1) < 1e-14, y
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Root reference values were frozen from a 30-digit mpmath bisection of the
 log-Gamma form of the eigenvalue condition, done once at development time.
+The root gate at the end checks fresh solves across the whole coupling
+range against mpmath, and is skipped when mpmath is missing.
 """
 
 import math
+import random
 
 import pytest
 
@@ -279,3 +282,70 @@ def test_solver_config_validation():
 def test_explicit_search_floor_is_honored():
     sols = solve_even(-5.0, SolverConfig(n_states=1, nu_min=-14.0))
     assert sols[0].nu == pytest.approx(-12.990027623650626, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# root gate: agreement with mpmath across the coupling range
+
+ROOT_RTOL = 1e-13
+
+_rng = random.Random(20110404)
+GATE_COUPLINGS = sorted(
+    [sign * 10.0 ** _rng.uniform(-6.0, 4.0) for sign in (1.0, -1.0) for _ in range(12)]
+    + [-1e5, -1e6, -1e7]
+)
+
+
+def _assert_mpmath_root(g, sol):
+    """sol.nu lies in its own bracket, within ROOT_RTOL*max(1, |nu|) of a root.
+
+    The reference is the paper's pole-free condition
+    nu/Gamma(1 - nu/2) - g/Gamma(1/2 - nu/2) in mpmath, with the working
+    precision grown with log10|nu| so the window stays resolved.  One
+    root per bracket, so a sign change across the window pins the root.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    nu, k = sol.nu, sol.index // 2
+    if g > 0.0:
+        assert 2 * k < nu < 2 * k + 1
+    elif k == 0:
+        assert nu < 0.0
+    else:
+        assert 2 * k - 1 < nu < 2 * k
+    delta = ROOT_RTOL * max(1.0, abs(nu))
+    with mpmath.workdps(30 + int(math.log10(max(1.0, abs(nu))))):
+        def condition(x):
+            x = mpmath.mpf(x)
+            return x * mpmath.rgamma(1 - x / 2) - g * mpmath.rgamma(mpmath.mpf(0.5) - x / 2)
+
+        left, right = condition(nu - delta), condition(nu + delta)
+    assert left * right <= 0, f"no root within {delta:.1e} of nu={nu!r} at g={g!r}"
+
+
+@pytest.mark.parametrize("g", GATE_COUPLINGS, ids=lambda g: f"{g:.3g}")
+def test_roots_match_mpmath(g):
+    for sol in solve_even(g, SolverConfig(n_states=6)):
+        _assert_mpmath_root(g, sol)
+
+
+@pytest.mark.parametrize("g", [-1000.0, -1.0, 1e-3, 1.0, 7.7, 1e4])
+def test_high_even_states_match_mpmath(g):
+    sols = solve_even(g, SolverConfig(n_states=500))
+    assert len(sols) == 500
+    for k in (0, 1, 171, 172, 499):
+        _assert_mpmath_root(g, sols[k])
+
+
+def test_root_171_with_343_states():
+    # this root once came back as 342.1097..., whatever the coupling
+    sol = full_spectrum(7.7, SolverConfig(n_states=343))[342]
+    assert sol.index == 342
+    assert sol.nu == pytest.approx(342.18210945498515, rel=1e-13)
+    _assert_mpmath_root(7.7, sol)
+
+
+def test_extreme_coupling_reaches_asymptote():
+    # the level sits at -g^2/2 = -5e299, still inside the double range
+    g = -1e150
+    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    assert sol.epsilon == pytest.approx(bound_state_asymptote(g), rel=1e-15)
