@@ -185,7 +185,6 @@ def _make_report(g, cfg, stamp):
     metadata = {
         "version": __version__,
         "n_states": cfg.n_states,
-        "root_tol": cfg.root_tol,
     }
     if stamp:
         metadata["timestamp"] = datetime.datetime.now(
@@ -231,7 +230,7 @@ def _report_to_csv(report, args):
 
 def cmd_solve(args):
     g = _require(args, "g")
-    cfg = _solver_config(args)
+    cfg = spectrum.SolverConfig(n_states=5 if args.states is None else args.states)
     report = _make_report(g, cfg, args.stamp)
     if args.format == "json":
         _emit(report_to_json(report), args, "solve.json")
@@ -410,24 +409,38 @@ def cmd_compare(args):
 
 # --- units -----------------------------------------------------------------------
 
+def _derived(name, compute):
+    # NaN or infinity would print as invalid JSON; float ** and / may raise
+    try:
+        value = compute()
+    except ArithmeticError:
+        raise ValueError(f"{name} is past the double range for these scales") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value!r} is not finite for these scales")
+    return value
+
+
 def cmd_units(args):
     scales = PhysicalScales(
         mass=args.mass, omega=args.omega, hbar=args.hbar, alpha=args.alpha
     )
-    g = scales.coupling
+    if args.nu is not None and not math.isfinite(args.nu):
+        raise ValueError(f"--nu must be finite, got {args.nu!r}")
+    a0 = _derived("a0", lambda: scales.length)
+    g = _derived("g", lambda: scales.coupling)
     lines = [
-        f"a0 = {scales.length:.12g}",
+        f"a0 = {a0:.12g}",
         f"g = {g:.12g}",
     ]
-    payload = {"a0": scales.length, "g": g}
+    payload = {"a0": a0, "g": g}
     if args.nu is not None:
-        energy = scales.energy(args.nu + 0.5)
+        energy = _derived(f"E(nu={args.nu:g})", lambda: scales.energy(args.nu + 0.5))
         lines.append(f"E(nu={args.nu:g}) = {energy:.12g}")
         payload["E"] = energy
     if scales.alpha < 0.0:
         ground = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0]
-        solved = scales.energy(ground.epsilon)
-        deep = scales.deep_reference_energy()
+        solved = _derived("E_ground_solved", lambda: scales.energy(ground.epsilon))
+        deep = _derived("E_deep_reference", scales.deep_reference_energy)
         lines.append(f"E_ground_solved = {solved:.12g}")
         lines.append(f"E_deep_reference = {deep:.12g}")
         payload["E_ground_solved"] = solved
@@ -450,7 +463,6 @@ _CONFIG_PARSERS = {
     "out": str,
     "grid_n": int,
     "grid_l": float,
-    "tol": float,
     "full_precision": None,
     "stamp": None,
 }
@@ -499,30 +511,24 @@ def _require(args, name):
     return value
 
 
-def _solver_config(args):
-    kwargs = {}
-    if args.states is not None:
-        kwargs["n_states"] = args.states
-    if args.tol is not None:
-        kwargs["root_tol"] = args.tol
-    return spectrum.SolverConfig(**kwargs)
+_FLAGS = {
+    "g": {"type": float, "help": "dimensionless coupling"},
+    "states": {"type": int, "help": "number of states"},
+    "format": {"choices": _FORMATS},
+    "out": {"help": "output directory (default: stdout)"},
+    "grid_n": {"type": int, "help": "oracle grid intervals"},
+    "grid_l": {"type": float, "help": "oracle half-width"},
+    "full_precision": {"action": "store_true", "help": "17 significant digits in CSV output"},
+    "stamp": {"action": "store_true", "help": "include a timestamp comment/metadata entry"},
+}
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--g", type=float, default=None, help="dimensionless coupling")
-    sub.add_argument("--states", type=int, default=None, help="number of states")
-    sub.add_argument("--format", choices=_FORMATS, default=None)
-    sub.add_argument("--out", default=None, help="output directory (default: stdout)")
-    sub.add_argument("--grid-n", dest="grid_n", type=int, default=None,
-                     help="oracle grid intervals")
-    sub.add_argument("--grid-l", dest="grid_l", type=float, default=None,
-                     help="oracle half-width")
-    sub.add_argument("--tol", type=float, default=None, help="root tolerance")
-    sub.add_argument("--full-precision", dest="full_precision",
-                     action="store_true", default=None,
-                     help="17 significant digits in CSV output")
-    sub.add_argument("--stamp", action="store_true", default=None,
-                     help="include a timestamp comment/metadata entry")
+def _add_flags(sub, *names):
+    # only the flags the subcommand reads; default None lets the config
+    # file fill what the command line left out
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                         **_FLAGS[name])
 
 
 def build_parser():
@@ -533,25 +539,26 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="solve and report one spectrum")
-    _add_common_flags(solve)
+    _add_flags(solve, "g", "states", "format", "out", "full_precision", "stamp")
     solve.set_defaults(func=cmd_solve, default_format="json")
 
     table = commands.add_parser("table", help="regenerate the even-level table")
-    _add_common_flags(table)
-    table.set_defaults(func=cmd_table, default_format="csv")
+    _add_flags(table, "out", "stamp")
+    table.set_defaults(func=cmd_table)
 
     figures = commands.add_parser("figures", help="write figure-ready CSV grids")
     figures.add_argument("which",
                          choices=("eq-solution", "nu-vs-g", "wavefunctions"))
-    _add_common_flags(figures)
-    figures.set_defaults(func=cmd_figures, default_format="csv")
+    _add_flags(figures, "out", "full_precision", "stamp")
+    figures.set_defaults(func=cmd_figures)
 
     compare = commands.add_parser("compare", help="analytic vs oracle spectrum")
-    _add_common_flags(compare)
+    _add_flags(compare, "g", "states", "format", "out", "grid_n", "grid_l",
+               "full_precision", "stamp")
     compare.set_defaults(func=cmd_compare, default_format="json")
 
     units = commands.add_parser("units", help="physical scales to g and back")
-    _add_common_flags(units)
+    _add_flags(units, "format", "out")
     units.add_argument("--mass", type=float, default=1.0)
     units.add_argument("--omega", type=float, default=1.0)
     units.add_argument("--hbar", type=float, default=1.0)
@@ -564,20 +571,18 @@ def build_parser():
 
 
 def _apply_config(args):
-    config = load_config_file()
-    for key, value in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    if args.format is None:
-        args.format = args.default_format
-    if args.full_precision is None:
-        args.full_precision = False
-    if args.stamp is None:
-        args.stamp = False
+    # flags win over the file and the file over the fallbacks; a key for
+    # a flag this subcommand does not have is skipped
+    fallbacks = {"format": getattr(args, "default_format", None),
+                 "full_precision": False, "stamp": False}
+    for source in (load_config_file(), fallbacks):
+        for key, value in source.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, value)
 
 
 _VALUE_FLAGS = frozenset(
-    ("--g", "--states", "--grid-n", "--grid-l", "--tol",
+    ("--g", "--states", "--grid-n", "--grid-l",
      "--mass", "--omega", "--hbar", "--alpha", "--nu")
 )
 

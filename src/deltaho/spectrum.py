@@ -13,7 +13,7 @@ from .errors import BracketError, ConvergenceError
 from .specfun import cospi, gamma_ratio, kummer_u_half_origin, sinpi
 
 _EPS = math.ulp(1.0)
-_MAX_DOUBLINGS = 60
+_MAX_STEPS = 200  # a guard: refinement needs at most about 60 evaluations per root
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,22 +42,21 @@ class EigenSolution:
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Root-finding knobs; the defaults are final for ordinary use."""
+    """How many levels to return; the coupling g is the only other input.
 
-    root_tol: float = 1e-10
-    max_iter: int = 200
-    nu_min: float | None = None
+    Domain: g must be finite.  For g < 0 the lowest level sits near -g^2,
+    so |g| past about 9.48e153 (where 2 g^2 leaves the double range)
+    raises BracketError.  n_states must be at least 1; the mpmath root
+    gate covers n_states up to 500.  `deltaho solve` reports kink
+    residuals only up to about state 343, where the wavefunction's
+    origin values leave the double range.
+    """
+
     n_states: int = 5
 
     def __post_init__(self):
-        if not self.root_tol > 0.0:
-            raise ValueError("root_tol must be positive")
-        if self.max_iter < 10:
-            raise ValueError("max_iter must be at least 10")
         if self.n_states < 1:
             raise ValueError("n_states must be at least 1")
-        if self.nu_min is not None and not self.nu_min < 0.0:
-            raise ValueError("nu_min must be negative when given")
 
 
 def eigen_equation(nu, g):
@@ -93,30 +92,25 @@ def jump_check(nu, g):
     return abs(2.0 * slope - 2.0 * g * value)
 
 
-def _bound_lower_edge(g, nu_min):
-    lo = nu_min if nu_min is not None else -2.0 * max(1.0, g * g)
+def _bound_lower_edge(g):
+    # the condition is negative at nu = -2M, M = max(1, g^2), for g < 0:
+    # -2M + |g| Gamma(M+1)/Gamma(M+1/2) < -2M + sqrt(M(M+1)) < 0
+    lo = -2.0 * max(1.0, g * g)
     if not math.isfinite(lo):
         # the bound level sits near -g^2, past the double range
         raise BracketError(
             f"bound-state search edge overflows for g={g!r}; "
             "the coupling is too strong to represent the lowest level"
         )
-    for _ in range(_MAX_DOUBLINGS):
-        if eigen_equation(lo, g) < 0.0:
-            return lo
-        lo *= 2.0
-    raise BracketError(
-        f"no sign change below the bound state at g={g!r} after "
-        f"{_MAX_DOUBLINGS} doublings; this is a solver bug, not a physics case"
-    )
+    return lo
 
 
-def bracket_even_roots(g, n_states, nu_min=None):
+def bracket_even_roots(g, n_states):
     """Disjoint intervals, one per even-parity root, lowest first.
 
     For g > 0 the k-th root sits strictly inside (2k, 2k+1).  For g < 0
-    there is a single negative root, bracketed by doubling down from
-    -2*max(1, g^2); the remaining roots sit in (2k-1, 2k).
+    there is a single negative root, inside (-2*max(1, g^2), 0); the
+    remaining roots sit in (2k-1, 2k).
     """
     if not math.isfinite(g) or g == 0.0:
         raise ValueError("bracketing needs a finite nonzero coupling")
@@ -124,18 +118,18 @@ def bracket_even_roots(g, n_states, nu_min=None):
         raise ValueError("n_states must be at least 1")
     if g > 0.0:
         return [(2.0 * k, 2.0 * k + 1.0) for k in range(n_states)]
-    out = [(_bound_lower_edge(g, nu_min), 0.0)]
+    out = [(_bound_lower_edge(g), 0.0)]
     out.extend((2.0 * k - 1.0, 2.0 * k) for k in range(1, n_states))
     return out
 
 
-def _refine_root(func, lo, hi, cfg):
+def _refine_root(func, lo, hi):
     """Bisection with interleaved secant steps, confined to the bracket.
 
     Even-numbered steps always bisect, so the width at least halves every
     other step regardless of how the secant behaves.  Stops at a width of
-    a few ulps; cfg.root_tol is the width still accepted if the iteration
-    cap strikes first.
+    a few ulps; a bracket still wider after _MAX_STEPS steps raises
+    ConvergenceError.
     """
     f_lo = func(lo)
     f_hi = func(hi)
@@ -145,7 +139,7 @@ def _refine_root(func, lo, hi, cfg):
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
-    for step in range(cfg.max_iter):
+    for step in range(_MAX_STEPS):
         if hi - lo <= 6.0 * _EPS * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
@@ -160,10 +154,8 @@ def _refine_root(func, lo, hi, cfg):
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    if hi - lo <= cfg.root_tol:
-        return 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"bracket still {hi - lo:.3e} wide after {cfg.max_iter} refinement steps"
+        f"bracket still {hi - lo:.3e} wide after {_MAX_STEPS} refinement steps"
     )
 
 
@@ -181,8 +173,8 @@ def solve_even(g, cfg=None):
     if g == 0.0:
         return [EigenSolution("even", 2.0 * k, 2 * k) for k in range(cfg.n_states)]
     func = lambda nu: eigen_equation(nu, g)
-    brackets = bracket_even_roots(g, cfg.n_states, cfg.nu_min)
-    return [EigenSolution("even", _refine_root(func, lo, hi, cfg), 2 * k)
+    brackets = bracket_even_roots(g, cfg.n_states)
+    return [EigenSolution("even", _refine_root(func, lo, hi), 2 * k)
             for k, (lo, hi) in enumerate(brackets)]
 
 
@@ -200,9 +192,8 @@ def full_spectrum(g, cfg=None):
     violation would mean an even root escaped its bracket, so the pattern
     is checked rather than assumed.
     """
-    cfg = SolverConfig() if cfg is None else cfg
-    n = cfg.n_states
-    merged = solve_even(g, dataclasses.replace(cfg, n_states=(n + 1) // 2))
+    n = (SolverConfig() if cfg is None else cfg).n_states
+    merged = solve_even(g, SolverConfig(n_states=(n + 1) // 2))
     if n >= 2:
         merged = merged + solve_odd(n // 2)
     merged.sort(key=lambda s: s.epsilon)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from deltaho import spectrum
+from deltaho import __version__, spectrum
 from deltaho.cli import PhysicalScales, RunReport, main, reference_table
 
 
@@ -95,6 +95,10 @@ class TestSolve:
         assert out.startswith("# generated")
         _, jout = run_cli(capsys, "solve", "--g", "1.0", "--stamp")
         assert "timestamp" in json.loads(jout)["config"]
+
+    def test_json_config_names_only_the_state_count(self, capsys):
+        _, out = run_cli(capsys, "solve", "--g", "1.0", "--states", "3")
+        assert json.loads(out)["config"] == {"version": __version__, "n_states": 3}
 
 
 class TestTable:
@@ -245,6 +249,27 @@ class TestUnits:
         with pytest.raises(ValueError):
             PhysicalScales(**kwargs)
 
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_nu(self, capsys, nu):
+        code = main(["units", "--nu", nu, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--nu" in captured.err and nu in captured.err
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--alpha", "1e300", "--hbar", "1e-10"], "g"),
+        (["--hbar", "1e300", "--mass", "1e-300", "--omega", "1e-300"], "a0"),
+        (["--omega", "1e300", "--nu", "1e10"], "E(nu=1e+10)"),
+        (["--alpha", "-1e200", "--hbar", "1e100"], "E_deep_reference"),
+    ])
+    def test_rejects_derived_values_past_double_range(self, capsys, argv, name):
+        code = main(["units", *argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} ")
+
 
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):
@@ -285,6 +310,28 @@ class TestExitCodes:
         assert code == 4
 
 
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["table", "--format", "json"],
+        ["table", "--g", "1"],
+        ["figures", "nu-vs-g", "--states", "3"],
+        ["units", "--stamp"],
+        ["units", "--full-precision"],
+        ["solve", "--g", "1", "--grid-n", "8"],
+        ["solve", "--g", "1", "--tol", "1e-12"],
+        ["compare", "--g", "1", "--tol", "1e-12"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, monkeypatch,
+                                                        tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # figures writes to the current directory
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, monkeypatch, tmp_path):
         conf = tmp_path / "deltaho.conf"
@@ -315,6 +362,27 @@ class TestConfigFile:
         code, out = run_cli(capsys, "units", "--alpha", "1")
         assert code == 0
         assert json.loads(out)["g"] == 1.0
+
+    @pytest.mark.parametrize("command", [["table"], ["units", "--alpha", "1"]])
+    def test_keys_a_command_does_not_read_are_skipped(self, capsys, monkeypatch,
+                                                      tmp_path, command):
+        _, plain = run_cli(capsys, *command)
+        conf = tmp_path / "deltaho.conf"
+        conf.write_text("g=1\ngrid_n=8\n")
+        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
+        code, out = run_cli(capsys, *command)
+        assert code == 0
+        assert out == plain
+
+    def test_tol_is_an_unknown_key(self, capsys, monkeypatch, tmp_path):
+        conf = tmp_path / "deltaho.conf"
+        conf.write_text("tol=1e-12\n")
+        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
+        code = main(["solve", "--g", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown key 'tol'" in captured.err
 
     def test_flags_override_config(self, capsys, monkeypatch, tmp_path):
         conf = tmp_path / "deltaho.conf"

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from deltaho import spectrum
 from deltaho.errors import BracketError
 from deltaho.spectrum import (
     EigenSolution,
@@ -270,18 +271,49 @@ def test_eigen_solution_validation():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(root_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=5)
-    with pytest.raises(ValueError):
         SolverConfig(n_states=0)
-    with pytest.raises(ValueError):
-        SolverConfig(nu_min=1.0)
 
 
-def test_explicit_search_floor_is_honored():
-    sols = solve_even(-5.0, SolverConfig(n_states=1, nu_min=-14.0))
-    assert sols[0].nu == pytest.approx(-12.990027623650626, rel=1e-12)
+def test_attractive_domain_edge():
+    # the search edge -2 g^2 leaves the double range past |g| = 9.4808e153
+    (sol,) = solve_even(-9.48e153, SolverConfig(n_states=1))
+    assert sol.epsilon == pytest.approx(bound_state_asymptote(-9.48e153), rel=1e-15)
+    with pytest.raises(BracketError):
+        solve_even(-9.49e153, SolverConfig(n_states=1))
+
+
+# ---------------------------------------------------------------------------
+# refinement cost: the step cap is a guard, never the stopping rule
+
+_cap_rng = random.Random(20261018)
+CAP_CASES = [(sign * 10.0 ** _cap_rng.uniform(-300.0, 150.0), _cap_rng.randint(1, 500))
+             for sign in (1.0, -1.0) for _ in range(10)]
+CAP_CASES += [(g, 500) for g in (1e-300, -1e-300, 1e150, -1e150)]
+
+
+@pytest.mark.parametrize("g,n_states", CAP_CASES, ids=lambda v: f"{v:.3g}")
+def test_refinement_stays_far_below_step_cap(monkeypatch, g, n_states):
+    evals = [0]
+    per_root = []
+    equation, refine = spectrum.eigen_equation, spectrum._refine_root
+
+    def counted_equation(nu, coupling):
+        evals[0] += 1
+        return equation(nu, coupling)
+
+    def counted_refine(func, lo, hi):
+        before = evals[0]
+        root = refine(func, lo, hi)
+        per_root.append(evals[0] - before)
+        return root
+
+    monkeypatch.setattr(spectrum, "eigen_equation", counted_equation)
+    monkeypatch.setattr(spectrum, "_refine_root", counted_refine)
+    lo, _ = bracket_even_roots(g, 1)[0]
+    assert equation(lo, g) < 0.0
+    solve_even(g, SolverConfig(n_states=n_states))
+    assert len(per_root) == n_states
+    assert max(per_root) <= 70
 
 
 # ---------------------------------------------------------------------------
