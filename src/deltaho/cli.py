@@ -5,14 +5,19 @@ even levels, dump figure-ready CSV grids, cross-check the analytic
 solver against the finite-difference oracle, and convert physical
 scales to the dimensionless coupling and back.
 
+Every value comes from the command line, and argparse holds each
+default.  A subcommand accepts only the flags it reads, spelled in full;
+--g is required where it is read.
+
 Output is deterministic: identical flags give byte-identical files.
 Timestamps appear only under --stamp.  All floats in JSON are written
-by repr, so a parsed report equals the one serialized.  Exit codes:
-0 success, 2 usage or bad values, 3 solver failure, 4 I/O failure.
+by repr, so a parsed report equals the one serialized.  Files under
+--out are swapped in whole and created with the mode the umask allows.
+Exit codes: 0 success, 2 usage or bad values, 3 solver failure, 4 I/O
+failure.
 """
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import io
@@ -20,16 +25,15 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 from . import __version__, specfun, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
+_TABLE_COUPLINGS = (0.0, -0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _CRLF = "\r\n"
 
 
-@dataclasses.dataclass(frozen=True)
 class PhysicalScales:
     """Physical inputs and the derived dimensionless quantities.
 
@@ -37,18 +41,18 @@ class PhysicalScales:
     the contact potential in physical units (energy times length).
     """
 
-    mass: float
-    omega: float
-    hbar: float = 1.0
-    alpha: float = 0.0
+    __slots__ = ("mass", "omega", "hbar", "alpha")
 
-    def __post_init__(self):
-        for name in ("mass", "omega", "hbar"):
-            value = getattr(self, name)
+    def __init__(self, mass, omega, hbar=1.0, alpha=0.0):
+        for name, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(self.alpha):
+        if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
+        self.mass = mass
+        self.omega = omega
+        self.hbar = hbar
+        self.alpha = alpha
 
     @property
     def length(self):
@@ -66,37 +70,6 @@ class PhysicalScales:
         return -(self.alpha**2) * self.mass / (2.0 * self.hbar**2)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunReport:
-    """One solve: states, their kink residuals, optional oracle gaps."""
-
-    g: float
-    states: tuple
-    residuals: tuple
-    oracle_gaps: tuple = None
-    metadata: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.residuals) != len(self.states):
-            raise ValueError("one residual per state")
-        if any(r > 1e-8 * _kink_scale(sol, self.g)
-               for sol, r in zip(self.states, self.residuals)):
-            raise ValueError("self-solved states must satisfy the kink "
-                             "condition to 1e-8 relative; got a larger residual")
-        if self.oracle_gaps is not None and len(self.oracle_gaps) != len(self.states):
-            raise ValueError("one oracle gap per state when gaps are given")
-
-
-def _kink_scale(sol, g):
-    # size of the two sides of 2 psi'(0+) = 2 g psi(0), floored at 1; high
-    # even states at strong coupling reach 1e18 there, where an absolute
-    # 1e-8 is far below the rounding of either side
-    if sol.parity == "odd":
-        return 1.0
-    value, slope = specfun.kummer_u_half_origin(sol.nu)
-    return max(1.0, abs(2.0 * slope) + abs(2.0 * g * value))
-
-
 @functools.lru_cache(maxsize=1)
 def reference_table():
     """Fixture of four-decimal even levels, keyed by coupling (0 included)."""
@@ -107,11 +80,6 @@ def reference_table():
     for column in raw["columns"]:
         table[float(column["g"])] = tuple(column["nu"])
     return table
-
-
-def table_coupling_order():
-    """Column order of the reference table: zero, then pairs by strength."""
-    return (0.0, -0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 
 
 # --- formatting and output plumbing ------------------------------------------
@@ -137,8 +105,11 @@ def _csv_text(rows, comments=()):
 
 
 def _write_atomic(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".part_")
+    # a new file beside the target, created 0o666 so that the umask sets
+    # its mode as for a plain open(); os.replace swaps it in whole
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".part_{os.getpid()}_{name}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
@@ -169,7 +140,8 @@ def _state_residual(sol, g):
     if sol.parity == "odd":
         return 0.0
     try:
-        return spectrum.jump_check(sol.nu, g)
+        residual = spectrum.jump_check(sol.nu, g)
+        value, slope = specfun.kummer_u_half_origin(sol.nu)
     except OverflowError:
         # the origin values grow like Gamma(nu/2) and leave the double
         # range near nu = 343, although the root itself is fine
@@ -177,65 +149,48 @@ def _state_residual(sol, g):
             f"state {sol.index} (nu={sol.nu!r}): its kink residual is past "
             "the double range"
         ) from None
-
-
-def _make_report(g, cfg, stamp):
-    states = spectrum.full_spectrum(g, cfg)
-    residuals = tuple(_state_residual(sol, g) for sol in states)
-    metadata = {
-        "version": __version__,
-        "n_states": cfg.n_states,
-    }
-    if stamp:
-        metadata["timestamp"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
-    return RunReport(g=g, states=states, residuals=residuals, metadata=metadata)
-
-
-def report_to_json(report):
-    payload = {
-        "g": report.g,
-        "states": [
-            {
-                "index": sol.index,
-                "parity": sol.parity,
-                "nu": sol.nu,
-                "epsilon": sol.epsilon,
-            }
-            for sol in report.states
-        ],
-        "residuals": list(report.residuals),
-        "config": report.metadata,
-    }
-    if report.oracle_gaps is not None:
-        payload["oracle_gaps"] = list(report.oracle_gaps)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _report_to_csv(report, args):
-    rows = [("index", "parity", "nu", "epsilon", "residual")]
-    for sol, res in zip(report.states, report.residuals):
-        rows.append(
-            (
-                sol.index,
-                sol.parity,
-                _fmt(sol.nu, args.full_precision),
-                _fmt(sol.epsilon, args.full_precision),
-                _fmt(res, args.full_precision),
-            )
+    # relative to the two sides of 2 psi'(0+) = 2 g psi(0), floored at 1: they
+    # reach 1e18 for high even states at strong coupling, past an absolute 1e-8
+    scale = max(1.0, abs(2.0 * slope) + abs(2.0 * g * value))
+    if residual > 1e-8 * scale:
+        raise ConvergenceError(
+            f"state {sol.index} (nu={sol.nu!r}) misses the kink condition: "
+            f"residual {residual:.3e} is above 1e-8 of its scale {scale:.3e}"
         )
-    return _csv_text(rows, _stamp_comments(args))
+    return residual
 
 
 def cmd_solve(args):
-    g = _require(args, "g")
-    cfg = spectrum.SolverConfig(n_states=5 if args.states is None else args.states)
-    report = _make_report(g, cfg, args.stamp)
-    if args.format == "json":
-        _emit(report_to_json(report), args, "solve.json")
-    else:
-        _emit(_report_to_csv(report, args), args, "solve.csv")
+    states = spectrum.full_spectrum(args.g, spectrum.SolverConfig(n_states=args.states))
+    residuals = [_state_residual(sol, args.g) for sol in states]
+    if args.format == "csv":
+        rows = [("index", "parity", "nu", "epsilon", "residual")]
+        for sol, res in zip(states, residuals):
+            rows.append(
+                (
+                    sol.index,
+                    sol.parity,
+                    _fmt(sol.nu, args.full_precision),
+                    _fmt(sol.epsilon, args.full_precision),
+                    _fmt(res, args.full_precision),
+                )
+            )
+        _emit(_csv_text(rows, _stamp_comments(args)), args, "solve.csv")
+        return 0
+    config = {"version": __version__, "n_states": args.states}
+    if args.stamp:
+        config["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    payload = {
+        "g": args.g,
+        "states": [
+            {"index": sol.index, "parity": sol.parity, "nu": sol.nu,
+             "epsilon": sol.epsilon}
+            for sol in states
+        ],
+        "residuals": residuals,
+        "config": config,
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", args, "solve.json")
     return 0
 
 
@@ -243,17 +198,16 @@ def cmd_solve(args):
 
 def cmd_table(args):
     reference = reference_table()
-    order = table_coupling_order()
     solved = {}
-    for g in order:
+    for g in _TABLE_COUPLINGS:
         cfg = spectrum.SolverConfig(n_states=5)
         solved[g] = [sol.nu for sol in spectrum.solve_even(g, cfg)]
-    header = ["level"] + [f"g={g:g}" for g in order] + ["max_abs_diff"]
+    header = ["level"] + [f"g={g:g}" for g in _TABLE_COUPLINGS] + ["max_abs_diff"]
     rows = [tuple(header)]
     for level in range(5):
         cells = [str(level)]
         worst = 0.0
-        for g in order:
+        for g in _TABLE_COUPLINGS:
             value = solved[g][level]
             cells.append(f"{value:.4f}")
             worst = max(worst, abs(value - reference[g][level]))
@@ -333,13 +287,10 @@ def _figure_wavefunctions(args):
 
 
 def cmd_figures(args):
-    which = args.which
-    if args.out is None:
-        args.out = "."
     os.makedirs(args.out, exist_ok=True)
-    if which == "eq-solution":
+    if args.which == "eq-solution":
         _figure_eq_solution(args)
-    elif which == "nu-vs-g":
+    elif args.which == "nu-vs-g":
         _figure_nu_vs_g(args)
     else:
         _figure_wavefunctions(args)
@@ -351,10 +302,7 @@ def cmd_figures(args):
 def cmd_compare(args):
     from . import oracle  # numpy; kept off the path of the other commands
 
-    g = _require(args, "g")
-    k = args.states if args.states is not None else 6
-    grid_n = args.grid_n if args.grid_n is not None else 4000
-    grid_l = args.grid_l if args.grid_l is not None else 8.0
+    g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too
         raise ValueError(f"--grid-n must be a multiple of 4 and at least 8, got {grid_n}")
@@ -454,131 +402,66 @@ def cmd_units(args):
 
 # --- argument plumbing --------------------------------------------------------------
 
-_FORMATS = ("csv", "json")
-
-_CONFIG_PARSERS = {
-    "g": float,
-    "states": int,
-    "format": str,
-    "out": str,
-    "grid_n": int,
-    "grid_l": float,
-    "full_precision": None,
-    "stamp": None,
-}
-
-
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-def load_config_file():
-    """Defaults from the file named by DELTAHO_CONFIG, if the variable is set."""
-    path = os.environ.get("DELTAHO_CONFIG")
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    values = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw_line!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        parser = _CONFIG_PARSERS[key]
-        value = _parse_bool(raw_value) if parser is None else parser(raw_value.strip())
-        if key == "format" and value not in _FORMATS:
-            raise ValueError(f"{path}:{lineno}: format must be one of "
-                             f"{', '.join(_FORMATS)}, got {value!r}")
-        values[key] = value
-    return values
-
-
-def _require(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"--{name} is required (flag or config file)")
-    return value
-
-
 _FLAGS = {
-    "g": {"type": float, "help": "dimensionless coupling"},
-    "states": {"type": int, "help": "number of states"},
-    "format": {"choices": _FORMATS},
+    "g": {"type": float, "required": True, "help": "dimensionless coupling"},
+    "states": {"type": int, "default": 5, "help": "number of states"},
+    "format": {"choices": ("csv", "json"), "default": "json"},
     "out": {"help": "output directory (default: stdout)"},
-    "grid_n": {"type": int, "help": "oracle grid intervals"},
-    "grid_l": {"type": float, "help": "oracle half-width"},
+    "grid_n": {"type": int, "default": 4000, "help": "oracle grid intervals"},
+    "grid_l": {"type": float, "default": 8.0, "help": "oracle half-width"},
     "full_precision": {"action": "store_true", "help": "17 significant digits in CSV output"},
     "stamp": {"action": "store_true", "help": "include a timestamp comment/metadata entry"},
 }
 
 
 def _add_flags(sub, *names):
-    # only the flags the subcommand reads; default None lets the config
-    # file fill what the command line left out
+    # only the flags the subcommand reads
     for name in names:
-        sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
-                         **_FLAGS[name])
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
 def build_parser():
+    # allow_abbrev=False: a prefix such as --stat would otherwise pass for
+    # --states, but not where _glue_negative_values must see the full name
     parser = argparse.ArgumentParser(
         prog="deltaho",
         description="Oscillator-with-a-contact-term spectra, tables, and checks.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    solve = commands.add_parser("solve", help="solve and report one spectrum")
+    solve = add_command("solve", help="solve and report one spectrum")
     _add_flags(solve, "g", "states", "format", "out", "full_precision", "stamp")
-    solve.set_defaults(func=cmd_solve, default_format="json")
+    solve.set_defaults(func=cmd_solve)
 
-    table = commands.add_parser("table", help="regenerate the even-level table")
+    table = add_command("table", help="regenerate the even-level table")
     _add_flags(table, "out", "stamp")
     table.set_defaults(func=cmd_table)
 
-    figures = commands.add_parser("figures", help="write figure-ready CSV grids")
+    figures = add_command("figures", help="write figure-ready CSV grids")
     figures.add_argument("which",
                          choices=("eq-solution", "nu-vs-g", "wavefunctions"))
     _add_flags(figures, "out", "full_precision", "stamp")
-    figures.set_defaults(func=cmd_figures)
+    figures.set_defaults(func=cmd_figures, out=".")
 
-    compare = commands.add_parser("compare", help="analytic vs oracle spectrum")
+    compare = add_command("compare", help="analytic vs oracle spectrum")
     _add_flags(compare, "g", "states", "format", "out", "grid_n", "grid_l",
                "full_precision", "stamp")
-    compare.set_defaults(func=cmd_compare, default_format="json")
+    compare.set_defaults(func=cmd_compare, states=6)
 
-    units = commands.add_parser("units", help="physical scales to g and back")
-    _add_flags(units, "format", "out")
+    units = add_command("units", help="physical scales to g and back")
+    _add_flags(units, "out")
+    units.add_argument("--format", choices=("text", "json"), default="text")
     units.add_argument("--mass", type=float, default=1.0)
     units.add_argument("--omega", type=float, default=1.0)
     units.add_argument("--hbar", type=float, default=1.0)
     units.add_argument("--alpha", type=float, default=0.0)
     units.add_argument("--nu", type=float, default=None,
                        help="report E = (nu + 1/2) hbar omega")
-    units.set_defaults(func=cmd_units, default_format="text")
+    units.set_defaults(func=cmd_units)
 
     return parser
-
-
-def _apply_config(args):
-    # flags win over the file and the file over the fallbacks; a key for
-    # a flag this subcommand does not have is skipped
-    fallbacks = {"format": getattr(args, "default_format", None),
-                 "full_precision": False, "stamp": False}
-    for source in (load_config_file(), fallbacks):
-        for key, value in source.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, value)
 
 
 _VALUE_FLAGS = frozenset(
@@ -617,17 +500,15 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _apply_config(args)
         return args.func(args)
-    except InsufficientDomainError as exc:
+    except (InsufficientDomainError, BracketError, ConvergenceError,
+            OverflowError) as exc:
+        # before ValueError, of which InsufficientDomainError is a subclass
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, ConvergenceError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         target = getattr(exc, "filename", None)
         context = f" ({target})" if target else ""

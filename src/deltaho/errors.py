@@ -6,7 +6,7 @@ oracle can report comparable failures without importing each other.
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration cap was reached before the convergence criterion."""
+    """An iteration cap was reached, or a result missed its convergence criterion."""
 
 
 class BracketError(RuntimeError):

@@ -6,7 +6,6 @@ unperturbed positions.  States are labeled by the real quantum number nu,
 with dimensionless energy epsilon = nu + 1/2 in oscillator units.
 """
 
-import dataclasses
 import math
 
 from .errors import BracketError, ConvergenceError
@@ -16,23 +15,23 @@ _EPS = math.ulp(1.0)
 _MAX_STEPS = 200  # a guard: refinement needs at most about 60 evaluations per root
 
 
-@dataclasses.dataclass(frozen=True)
 class EigenSolution:
     """One stationary state: parity branch, quantum label, spectral position."""
 
-    parity: str
-    nu: float
-    index: int
+    __slots__ = ("parity", "nu", "index")
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.index < 0:
+    def __init__(self, parity, nu, index):
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        if index < 0:
             raise ValueError("index must be nonnegative")
-        if self.parity == "odd":
-            n = int(self.nu)
-            if self.nu != n or n < 1 or n % 2 == 0:
+        if parity == "odd":
+            n = int(nu)
+            if nu != n or n < 1 or n % 2 == 0:
                 raise ValueError("odd-parity nu must be a positive odd integer")
+        self.parity = parity
+        self.nu = nu
+        self.index = index
 
     @property
     def epsilon(self):
@@ -40,7 +39,6 @@ class EigenSolution:
         return self.nu + 0.5
 
 
-@dataclasses.dataclass(frozen=True)
 class SolverConfig:
     """How many levels to return; the coupling g is the only other input.
 
@@ -52,11 +50,12 @@ class SolverConfig:
     origin values leave the double range.
     """
 
-    n_states: int = 5
+    __slots__ = ("n_states",)
 
-    def __post_init__(self):
-        if self.n_states < 1:
+    def __init__(self, n_states=5):
+        if n_states < 1:
             raise ValueError("n_states must be at least 1")
+        self.n_states = n_states
 
 
 def eigen_equation(nu, g):

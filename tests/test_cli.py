@@ -1,19 +1,16 @@
-"""CLI behavior: output formats, determinism, exit codes, config file."""
+"""CLI behavior: output formats, determinism, exit codes, flag scope, file modes."""
 
 import csv
 import io
 import json
 import math
+import os
+import stat
 
 import pytest
 
 from deltaho import __version__, spectrum
-from deltaho.cli import PhysicalScales, RunReport, main, reference_table
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_config(monkeypatch):
-    monkeypatch.delenv("DELTAHO_CONFIG", raising=False)
+from deltaho.cli import PhysicalScales, main, reference_table
 
 
 def run_cli(capsys, *argv):
@@ -292,15 +289,19 @@ class TestExitCodes:
         assert code == 3
         assert "state 344" in err and "double range" in err
 
-    def test_missing_config_file(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTAHO_CONFIG", "/nonexistent/deltaho.conf")
-        assert run_cli(capsys, "solve", "--g", "1")[0] == 4
+    def test_missed_kink_condition_is_a_solver_failure(self, capsys, monkeypatch):
+        solve = spectrum.full_spectrum
 
-    def test_unknown_config_key(self, capsys, monkeypatch, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("not_a_key=1\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        assert run_cli(capsys, "solve", "--g", "1")[0] == 2
+        def ground_off_by_1e_3(g, cfg):
+            states = solve(g, cfg)
+            return [spectrum.EigenSolution("even", states[0].nu + 1e-3, 0)] + states[1:]
+
+        monkeypatch.setattr(spectrum, "full_spectrum", ground_off_by_1e_3)
+        code = main(["solve", "--g", "1", "--states", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "state 0" in captured.err and "misses the kink condition" in captured.err
 
     def test_unwritable_output(self, capsys, tmp_path):
         blocker = tmp_path / "plainfile"
@@ -320,6 +321,9 @@ class TestFlagScope:
         ["solve", "--g", "1", "--grid-n", "8"],
         ["solve", "--g", "1", "--tol", "1e-12"],
         ["compare", "--g", "1", "--tol", "1e-12"],
+        ["solve", "--stat", "2", "--g", "1"],
+        ["solve", "--g", "1", "--full"],
+        ["units", "--alph", "-1e5"],
     ], ids=" ".join)
     def test_flag_the_command_does_not_read_is_rejected(self, capsys, monkeypatch,
                                                         tmp_path, argv):
@@ -331,65 +335,34 @@ class TestFlagScope:
         assert "unrecognized arguments" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, capsys, monkeypatch, tmp_path):
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("g=2.5\nstates=3\n# comment line\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        code, out = run_cli(capsys, "solve")
-        assert code == 0
-        report = json.loads(out)
-        assert report["g"] == 2.5
-        assert len(report["states"]) == 3
-
-    @pytest.mark.parametrize("command", [["solve", "--g", "1"], ["units"]])
-    def test_config_format_must_be_a_known_choice(self, capsys, monkeypatch,
-                                                  tmp_path, command):
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("# output\nformat=xml\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        code = main(command)
+    def test_units_rejects_a_format_it_does_not_write(self, capsys):
+        code = main(["units", "--format", "csv"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"{conf}:2:" in captured.err and "format" in captured.err
+        assert "invalid choice: 'csv'" in captured.err
 
-    def test_config_format_json_is_accepted(self, capsys, monkeypatch, tmp_path):
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("format = json\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        code, out = run_cli(capsys, "units", "--alpha", "1")
+    def test_units_text_format_is_the_default(self, capsys):
+        assert run_cli(capsys, "units", "--alpha", "-2", "--format", "text") == \
+            run_cli(capsys, "units", "--alpha", "-2")
+
+    def test_full_flag_name_takes_a_negative_value(self, capsys):
+        code, out = run_cli(capsys, "units", "--alpha", "-1e5")
         assert code == 0
-        assert json.loads(out)["g"] == 1.0
+        assert out.startswith("a0 = 1\n")
 
-    @pytest.mark.parametrize("command", [["table"], ["units", "--alpha", "1"]])
-    def test_keys_a_command_does_not_read_are_skipped(self, capsys, monkeypatch,
-                                                      tmp_path, command):
-        _, plain = run_cli(capsys, *command)
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("g=1\ngrid_n=8\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        code, out = run_cli(capsys, *command)
+
+class TestOutputFiles:
+    def test_mode_follows_the_umask(self, capsys, tmp_path):
+        umask = 0o027
+        previous = os.umask(umask)
+        try:
+            code, _ = run_cli(capsys, "table", "--out", str(tmp_path))
+        finally:
+            os.umask(previous)
         assert code == 0
-        assert out == plain
-
-    def test_tol_is_an_unknown_key(self, capsys, monkeypatch, tmp_path):
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("tol=1e-12\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        code = main(["solve", "--g", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "unknown key 'tol'" in captured.err
-
-    def test_flags_override_config(self, capsys, monkeypatch, tmp_path):
-        conf = tmp_path / "deltaho.conf"
-        conf.write_text("g=2.5\n")
-        monkeypatch.setenv("DELTAHO_CONFIG", str(conf))
-        _, out = run_cli(capsys, "solve", "--g", "1.0")
-        assert json.loads(out)["g"] == 1.0
+        mode = (tmp_path / "table.csv").stat().st_mode
+        assert stat.S_IMODE(mode) == 0o666 & ~umask
 
 
 class TestStrongCouplingSolve:
@@ -412,15 +385,3 @@ class TestStrongCouplingSolve:
                     mpmath.mpf(entry["nu"]),
                 )
                 assert entry["nu"] == pytest.approx(float(ref), rel=1e-13, abs=1e-13)
-
-
-class TestRunReport:
-    def test_rejects_large_residuals(self):
-        sols = spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=2))
-        with pytest.raises(ValueError):
-            RunReport(g=1.0, states=tuple(sols), residuals=(0.5, 0.0))
-
-    def test_rejects_length_mismatch(self):
-        sols = spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=2))
-        with pytest.raises(ValueError):
-            RunReport(g=1.0, states=tuple(sols), residuals=(0.0,))

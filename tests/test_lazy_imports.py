@@ -24,7 +24,6 @@ def _fresh_python(code, tmp_path, *flags):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    env.pop("DELTAHO_CONFIG", None)
     return subprocess.run(
         [sys.executable, *flags, "-c", textwrap.dedent(code)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
@@ -78,6 +77,21 @@ class TestStdlibFootprint:
         result = _fresh_python(code, tmp_path, "-S")
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False"]
+
+    def test_solve_to_a_file_needs_no_dataclasses_or_tempfile(self, tmp_path):
+        # dataclasses pulls in inspect (with ast, dis and tokenize), and
+        # tempfile pulls in random and shutil: neither is needed to write
+        # one report
+        code = """
+            import sys
+            from deltaho import cli
+            assert cli.main(["solve", "--g", "1", "--out", "."]) == 0
+            print(sorted({"dataclasses", "inspect", "tempfile"} & set(sys.modules)))
+        """
+        result = _fresh_python(code, tmp_path, "-S")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
+        assert (tmp_path / "solve.json").is_file()
 
 
 class TestLazyExports:
