@@ -1,10 +1,10 @@
 """Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin.
 
 The spectrum layer (eigen condition, root solves, origin-kink residual)
-is pure scalar arithmetic and is imported eagerly.  The numpy-backed
-layers, eigenfunction sampling (`wavefunction`) and the finite-difference
-oracle (`oracle`), load on first access of one of their names (PEP 562),
-so `import deltaho` alone never imports numpy.
+and the finite-difference oracle (`oracle`) are plain standard-library
+Python and are imported eagerly.  Eigenfunction sampling (`wavefunction`),
+the one numpy-backed layer, loads on first access of one of its names
+(PEP 562), so `import deltaho` alone never imports numpy.
 """
 
 import importlib
@@ -12,6 +12,7 @@ import importlib
 __version__ = "0.1.0"
 
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
+from .oracle import OracleConfig, OracleSpectrum, Tridiagonal, build_hamiltonian, eigen_lowest
 from .spectrum import (
     EigenSolution,
     SolverConfig,
@@ -33,12 +34,6 @@ _LAZY = {
     "normalize": "wavefunction",
     "orthogonality": "wavefunction",
     "sample_state": "wavefunction",
-    "oracle": "oracle",
-    "OracleConfig": "oracle",
-    "OracleSpectrum": "oracle",
-    "Tridiagonal": "oracle",
-    "build_hamiltonian": "oracle",
-    "eigen_lowest": "oracle",
 }
 
 

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 
-from . import __version__, specfun, spectrum
+from . import __version__, oracle, specfun, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
@@ -300,8 +300,6 @@ def cmd_figures(args):
 # --- compare ---------------------------------------------------------------------
 
 def cmd_compare(args):
-    from . import oracle  # numpy; kept off the path of the other commands
-
     g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too

@@ -6,16 +6,15 @@ size g over the grid spacing.  Eigenvalues come from Sturm-sequence
 bisection on the full matrix.  Parity labels come from the same Sturm
 count run on the matrix's even and odd mirror blocks: the spike sits on
 the centre node, so it enters the even block only, as in the continuum
-problem.  Nothing here is shared with the analytic solver; agreement
-between the two routes is the point of this module, so nothing here may
-import from spectrum or wavefunction.
+problem.  The Sturm recurrence is sequential, so the module is plain
+Python on tuples of floats and loads nothing beyond the standard library.
+Nothing here is shared with the analytic solver; agreement between the
+two routes is the point of this module, so nothing here may import from
+spectrum, specfun or wavefunction.
 """
 
-import dataclasses
 import math
-import numbers
-
-import numpy as np
+import operator
 
 _EPS = math.ulp(1.0)
 _BISECT_TOL = 1e-10
@@ -26,60 +25,55 @@ _BISECT_TOL = 1e-10
 _LABEL_WINDOW = 1e-6
 
 
-@dataclasses.dataclass(frozen=True)
 class OracleConfig:
     """Discretization knobs: window half-width and interval count."""
 
-    half_width: float = 8.0
-    n_intervals: int = 4000
+    __slots__ = ("half_width", "n_intervals")
 
-    def __post_init__(self):
-        if not math.isfinite(self.half_width):
-            raise ValueError(f"half_width must be finite, got {self.half_width!r}")
-        if self.half_width < 6.0:
+    def __init__(self, half_width=8.0, n_intervals=4000):
+        # the potential y^2/2 reaches half_width^2/2 at the walls
+        if not math.isfinite(half_width * half_width):
+            raise ValueError(f"half_width must be finite with a finite square, got {half_width!r}")
+        if half_width < 6.0:
             raise ValueError("half_width below 6 truncates the states under test")
-        if not isinstance(self.n_intervals, numbers.Integral):
-            raise ValueError(f"n_intervals must be an integer, got {self.n_intervals!r}")
-        if self.n_intervals < 4 or self.n_intervals % 2 != 0:
+        try:
+            n_intervals = operator.index(n_intervals)
+        except TypeError:
+            raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}") from None
+        if n_intervals < 4 or n_intervals % 2 != 0:
             raise ValueError("n_intervals must be even (origin on a node) and >= 4")
+        self.half_width = half_width
+        self.n_intervals = n_intervals
 
 
-@dataclasses.dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal operator; delta_y records the grid it came from."""
+    """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    diag: np.ndarray
-    off: np.ndarray
-    delta_y: float = math.nan
+    __slots__ = ("diag", "off")
 
-    def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
-        off = np.array(self.off, dtype=float)
-        if diag.ndim != 1 or diag.size < 1:
+    def __init__(self, diag, off):
+        diag = tuple(map(float, diag))
+        off = tuple(map(float, off))
+        if not diag:
             raise ValueError("diag must be a nonempty vector")
-        if off.shape != (diag.size - 1,):
+        if len(off) != len(diag) - 1:
             raise ValueError("off must be one element shorter than diag")
-        diag.setflags(write=False)
-        off.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", off)
+        self.diag = diag
+        self.off = off
 
     @property
     def size(self):
-        return self.diag.size
+        return len(self.diag)
 
 
-@dataclasses.dataclass(frozen=True)
 class OracleSpectrum:
-    """Sorted eigenvalues with parity labels and the spacing that made them."""
+    """Sorted eigenvalues with their parity labels."""
 
-    epsilons: tuple
-    parities: tuple
-    delta_y: float
+    __slots__ = ("epsilons", "parities")
 
-    def __post_init__(self):
-        eps = tuple(float(x) for x in self.epsilons)
-        par = tuple(self.parities)
+    def __init__(self, epsilons, parities):
+        eps = tuple(float(x) for x in epsilons)
+        par = tuple(parities)
         # empty parities mark an eigenvalue-only run (classification skipped)
         if par and len(eps) != len(par):
             raise ValueError("epsilons and parities must have equal length")
@@ -87,8 +81,8 @@ class OracleSpectrum:
             raise ValueError("epsilons must be strictly increasing")
         if any(p not in ("even", "odd") for p in par):
             raise ValueError("parities must be 'even' or 'odd'")
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "parities", par)
+        self.epsilons = eps
+        self.parities = par
 
 
 def build_hamiltonian(g, cfg=None):
@@ -102,27 +96,27 @@ def build_hamiltonian(g, cfg=None):
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
     n = cfg.n_intervals
+    c = n // 2
     delta = 2.0 * cfg.half_width / n
-    ys = (np.arange(1, n) - n // 2) * delta
-    diag = 1.0 / delta**2 + 0.5 * ys * ys
-    diag[n // 2 - 1] += g / delta
-    off = np.full(n - 2, -0.5 / delta**2)
-    return Tridiagonal(diag, off, delta)
+    kinetic = 1.0 / delta**2
+    diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1 - c, c))]
+    diag[c - 1] += g / delta
+    return Tridiagonal(diag, (-0.5 / delta**2,) * (n - 2))
 
 
 def count_below(h, x):
     """Number of eigenvalues of h strictly below x, by Sturm sign counting."""
     d = h.diag
     e = h.off
-    pivmin = _EPS * max(1.0, float(np.max(np.abs(d - x))), float(np.max(np.abs(e))) if e.size else 0.0)
-    # a pivot inside the pivmin band counts as negative (the standard
-    # convention: it keeps the count monotone in x)
-    q = d[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
-    for i in range(1, d.size):
-        q = d[i] - x - e[i - 1] * e[i - 1] / q
+    # the largest |d_i - x| sits at an end of the diagonal's range
+    pivmin = _EPS * max(1.0, abs(max(d) - x), abs(min(d) - x), max(map(abs, e), default=0.0))
+    count = 0
+    # a zero bond ahead of the first pivot makes it d_0 - x exactly
+    q = 1.0
+    for di, ei in zip(d, (0.0,) + e):
+        q = di - x - ei * ei / q
+        # a pivot inside the pivmin band counts as negative (the standard
+        # convention: it keeps the count monotone in x)
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
@@ -131,12 +125,12 @@ def count_below(h, x):
 
 
 def _gershgorin(h):
-    pad = np.zeros(h.size)
-    if h.size > 1:
-        radius = np.abs(h.off)
-        pad[:-1] += radius
-        pad[1:] += radius
-    return float(np.min(h.diag - pad)), float(np.max(h.diag + pad))
+    radius = [abs(x) for x in h.off]
+    pad = [a + b for a, b in zip([0.0] + radius, radius + [0.0])]
+    return (
+        min(d - p for d, p in zip(h.diag, pad)),
+        max(d + p for d, p in zip(h.diag, pad)),
+    )
 
 
 def _mirror_blocks(h):
@@ -147,7 +141,7 @@ def _mirror_blocks(h):
     1x1 matrix has no odd block.
     """
     d, e = h.diag, h.off
-    if not (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])):
+    if d != d[::-1] or e != e[::-1]:
         raise ValueError("matrix is not mirror-symmetric, so it has no parities")
     m = h.size
     c = m // 2
@@ -156,15 +150,12 @@ def _mirror_blocks(h):
     if m % 2:
         # the centre node joins the even block through sqrt(2) times its
         # bond; the odd combinations vanish on it
-        even_off = e[c:].copy()
-        even_off[0] *= math.sqrt(2.0)
+        even_off = (e[c] * math.sqrt(2.0),) + e[c + 1 :]
         return {"even": Tridiagonal(d[c:], even_off), "odd": Tridiagonal(d[c + 1 :], e[c + 1 :])}
     # the bond across the centre adds to the even pair and subtracts
     # from the odd one
-    even_diag = d[c:].copy()
-    odd_diag = d[c:].copy()
-    even_diag[0] += e[c - 1]
-    odd_diag[0] -= e[c - 1]
+    even_diag = (d[c] + e[c - 1],) + d[c + 1 :]
+    odd_diag = (d[c] - e[c - 1],) + d[c + 1 :]
     return {"even": Tridiagonal(even_diag, e[c:]), "odd": Tridiagonal(odd_diag, e[c:])}
 
 
@@ -185,11 +176,12 @@ def eigen_lowest(h, k, classify=True):
     """The k smallest eigenvalues, with parity labels unless classify is off.
 
     Bisection on the Sturm count of h brackets each eigenvalue to 1e-10
-    absolute.  Each eigenvalue is then labelled by the mirror block whose
-    own Sturm count rises by one within _LABEL_WINDOW of it.  Labelling
-    raises ValueError when h is not mirror-symmetric, or when that window
-    holds no block eigenvalue or more than one; pass classify=False to
-    get the eigenvalues alone.
+    absolute, or to adjacent doubles where those lie farther apart.  Each
+    eigenvalue is then labelled by the mirror block whose own Sturm count
+    rises by one within _LABEL_WINDOW of it.  Labelling raises ValueError
+    when h is not mirror-symmetric, or when that window holds no block
+    eigenvalue or more than one; pass classify=False to get the
+    eigenvalues alone.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
@@ -201,6 +193,8 @@ def eigen_lowest(h, k, classify=True):
         lo, hi = lo_start, ghi
         while hi - lo > _BISECT_TOL:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if count_below(h, mid) >= j:
                 hi = mid
             else:
@@ -208,4 +202,4 @@ def eigen_lowest(h, k, classify=True):
         eigenvalues.append(0.5 * (lo + hi))
         lo_start = lo
     parities = tuple(_parity(blocks, lam) for lam in eigenvalues) if classify else ()
-    return OracleSpectrum(tuple(eigenvalues), parities, h.delta_y)
+    return OracleSpectrum(tuple(eigenvalues), parities)

@@ -7,6 +7,7 @@ with dimensionless energy epsilon = nu + 1/2 in oscillator units.
 """
 
 import math
+import operator
 
 from .errors import BracketError, ConvergenceError
 from .specfun import cospi, gamma_ratio, kummer_u_half_origin, sinpi
@@ -53,6 +54,10 @@ class SolverConfig:
     __slots__ = ("n_states",)
 
     def __init__(self, n_states=5):
+        try:
+            n_states = operator.index(n_states)
+        except TypeError:
+            raise ValueError(f"n_states must be an integer, got {n_states!r}") from None
         if n_states < 1:
             raise ValueError("n_states must be at least 1")
         self.n_states = n_states

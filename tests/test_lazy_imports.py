@@ -1,9 +1,10 @@
 """The light path stays free of numpy, and the lazy package API stays whole.
 
-`import deltaho` and the scalar commands (solve, table, units and the two
-cheap figures) never touch numpy; eigenfunction sampling and the oracle
-load it on first use.  Each numpy check runs in a fresh interpreter, since
-the test process itself has numpy loaded long before.
+`import deltaho` and the commands that sample no eigenfunction (solve,
+table, units, compare and the two cheap figures) never touch numpy;
+eigenfunction sampling loads it on first use.  Each numpy check runs in
+a fresh interpreter, since the test process itself has numpy loaded long
+before.
 """
 
 import os
@@ -53,8 +54,9 @@ class TestNumpyFreePath:
             ["units", "--alpha", "-2", "--nu", "3"],
             ["figures", "eq-solution", "--out", "figs"],
             ["figures", "nu-vs-g", "--out", "figs"],
+            ["compare", "--g", "1", "--states", "2", "--grid-n", "400"],
         ],
-        ids=["solve-json", "solve-csv", "table", "units", "eq-solution", "nu-vs-g"],
+        ids=["solve-json", "solve-csv", "table", "units", "eq-solution", "nu-vs-g", "compare"],
     )
     def test_light_commands(self, tmp_path, argv):
         code = f"""

@@ -1,11 +1,13 @@
 """Finite-difference oracle: eigensolver core, parity labels, convergence."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deltaho import spectrum
+from deltaho import oracle, spectrum
 from deltaho.oracle import (
     OracleConfig,
     OracleSpectrum,
@@ -78,6 +80,23 @@ class TestSmallMatrices:
         dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         assert np.max(np.abs(np.array(spec.epsilons) - dense[:5])) < 1e-8
 
+    def test_bisection_ends_where_doubles_are_wider_than_its_tolerance(self, monkeypatch):
+        # near 1e7 adjacent doubles lie 1.9e-9 apart, so a width of 1e-10
+        # is never reached; the cap turns a hang into a failure
+        calls = []
+
+        def capped(h, x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("bisection does not terminate")
+            return count_below(h, x)
+
+        monkeypatch.setattr(oracle, "count_below", capped)
+        spec = eigen_lowest(Tridiagonal((1e7, 1e7), (-1.0,)), 2)
+        assert spec.epsilons[0] == pytest.approx(1e7 - 1.0, rel=1e-15)
+        assert spec.epsilons[1] == pytest.approx(1e7 + 1.0, rel=1e-15)
+        assert spec.parities == ("even", "odd")
+
 
 def _mirror_symmetric(rng, n):
     # a randomized single well, so the low levels are well separated, with
@@ -133,9 +152,10 @@ class TestHamiltonianBuild:
         cfg = OracleConfig(n_intervals=400)
         h0 = build_hamiltonian(0.0, cfg)
         h1 = build_hamiltonian(2.0, cfg)
-        diff = h1.diag - h0.diag
+        diff = np.asarray(h1.diag) - np.asarray(h0.diag)
         center = cfg.n_intervals // 2 - 1
-        assert diff[center] == pytest.approx(2.0 / h1.delta_y, rel=1e-12)
+        delta_y = 2.0 * cfg.half_width / cfg.n_intervals
+        assert diff[center] == pytest.approx(2.0 / delta_y, rel=1e-12)
         assert np.all(diff[np.arange(diff.size) != center] == 0.0)
 
     def test_diagonal_is_mirror_symmetric(self):
@@ -143,8 +163,10 @@ class TestHamiltonianBuild:
         assert np.array_equal(h.diag, h.diag[::-1])
 
     def test_off_diagonal_is_constant(self):
-        h = build_hamiltonian(0.0, OracleConfig(n_intervals=100))
-        assert np.all(h.off == -0.5 / h.delta_y**2)
+        cfg = OracleConfig(n_intervals=100)
+        h = build_hamiltonian(0.0, cfg)
+        delta_y = 2.0 * cfg.half_width / cfg.n_intervals
+        assert np.all(np.asarray(h.off) == -0.5 / delta_y**2)
 
     def test_rejects_nonfinite_coupling(self):
         with pytest.raises(ValueError):
@@ -167,6 +189,8 @@ class TestHamiltonianBuild:
         [
             ("half_width", math.inf),
             ("half_width", math.nan),
+            ("half_width", 1e155),
+            ("half_width", 1e158),
             ("n_intervals", 4000.0),
             ("n_intervals", "4000"),
         ],
@@ -186,11 +210,11 @@ class TestHamiltonianBuild:
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
-            OracleSpectrum((1.0, 1.0), ("even", "odd"), 0.1)
+            OracleSpectrum((1.0, 1.0), ("even", "odd"))
         with pytest.raises(ValueError):
-            OracleSpectrum((1.0, 2.0), ("even",), 0.1)
+            OracleSpectrum((1.0, 2.0), ("even",))
         with pytest.raises(ValueError):
-            OracleSpectrum((1.0, 2.0), ("even", "mixed"), 0.1)
+            OracleSpectrum((1.0, 2.0), ("even", "mixed"))
 
 
 class TestPlainOscillator:
@@ -277,3 +301,20 @@ class TestSturmSelfConsistency:
         h = build_hamiltonian(1.0)
         enumerated = sum(1 for e in spec_g1.epsilons if e < 5.0)
         assert count_below(h, 5.0) == enumerated
+
+
+class TestIndependence:
+    def test_oracle_imports_nothing_from_the_analytic_route(self):
+        # the cross-check means something only while the two routes share
+        # no code
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    imported.update(node.module.split("."))
+                imported.update(alias.name for alias in node.names)
+        assert not imported & {"spectrum", "specfun", "wavefunction"}

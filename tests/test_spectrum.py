@@ -272,6 +272,9 @@ def test_eigen_solution_validation():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(n_states=0)
+    for value in (3.0, "3"):
+        with pytest.raises(ValueError, match="n_states"):
+            SolverConfig(n_states=value)
 
 
 def test_attractive_domain_edge():
