@@ -1,26 +1,38 @@
-"""Independent cross-check by brute force: finite differences plus bisection.
+"""Independent cross-check by brute force: finite differences plus Sturm counts.
 
 The dimensionless Hamiltonian is discretized on a symmetric grid with
 Dirichlet walls, the contact term entering as a single on-site spike of
-size g over the grid spacing.  Eigenvalues come from Sturm-sequence
-bisection on the full matrix.  Parity labels come from the same Sturm
-count run on the matrix's even and odd mirror blocks: the spike sits on
-the centre node, so it enters the even block only, as in the continuum
-problem.  The Sturm recurrence is sequential, so the module is plain
-Python on tuples of floats and loads nothing beyond the standard library.
-Nothing here is shared with the analytic solver; agreement between the
-two routes is the point of this module, so nothing here may import from
-spectrum, specfun or wavefunction.
+size g over the grid spacing.  Eigenvalues come from Sturm counts on the
+full matrix.  Every count of a call goes into one table, since it bounds
+all the eigenvalues sought; bisection on counts isolates each eigenvalue,
+and Newton steps on det(H - x) then narrow its count-certified bracket.
+The steps take the determinant's log-derivative from the whole pivot
+recurrence.  The last pivot alone, q_n = det(H - x)/det(H' - x) with H'
+short of its last row and column, would not do: eigenvectors vanish like
+e^-32 at the walls, so each zero of q_n sits next to a pole, closer than
+a double resolves, and q_n keeps its sign across the eigenvalue.  Parity
+labels come from the same Sturm count run on the matrix's even and odd
+mirror blocks: the spike sits on the centre node, so it enters the even
+block only, as in the continuum problem.  The Sturm recurrence is
+sequential, so the module is plain Python on tuples of floats and loads
+nothing beyond the standard library.  Nothing here is shared with the
+analytic solver; agreement between the two routes is the point of this
+module, so nothing here may import from spectrum, specfun or
+wavefunction.
 """
 
 import math
 import operator
 
 _EPS = math.ulp(1.0)
-_BISECT_TOL = 1e-10
+# width of the count-certified bracket at which an eigenvalue is done
+_WIDTH_TOL = 1e-10
+# counts this far either side of a converged Newton step close a bracket
+# narrower than _WIDTH_TOL
+_CLOSE_OFFSET = 0.4 * _WIDTH_TOL
 # Half-width of the window in which a block's Sturm count must rise by one
 # at a full-matrix eigenvalue.  It sits far above the count's backward
-# error (eps * |H|, about 3e-11 at N = 4000) and the bisection width, and
+# error (eps * |H|, about 3e-11 at N = 4000) and the bracket width, and
 # far below any level spacing the 1e-3 comparison gate can resolve.
 _LABEL_WINDOW = 1e-6
 
@@ -49,7 +61,7 @@ class OracleConfig:
 class Tridiagonal:
     """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    __slots__ = ("diag", "off")
+    __slots__ = ("diag", "off", "_extent")
 
     def __init__(self, diag, off):
         diag = tuple(map(float, diag))
@@ -60,6 +72,8 @@ class Tridiagonal:
             raise ValueError("off must be one element shorter than diag")
         self.diag = diag
         self.off = off
+        # what _pivmin reads, found once rather than on every Sturm pass
+        self._extent = (min(diag), max(diag), max(map(abs, off), default=0.0))
 
     @property
     def size(self):
@@ -104,12 +118,21 @@ def build_hamiltonian(g, cfg=None):
     return Tridiagonal(diag, (-0.5 / delta**2,) * (n - 2))
 
 
+def _pivmin(h, x):
+    """Pivots smaller than this in magnitude count as negative.
+
+    It is eps times the largest entry of h - x; the largest |d_i - x|
+    sits at an end of the diagonal's range.
+    """
+    dmin, dmax, emax = h._extent
+    return _EPS * max(1.0, abs(dmax - x), abs(dmin - x), emax)
+
+
 def count_below(h, x):
     """Number of eigenvalues of h strictly below x, by Sturm sign counting."""
     d = h.diag
     e = h.off
-    # the largest |d_i - x| sits at an end of the diagonal's range
-    pivmin = _EPS * max(1.0, abs(max(d) - x), abs(min(d) - x), max(map(abs, e), default=0.0))
+    pivmin = _pivmin(h, x)
     count = 0
     # a zero bond ahead of the first pivot makes it d_0 - x exactly
     q = 1.0
@@ -172,34 +195,112 @@ def _parity(blocks, lam):
     return max(rises, key=rises.get)
 
 
+def _newton_pass(h, x, squares):
+    """Sturm count below x and d/dx log|det(h - x)|, in one pass.
+
+    The pivots q_i are those of count_below, bit for bit, so the count is
+    too.  Their derivatives obey q_i' = -1 + e_{i-1}^2 q_{i-1}'/q_{i-1}^2,
+    and the pass sums w_i = q_i'/q_i, which is the log-derivative of
+    det(h - x) = prod q_i.  squares holds 0 and then e_i^2.
+    """
+    pivmin = _pivmin(h, x)
+    count = 0
+    q = 1.0
+    w = 0.0
+    total = 0.0
+    for di, e2 in zip(h.diag, squares):
+        r = e2 / q
+        q = di - x - r
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+        w = (r * w - 1.0) / q
+        total += w
+    return count, total
+
+
+def _eigenvalue(h, j, table, squares):
+    """Eigenvalue j (from 1) of h, bracketed by Sturm counts.
+
+    table holds every (x, count) sample of the call, sorted by x, and
+    takes the samples made here too.  The bracket starts as the pair of
+    samples where the count first reaches j, and is bisected until it
+    holds eigenvalue j alone.  From then on each pass is a Newton step on
+    det(h - x) that also counts, so every pass still shrinks the bracket.
+    A step that leaves the bracket, or two passes that halve neither the
+    bracket nor the step, give way to the midpoint.  (The bracket alone is
+    the wrong measure: Newton converges from one side, so the far end
+    stays put until the closing counts.)  Once a step drops below
+    _WIDTH_TOL, or below one ulp where doubles lie farther apart, plain
+    counts just either side of where it lands close the bracket.  The
+    search stops when the bracket is _WIDTH_TOL wide or holds no double
+    strictly inside, and returns its midpoint.
+    """
+    i = next(i for i, (_, c) in enumerate(table) if c >= j)
+    (lo, c_lo), (hi, c_hi) = table[i - 1], table[i]
+    target = None  # where the last Newton step lands
+    closing = []  # plain counts still due around a converged step
+    passes, reference = 0, hi - lo  # Newton passes, and the progress they must halve
+    while hi - lo > _WIDTH_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        slope = None
+        if c_lo != j - 1 or c_hi != j:
+            x = mid
+            c = count_below(h, x)
+        elif closing:
+            x = closing.pop()
+            if not lo < x < hi:
+                continue
+            c = count_below(h, x)
+        else:
+            x = target if target is not None and lo < target < hi else mid
+            c, slope = _newton_pass(h, x, squares)
+        table.insert(i, (x, c))
+        if c >= j:
+            hi, c_hi = x, c
+        else:
+            lo, c_lo = x, c
+            i += 1
+        if slope is None:
+            target, passes, reference = None, 0, hi - lo
+            continue
+        step = -1.0 / slope if slope else math.inf
+        target = x + step
+        if abs(step) < max(_WIDTH_TOL, math.ulp(target)):
+            offset = max(_CLOSE_OFFSET, math.ulp(target))
+            closing = [target - offset, target + offset]
+        passes += 1
+        if passes == 2:
+            progress = min(hi - lo, abs(step))
+            if not progress <= 0.5 * reference:
+                target = None
+            passes, reference = 0, progress
+    return 0.5 * (lo + hi)
+
+
 def eigen_lowest(h, k, classify=True):
     """The k smallest eigenvalues, with parity labels unless classify is off.
 
-    Bisection on the Sturm count of h brackets each eigenvalue to 1e-10
-    absolute, or to adjacent doubles where those lie farther apart.  Each
-    eigenvalue is then labelled by the mirror block whose own Sturm count
-    rises by one within _LABEL_WINDOW of it.  Labelling raises ValueError
-    when h is not mirror-symmetric, or when that window holds no block
-    eigenvalue or more than one; pass classify=False to get the
-    eigenvalues alone.
+    Each eigenvalue is bracketed by Sturm counts of the full matrix to
+    1e-10 absolute, or to adjacent doubles where those lie farther apart:
+    bisection isolates it, then count-safeguarded Newton steps on
+    det(h - x) narrow the bracket (see _eigenvalue).  Every count of the
+    call bounds all k eigenvalues, so all of them share one table of
+    samples.  Each eigenvalue is then labelled by the mirror block whose
+    own Sturm count rises by one within _LABEL_WINDOW of it.  Labelling
+    raises ValueError when h is not mirror-symmetric, or when that window
+    holds no block eigenvalue or more than one; pass classify=False to get
+    the eigenvalues alone.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
     blocks = _mirror_blocks(h) if classify else None
     glo, ghi = _gershgorin(h)
-    eigenvalues = []
-    lo_start = glo
-    for j in range(1, k + 1):
-        lo, hi = lo_start, ghi
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if count_below(h, mid) >= j:
-                hi = mid
-            else:
-                lo = mid
-        eigenvalues.append(0.5 * (lo + hi))
-        lo_start = lo
+    table = [(glo, 0), (ghi, h.size)]
+    squares = (0.0,) + tuple(ei * ei for ei in h.off)
+    eigenvalues = tuple(_eigenvalue(h, j, table, squares) for j in range(1, k + 1))
     parities = tuple(_parity(blocks, lam) for lam in eigenvalues) if classify else ()
-    return OracleSpectrum(tuple(eigenvalues), parities)
+    return OracleSpectrum(eigenvalues, parities)

@@ -83,19 +83,54 @@ class TestSmallMatrices:
     def test_bisection_ends_where_doubles_are_wider_than_its_tolerance(self, monkeypatch):
         # near 1e7 adjacent doubles lie 1.9e-9 apart, so a width of 1e-10
         # is never reached; the cap turns a hang into a failure
-        calls = []
-
-        def capped(h, x):
-            calls.append(x)
-            if len(calls) > 1000:
-                raise RuntimeError("bisection does not terminate")
-            return count_below(h, x)
-
-        monkeypatch.setattr(oracle, "count_below", capped)
+        passes = _counted_passes(monkeypatch, cap=1000)
         spec = eigen_lowest(Tridiagonal((1e7, 1e7), (-1.0,)), 2)
         assert spec.epsilons[0] == pytest.approx(1e7 - 1.0, rel=1e-15)
         assert spec.epsilons[1] == pytest.approx(1e7 + 1.0, rel=1e-15)
         assert spec.parities == ("even", "odd")
+        # the spike's bound state near -2.4e6, where doubles lie 4.7e-10
+        # apart: a single impurity site on the hopping chain
+        passes.clear()
+        delta = 16.0 / 4000
+        spike, bond = -1e4 / delta, 0.5 / delta**2
+        spec = eigen_lowest(build_hamiltonian(-1e4), 2)
+        bound = 1.0 / delta**2 - math.sqrt(spike * spike + 4.0 * bond * bond)
+        assert spec.epsilons[0] == pytest.approx(bound, rel=1e-13)
+        assert spec.epsilons[1] == pytest.approx(1.5, abs=1e-5)
+        assert spec.parities == ("even", "odd")
+
+
+def _counted_passes(monkeypatch, cap=math.inf):
+    """Record the point of every Sturm pass, plain count or Newton step.
+
+    Past cap passes the next one raises, so a search that never ends
+    fails instead of hanging.
+    """
+    passes = []
+
+    def counted(sturm_pass):
+        def wrapper(h, x, *rest):
+            passes.append(x)
+            if len(passes) > cap:
+                raise RuntimeError("eigenvalue search does not terminate")
+            return sturm_pass(h, x, *rest)
+
+        return wrapper
+
+    for name in ("count_below", "_newton_pass"):
+        monkeypatch.setattr(oracle, name, counted(getattr(oracle, name)))
+    return passes
+
+
+class TestPassBudget:
+    @pytest.mark.parametrize("g", [-5.0, 1.0, 5.0])
+    def test_sturm_passes_per_eigenvalue(self, monkeypatch, g):
+        # labels included; plain bisection to 1e-10 from the Gershgorin
+        # interval needs about 55 per eigenvalue
+        passes = _counted_passes(monkeypatch)
+        spec = eigen_lowest(build_hamiltonian(g), 8)
+        assert len(spec.parities) == 8
+        assert len(passes) <= 20 * 8
 
 
 def _mirror_symmetric(rng, n):
@@ -113,6 +148,33 @@ def _mirror_symmetric(rng, n):
 
 def _dense(h):
     return np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
+
+
+def _double_well(a=170.0, n=201):
+    # V = a (y^2 - 1)^2 on [-2.5, 2.5]: the barrier splits the lowest pair
+    # by about 1e-8, far inside the level spacing above it
+    y = np.linspace(-2.5, 2.5, n)
+    step = y[1] - y[0]
+    v = a * (y * y - 1.0) ** 2
+    return Tridiagonal(1.0 / step**2 + 0.5 * (v + v[::-1]), np.full(n - 1, -0.5 / step**2))
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0])
+    def test_grid_hamiltonian_matches_dense(self, g):
+        h = build_hamiltonian(g, OracleConfig(n_intervals=800))
+        spec = eigen_lowest(h, 8)
+        dense = np.linalg.eigvalsh(_dense(h))[:8]
+        assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
+
+    def test_near_degenerate_pair_is_resolved(self):
+        h = _double_well()
+        dense = np.linalg.eigvalsh(_dense(h))[:3]
+        assert 1e-9 < dense[1] - dense[0] < 1e-7
+        # the pair sits inside one label window, so it has no parities
+        spec = eigen_lowest(h, 3, classify=False)
+        assert spec.epsilons[0] < spec.epsilons[1] < spec.epsilons[2]
+        assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
 
 
 class TestMirrorBlockParity:
