@@ -293,7 +293,9 @@ def eigen_lowest(h, k, classify=True):
     own Sturm count rises by one within _LABEL_WINDOW of it.  Labelling
     raises ValueError when h is not mirror-symmetric, or when that window
     holds no block eigenvalue or more than one; pass classify=False to get
-    the eigenvalues alone.
+    the eigenvalues alone.  Two eigenvalues closer than the bracket width,
+    a repeated one included, end on the same bracket and raise ValueError
+    naming both.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
@@ -302,5 +304,11 @@ def eigen_lowest(h, k, classify=True):
     table = [(glo, 0), (ghi, h.size)]
     squares = (0.0,) + tuple(ei * ei for ei in h.off)
     eigenvalues = tuple(_eigenvalue(h, j, table, squares) for j in range(1, k + 1))
+    for j, (a, b) in enumerate(zip(eigenvalues, eigenvalues[1:])):
+        if b <= a:
+            raise ValueError(
+                f"eigenvalues {j} and {j + 1} meet at {a!r}: they lie closer than "
+                f"the {_WIDTH_TOL:g} bracket width can separate"
+            )
     parities = tuple(_parity(blocks, lam) for lam in eigenvalues) if classify else ()
     return OracleSpectrum(eigenvalues, parities)

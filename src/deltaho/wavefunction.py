@@ -10,6 +10,7 @@ the origin.
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +25,20 @@ _DECAY_FRACTION = 1e-12
 _MAX_WIDENINGS = 12
 
 
+def _check_grid(grid):
+    """Validate a window's fields in place; n_points becomes a plain int."""
+    y_min, y_max = grid.y_min, grid.y_max
+    if not -math.inf < y_min < y_max < math.inf:
+        raise ValueError(f"need finite y_min < y_max, got y_min={y_min!r}, y_max={y_max!r}")
+    try:
+        n_points = operator.index(grid.n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {grid.n_points!r}") from None
+    if n_points < 3:
+        raise ValueError("n_points must be at least 3")
+    object.__setattr__(grid, "n_points", n_points)
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling window, endpoints included."""
@@ -33,19 +48,7 @@ class GridSpec:
     n_points: int = 2001
 
     def __post_init__(self):
-        if not self.y_max > self.y_min:
-            raise ValueError("y_max must exceed y_min")
-        if self.n_points < 3:
-            raise ValueError("n_points must be at least 3")
-
-
-def _grid_points(y_min, y_max, n_points):
-    # symmetric odd grids get exactly mirrored coordinates and an exact
-    # zero at the center; generic grids use the plain affine form
-    step = (y_max - y_min) / (n_points - 1)
-    if y_min == -y_max and n_points % 2 == 1:
-        return (np.arange(n_points) - (n_points - 1) // 2) * step
-    return y_min + np.arange(n_points) * step
+        _check_grid(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,10 +61,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not self.y_max > self.y_min:
-            raise ValueError("y_max must exceed y_min")
-        if self.n_points < 3:
-            raise ValueError("n_points must be at least 3")
+        _check_grid(self)
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise ValueError("values length must equal n_points")
@@ -73,7 +73,12 @@ class GridFunction:
         return (self.y_max - self.y_min) / (self.n_points - 1)
 
     def points(self):
-        return _grid_points(self.y_min, self.y_max, self.n_points)
+        # symmetric odd grids get exactly mirrored coordinates and an exact
+        # zero at the center; generic grids use the plain affine form
+        n, step = self.n_points, self.delta_y
+        if self.y_min == -self.y_max and n % 2 == 1:
+            return (np.arange(n) - (n - 1) // 2) * step
+        return self.y_min + np.arange(n) * step
 
 
 def eval_even(nu, y):
@@ -113,6 +118,9 @@ def normalize(f):
     Returns the scaled function and the original norm.  The grid must hold
     the whole state: both endpoint samples have to sit below 1e-12 of the
     peak magnitude, otherwise the tail is truncated and the norm is a lie.
+    A norm that is not finite raises OverflowError, since the scaled state
+    would be all NaN or all zeros; the weights are positive, so a NaN or
+    infinite sample makes the norm so too.
     """
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
@@ -124,30 +132,9 @@ def normalize(f):
         )
     weights = _simpson_weights(f.n_points, f.delta_y)
     norm = math.sqrt(float(weights @ (f.values * f.values)))
-    scaled = GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm)
-    return scaled, norm
-
-
-def _sample_raw(sol, half, step):
-    if sol.parity == "even":
-        right = [eval_even(sol.nu, i * step) for i in range(half + 1)]
-        left = [right[i] for i in range(half, 0, -1)]
-    else:
-        order = int(sol.nu)
-        right = [eval_odd(order, i * step) for i in range(half + 1)]
-        left = [-right[i] for i in range(half, 0, -1)]
-    top = half * step
-    return GridFunction(-top, top, 2 * half + 1, np.array(left + right))
-
-
-def _oriented(f):
-    center = (f.n_points - 1) // 2
-    for v in f.values[center + 1 :]:
-        if v != 0.0:
-            if v < 0.0:
-                return GridFunction(f.y_min, f.y_max, f.n_points, -f.values)
-            return f
-    return f
+    if not math.isfinite(norm):
+        raise OverflowError(f"state norm is {norm!r}: a sample or its square is not finite")
+    return GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm), norm
 
 
 def sample_state(sol, grid_spec=None):
@@ -156,21 +143,32 @@ def sample_state(sol, grid_spec=None):
     When the requested window cannot hold the state's tails, the window
     grows by half steps of the same spacing until the decay check passes.
     Widening keeps the half-interval count even, which pins the origin to
-    a Simpson panel boundary so the kink never sits inside a panel.
+    a Simpson panel boundary so the kink never sits inside a panel.  The
+    spacing never changes, so the samples of a narrower window are kept
+    and each widening evaluates only the points it adds.
     """
     spec = GridSpec() if grid_spec is None else grid_spec
     if spec.y_min != -spec.y_max or spec.n_points % 2 == 0:
         raise ValueError("state sampling needs a symmetric grid with odd points")
     half = (spec.n_points - 1) // 2
     step = spec.y_max / half
+    if sol.parity == "even":
+        evaluate, order, mirror = eval_even, sol.nu, 1.0
+    else:
+        evaluate, order, mirror = eval_odd, int(sol.nu), -1.0
+    right = []  # raw samples at i * step; the left half mirrors them
     for _ in range(_MAX_WIDENINGS + 1):
+        right += [evaluate(order, i * step) for i in range(len(right), half + 1)]
+        # orient before normalizing: the norm is positive, so dividing by
+        # it keeps every sign, and negating first is exact
+        sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)
+        raw = sign * np.array(right)
+        values = np.concatenate((mirror * raw[:0:-1], raw))
         try:
-            scaled, _ = normalize(_sample_raw(sol, half, step))
+            return normalize(GridFunction(-half * step, half * step, 2 * half + 1, values))[0]
         except InsufficientDomainError:
             half = math.ceil(1.5 * half)
             half += half % 2
-            continue
-        return _oriented(scaled)
     raise InsufficientDomainError(
         f"state nu={sol.nu!r} still not contained after {_MAX_WIDENINGS} widenings"
     )

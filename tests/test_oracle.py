@@ -176,6 +176,14 @@ class TestDenseReference:
         assert spec.epsilons[0] < spec.epsilons[1] < spec.epsilons[2]
         assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
 
+    @pytest.mark.parametrize("bond", [0.0, 1e-7])
+    def test_cluster_below_the_stop_is_named(self, bond):
+        # eigenvalues 1 and 1 - bond^2/2 lie closer than the 1e-10 stop,
+        # so both brackets close on the same points
+        h = Tridiagonal((1.0, 5.0, 1.0), (bond, bond))
+        with pytest.raises(ValueError, match=r"eigenvalues 0 and 1 .*(1\.0000000000|0\.9999999999)"):
+            eigen_lowest(h, 2, classify=False)
+
 
 class TestMirrorBlockParity:
     @pytest.mark.parametrize("n", [201, 200])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from deltaho import wavefunction
 from deltaho.errors import InsufficientDomainError
 from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, jump_check, solve_even
 from deltaho.wavefunction import (
@@ -85,6 +86,13 @@ def test_grid_spec_validation():
         GridSpec(2.0, -2.0, 101)
     with pytest.raises(ValueError):
         GridSpec(-2.0, 2.0, 2)
+    with pytest.raises(ValueError, match="n_points"):
+        GridSpec(-10.0, 10.0, 2001.0)
+    with pytest.raises(ValueError, match="y_min"):
+        GridSpec(-math.inf, math.inf, 2001)
+    with pytest.raises(ValueError, match="y_max"):
+        GridSpec(-10.0, math.nan, 2001)
+    assert type(GridSpec(-10.0, 10.0, np.int64(2001)).n_points) is int
 
 
 def test_grid_function_validation():
@@ -92,6 +100,12 @@ def test_grid_function_validation():
         GridFunction(-1.0, 1.0, 5, np.zeros(4))
     with pytest.raises(ValueError):
         GridFunction(1.0, -1.0, 3, np.zeros(3))
+    with pytest.raises(ValueError, match="n_points"):
+        GridFunction(-1.0, 1.0, 5.0, np.zeros(5))
+    with pytest.raises(ValueError, match="y_min"):
+        GridFunction(-math.inf, math.inf, 5, np.zeros(5))
+    with pytest.raises(ValueError, match="y_max"):
+        GridFunction(-1.0, math.inf, 5, np.zeros(5))
 
 
 def test_grid_function_values_are_immutable():
@@ -152,6 +166,31 @@ def test_normalize_rejects_truncated_tails():
     raw = GridFunction(-2.0, 2.0, n, np.exp(-0.5 * pts * pts))
     with pytest.raises(InsufficientDomainError):
         normalize(raw)
+
+
+def test_normalize_refuses_a_nan_sample():
+    values = np.exp(-0.5 * np.linspace(-10.0, 10.0, 11) ** 2)
+    values[3] = math.nan
+    with pytest.raises(OverflowError):
+        normalize(GridFunction(-10.0, 10.0, 11, values))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("n", [151, 201, 301])
+def test_sample_state_refuses_an_overflowing_odd_state(n):
+    # at n = 151 the norm overflows (the state came back all zeros); at
+    # n = 201 and 301 the samples themselves are NaN
+    with pytest.raises(OverflowError):
+        sample_state(EigenSolution("odd", float(n), n))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sample_state_refuses_an_overflowing_even_state():
+    # the norm overflows, and the state came back all zeros
+    sol = full_spectrum(1.0, SolverConfig(n_states=201))[200]
+    assert sol.parity == "even"
+    with pytest.raises(OverflowError):
+        sample_state(sol)
 
 
 def test_norm_is_stable_under_grid_halving():
@@ -284,6 +323,24 @@ def test_sample_state_widens_for_spread_out_states():
     assert state.delta_y == pytest.approx(0.01, rel=1e-12)
     w = _simpson_weights(state.n_points, state.delta_y)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sample_state_evaluates_each_point_once(monkeypatch):
+    """Widening from 1001 to 1501 right-half points evaluates only the new 500."""
+    calls = []
+    for name in ("eval_even", "eval_odd"):
+        inner = getattr(wavefunction, name)
+
+        def counted(nu, y, inner=inner):
+            calls.append(y)
+            return inner(nu, y)
+
+        monkeypatch.setattr(wavefunction, name, counted)
+    for sol in (solve_even(1.0, SolverConfig(n_states=13))[12], EigenSolution("odd", 25.0, 25)):
+        calls.clear()
+        state = sample_state(sol)
+        assert state.n_points == 3001
+        assert len(calls) == 1501
 
 
 def test_sample_state_contains_deep_bound_state():
