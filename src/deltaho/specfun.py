@@ -3,18 +3,17 @@
 The Gamma family (taken from the standard library's math.gamma and
 math.lgamma, with the reciprocal extended to an entire function), the
 ratio Gamma(y + 1/2)/Gamma(y + 1) that the eigenvalue condition is built
-on, Kummer's confluent hypergeometric functions restricted to the
-parameter family the solver needs, and physicists' Hermite polynomials.
-Everything is scalar double-precision code with no dependencies beyond
-the standard library; the accuracy targets come from the eigenvalue
-solver, which resolves the quantum label to a few ulps.
+on, the origin limits of the even eigenfunction's Tricomi factor, and
+physicists' Hermite polynomials.  Everything is scalar double-precision
+code with no dependencies beyond the standard library; the accuracy
+targets come from the eigenvalue solver, which resolves the quantum
+label to a few ulps.  The even eigenfunction itself, evaluated over
+arrays of points, lives in wavefunction.
 """
 
 from __future__ import annotations
 
 import math
-
-from .errors import ConvergenceError
 
 __all__ = [
     "SQRT_PI",
@@ -24,18 +23,11 @@ __all__ = [
     "log_gamma",
     "reciprocal_gamma",
     "gamma_ratio",
-    "kummer_m",
-    "kummer_u_half",
     "kummer_u_half_origin",
     "hermite",
 ]
 
 SQRT_PI = 1.7724538509055160273
-
-_M_MAX_TERMS = 500
-_M_SETTLE_COUNT = 3
-_U_SERIES_CUTOFF = 20.0
-_U_ASYMPTOTIC_CAP = 64
 
 
 def sinpi(x: float) -> float:
@@ -95,95 +87,6 @@ def gamma_ratio(y: float) -> float:
         return (y - 0.5) / y * (math.gamma(y - 0.5) / math.gamma(y))
     t = 1.0 / y
     return math.exp(t * (-0.125 + t * t * (1.0 / 192.0 - t * t / 640.0))) / math.sqrt(y)
-
-
-def kummer_m(a: float, b: float, z: float) -> float:
-    """Kummer's confluent function M(a, b, z) by its ascending series.
-
-    The series sum_n (a)_n/(b)_n z^n/n! terminates exactly when a is zero
-    or a negative integer (the factor a+n vanishes); otherwise summation
-    stops once three consecutive terms fall below 1e-17 of the partial
-    sum.
-
-    Args:
-        a: numerator parameter.
-        b: denominator parameter; must not be zero or a negative integer.
-        z: argument, z >= 0.
-
-    Raises:
-        ValueError: for invalid b or negative z.
-        ConvergenceError: if 500 terms do not settle (z far outside the
-            supported range).
-    """
-    if b <= 0.0 and b == math.floor(b):
-        raise ValueError(f"kummer_m is undefined for non-positive integer b={b}")
-    if z < 0.0:
-        raise ValueError(f"kummer_m supports z >= 0 only, got z={z}")
-    total = 1.0
-    term = 1.0
-    settled = 0
-    for n in range(_M_MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1))
-        if term == 0.0:
-            return total
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            settled += 1
-            if settled >= _M_SETTLE_COUNT:
-                return total
-        else:
-            settled = 0
-    raise ConvergenceError(
-        f"confluent series did not settle after {_M_MAX_TERMS} terms "
-        f"(a={a}, b={b}, z={z})"
-    )
-
-
-def kummer_u_half(nu: float, z: float) -> float:
-    """Tricomi function U(-nu/2, 1/2, z), the branch that decays like z**(nu/2).
-
-    For z <= 20 this combines the two M series,
-
-        U = sqrt(pi) [ M(-nu/2, 1/2, z)/Gamma(1/2 - nu/2)
-                       - 2 sqrt(z) M(1/2 - nu/2, 3/2, z)/Gamma(-nu/2) ],
-
-    with reciprocal gammas so integer nu kills one branch exactly.  Past
-    z = 20 the two series agree to ~e^z and cancel catastrophically in
-    doubles, so the large-z expansion z**(nu/2) 2F0(-nu/2, 1/2-nu/2; -1/z)
-    is summed to optimal truncation instead; both representations overlap
-    to ~1e-11 at the seam for the label range the solver produces.
-    """
-    if z < 0.0:
-        raise ValueError(f"kummer_u_half supports z >= 0 only, got z={z}")
-    if z > _U_SERIES_CUTOFF:
-        return _u_large_z(nu, z)
-    a = -0.5 * nu
-    c1 = reciprocal_gamma(a + 0.5)
-    c2 = reciprocal_gamma(a)
-    total = 0.0
-    if c1 != 0.0:
-        total += c1 * kummer_m(a, 0.5, z)
-    if c2 != 0.0:
-        total -= 2.0 * math.sqrt(z) * c2 * kummer_m(a + 0.5, 1.5, z)
-    return SQRT_PI * total
-
-
-def _u_large_z(nu: float, z: float) -> float:
-    # 2F0-type expansion; the terms shrink to an optimal-truncation floor
-    # and then diverge, so stop at the smallest term.  When -nu/2 is a
-    # non-positive integer the series terminates and is exact.
-    a = -0.5 * nu
-    total = 1.0
-    term = 1.0
-    for k in range(_U_ASYMPTOTIC_CAP):
-        nxt = term * (a + k) * (a + 0.5 + k) / ((k + 1) * (-z))
-        if abs(nxt) >= abs(term):
-            break
-        total += nxt
-        if abs(nxt) < 1e-17 * abs(total):
-            break
-        term = nxt
-    return math.exp(0.5 * nu * math.log(z)) * total
 
 
 def kummer_u_half_origin(nu: float) -> tuple[float, float]:

@@ -26,6 +26,8 @@ class EigenSolution:
             raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
         if index < 0:
             raise ValueError("index must be nonnegative")
+        if not math.isfinite(nu):
+            raise ValueError(f"nu must be finite, got nu={nu!r}")
         if parity == "odd":
             n = int(nu)
             if nu != n or n < 1 or n % 2 == 0:

@@ -2,20 +2,23 @@
 
 Even states are e^(-y^2/2) U(-nu/2, 1/2, y^2) extended symmetrically, so a
 nonzero coupling leaves a kink at the origin (its residual is
-spectrum.jump_check, next to the eigen condition); odd states are the plain
-oscillator functions e^(-y^2/2) H_n(y) and never feel the contact term.
-Amplitudes are fixed by unit L2 norm with a positive value just right of
-the origin.
+spectrum.jump_check, next to the eigen condition).  They are evaluated over
+arrays of points as parabolic cylinder functions D_nu, by one integral and
+the order recurrence.  Odd states are the plain oscillator functions
+e^(-y^2/2) H_n(y), evaluated point by point, and never feel the contact
+term.  Amplitudes are fixed by unit L2 norm with a positive value just
+right of the origin.
 """
 
 import dataclasses
 import math
 import operator
+import sys
 
 import numpy as np
 
 from .errors import InsufficientDomainError
-from .specfun import hermite, kummer_u_half
+from .specfun import hermite
 
 # exp(-y^2/2) is unrepresentable long before this; returning 0 instead of
 # evaluating keeps huge-order Hermite values from overflowing first
@@ -23,6 +26,12 @@ _GAUSSIAN_FLOOR = 700.0
 
 _DECAY_FRACTION = 1e-12
 _MAX_WIDENINGS = 12
+
+# eval_even's integral: its order is -16 or below, its nodes keep t^c down
+# to e^-60 of the peak and reach at least 12 peak widths to either side
+_MIN_ORDER = 16.0
+_LEFT_TAIL = 60.0
+_SPAN = 12
 
 
 def _check_grid(grid):
@@ -82,14 +91,61 @@ class GridFunction:
 
 
 def eval_even(nu, y):
-    """Unnormalized even-branch eigenfunction at one point.
+    """Unnormalized even-branch eigenfunction e^(-y^2/2) U(-nu/2, 1/2, y^2).
 
-    Built from |y|, so the extension to y < 0 is even by construction.
+    That is 2^(-nu/2) D_nu(sqrt(2)|y|) (DLMF 12.7.14), built from |y|, so
+    the extension to y < 0 is even by construction.  y is a float or an
+    array of points; the result has its shape.
+
+    D_p is minimal as p -> -inf, so the order recurrence D_(p+1)(x) =
+    x D_p(x) - p D_(p-1)(x) is stable upward.  It climbs to nu from
+    D_(-c) and D_(-c-1), c = m - nu >= 16 for an integer m >= 0, given by
+    the integral (DLMF 12.5.1)
+
+        D_(-c)(x) = e^(-x^2/4)/Gamma(c) * int_0^inf t^(c-1) e^(-t^2/2 - x t) dt
+
+    and the same with one more factor t.  Both share one trapezoid rule in
+    s = ln t, centred on the peak t* = (sqrt(x^2 + 4c) - x)/2 with step
+    half the peak width 1/sqrt(t*^2 + c); the nodes run 12 widths above
+    the peak and, below it, until t^c has fallen by e^-60 (and at least
+    12 widths).  Starting at c >= 16 keeps that left tail short.
+
+    Raises ValueError for a non-finite nu, and OverflowError, without
+    evaluating, once the origin value (about Gamma(nu/2 + 1/2) in size,
+    or its reciprocal for nu < 0) leaves the double range, past |nu| ~ 342.
     """
-    z = y * y
-    if z > _GAUSSIAN_FLOOR:
-        return 0.0
-    return math.exp(-0.5 * z) * kummer_u_half(nu, z)
+    if not math.isfinite(nu):
+        raise ValueError(f"even-branch order must be finite, got nu={nu!r}")
+    if math.lgamma(0.5 * abs(nu) + 0.5) > math.log(sys.float_info.max):
+        raise OverflowError(f"even state nu={nu!r}: its origin value leaves the double range")
+    y = np.asarray(y, dtype=float)
+    # quietly: a far-out y may square to inf (it returns 0), and for large
+    # nu the recurrence may overflow, which normalize then refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = y * y
+        x = np.sqrt(2.0 * np.minimum(z, _GAUSSIAN_FLOOR))
+        m = max(0, math.ceil(nu + _MIN_ORDER))
+        c = m - nu
+        t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
+        width = 1.0 / np.sqrt(t_peak * t_peak + c)
+        step = 0.5 * width
+        below = math.ceil(2.0 * float(np.max(_LEFT_TAIL / (c * width), initial=_SPAN)))
+        peak = t_peak * (0.5 * t_peak + x)  # t^2/2 + x t at the peak
+        c_step = c * step
+        sum0 = np.zeros_like(x)
+        sum1 = np.zeros_like(x)
+        for j in range(-below, 2 * _SPAN + 1):
+            t = t_peak * np.exp(j * step)
+            f = np.exp(j * c_step - t * (0.5 * t + x) + peak)
+            sum0 += f
+            sum1 += t * f
+        log_scale = c * np.log(t_peak) - peak - 0.25 * x * x
+        scale = step * np.exp(log_scale - math.lgamma(c) - 0.5 * nu * math.log(2.0))
+        prev, cur = scale * sum1 / c, scale * sum0  # 2^(-nu/2) D_(nu-m-1), D_(nu-m)
+        for k in range(m, 0, -1):
+            prev, cur = cur, x * cur - (nu - k) * prev
+        out = np.where(z > _GAUSSIAN_FLOOR, 0.0, cur)
+    return out if out.ndim else float(out)
 
 
 def eval_odd(n, y):
@@ -120,7 +176,9 @@ def normalize(f):
     peak magnitude, otherwise the tail is truncated and the norm is a lie.
     A norm that is not finite raises OverflowError, since the scaled state
     would be all NaN or all zeros; the weights are positive, so a NaN or
-    infinite sample makes the norm so too.
+    infinite sample makes the norm so too.  So does a zero norm under a
+    nonzero peak, where the squares fell below the double range and the
+    scaled state would be NaN.
     """
     peak = float(np.max(np.abs(f.values)))
     if peak == 0.0:
@@ -131,9 +189,12 @@ def normalize(f):
             f"state has not decayed at the grid edge: edge/peak = {edge / peak:.2e}"
         )
     weights = _simpson_weights(f.n_points, f.delta_y)
-    norm = math.sqrt(float(weights @ (f.values * f.values)))
-    if not math.isfinite(norm):
-        raise OverflowError(f"state norm is {norm!r}: a sample or its square is not finite")
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(weights @ (f.values * f.values)))
+    if not 0.0 < norm < math.inf:
+        raise OverflowError(
+            f"state norm is {norm!r}: a sample or its square leaves the double range"
+        )
     return GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm), norm
 
 
@@ -152,17 +213,19 @@ def sample_state(sol, grid_spec=None):
         raise ValueError("state sampling needs a symmetric grid with odd points")
     half = (spec.n_points - 1) // 2
     step = spec.y_max / half
-    if sol.parity == "even":
-        evaluate, order, mirror = eval_even, sol.nu, 1.0
-    else:
-        evaluate, order, mirror = eval_odd, int(sol.nu), -1.0
-    right = []  # raw samples at i * step; the left half mirrors them
+    mirror = 1.0 if sol.parity == "even" else -1.0
+    right = np.empty(0)  # raw samples at i * step; the left half mirrors them
     for _ in range(_MAX_WIDENINGS + 1):
-        right += [evaluate(order, i * step) for i in range(len(right), half + 1)]
+        ys = np.arange(len(right), half + 1) * step
+        if sol.parity == "even":
+            new = eval_even(sol.nu, ys)
+        else:
+            new = [eval_odd(int(sol.nu), y) for y in ys.tolist()]
+        right = np.concatenate((right, new))
         # orient before normalizing: the norm is positive, so dividing by
         # it keeps every sign, and negating first is exact
         sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)
-        raw = sign * np.array(right)
+        raw = sign * right
         values = np.concatenate((mirror * raw[:0:-1], raw))
         try:
             return normalize(GridFunction(-half * step, half * step, 2 * half + 1, values))[0]

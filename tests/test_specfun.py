@@ -3,9 +3,8 @@
 Reference values were frozen from a 40-digit mpmath evaluation done at
 development time.  mpmath is a test dependency (the `test` extra) but
 not a runtime one; the one test that calls it live, the Gamma-ratio
-gate, is skipped without it.  Tolerances near z = 20 are wider because
-the confluent series and the large-z expansion both lose accuracy
-approaching the seam between them.
+gate, is skipped without it.  The Tricomi function U(-nu/2, 1/2, z) is
+read through the even eigenfunction, U = e^(z/2) eval_even(nu, sqrt(z)).
 """
 
 import math
@@ -19,13 +18,12 @@ from deltaho.specfun import (
     gamma,
     gamma_ratio,
     hermite,
-    kummer_m,
-    kummer_u_half,
     kummer_u_half_origin,
     log_gamma,
     reciprocal_gamma,
     sinpi,
 )
+from deltaho.wavefunction import eval_even
 
 
 def _sinpi(x):
@@ -186,76 +184,15 @@ def test_gamma_ratio_matches_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# confluent series M(a, b, z)
-
-
-M_FROZEN = [
-    (0.7, 0.5, 3.2, 41.335735882386899),
-    (-1.3, 1.5, 7.7, 2.7343218450792317),
-    (2.25, 1.5, 14.0, 7263069.2508868135),
-    (-0.5, 0.5, 9.0, -564.18680978090092),
-    (0.25, 0.5, 19.0, 42232002.338739406),
-    (-0.1135, 1.5, 2.75, 0.60542428095364624),
-]
-
-
-@pytest.mark.parametrize("a, b, z, expected", M_FROZEN)
-def test_kummer_m_frozen(a, b, z, expected):
-    assert kummer_m(a, b, z) == pytest.approx(expected, rel=1e-13)
-
-
-@pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
-def test_kummer_m_exponential_case(z):
-    """M(1, 1, z) = exp(z)."""
-    assert kummer_m(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-12)
-
-
-def test_kummer_m_at_zero_is_one():
-    assert kummer_m(0.37, 0.5, 0.0) == 1.0
-    assert kummer_m(-4.0, 1.5, 0.0) == 1.0
-
-
-def test_kummer_m_terminates_for_negative_integer_a():
-    # M(-1, b, z) = 1 - z/b, a two-term polynomial
-    for z in [0.5, 3.0, 40.0, 200.0]:
-        assert kummer_m(-1.0, 0.5, z) == pytest.approx(1.0 - 2.0 * z, rel=1e-14)
-
-
-def test_kummer_m_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        kummer_m(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_m(1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        kummer_m(1.0, 0.5, -0.1)
-
-
-def test_kummer_m_growth_law():
-    """M(a, 1/2, z) approaches Gamma(1/2)/Gamma(a) exp(z) z^(a-1/2) at large z.
-
-    The leading correction falls off like 1/z, so the ratio is only tested
-    for small |a| where z = 40 already brings it within five percent.
-    """
-    for nu in [0.3927, 0.5, 1.0]:
-        a = -0.5 * nu
-        prev = math.inf
-        for z in [20.0, 30.0, 40.0]:
-            predicted = (
-                SQRT_PI
-                * reciprocal_gamma(a)
-                * math.exp(z)
-                * math.exp((a - 0.5) * math.log(z))
-            )
-            off = abs(kummer_m(a, 0.5, z) / predicted - 1.0)
-            assert off < prev
-            prev = off
-        assert prev < 0.05
-
-
-# ---------------------------------------------------------------------------
 # decaying solution U(-nu/2, 1/2, z)
 
-# (nu, z, reference, rtol); entries straddling z = 20 carry the seam error
+
+def _u_half(nu, z):
+    return eval_even(nu, math.sqrt(z)) * math.exp(0.5 * z)
+
+
+# (nu, z, reference, tolerance of the former two-form evaluator); the
+# last entry only keeps each case's id, since every row now holds to 1e-13
 U_FROZEN = [
     (0.3927, 0.0, 0.60005749502690404, 1e-13),
     (0.3927, 0.5, 0.93779638108825579, 1e-13),
@@ -310,9 +247,7 @@ U_FROZEN = [
     (7.43, 20.1, 34118.870076813885, 1e-12),
     (7.43, 36.0, 420632.24537576026, 1e-13),
     (7.43, 100.0, 23796643.221249194, 1e-13),
-    # deep bound-state tail: mid-range z sits in a cancellation regime where
-    # only the absolute size (already ~1e-9 of the peak) is meaningful, so
-    # frozen checks cover the well-conditioned ends only
+    # deep bound-state tail
     (-12.99, 0.0, 0.0024848965074181211, 1e-13),
     (-12.99, 0.5, 9.1450736232945078e-5, 1e-11),
     (-12.99, 64.0, 9.7726299812827664e-13, 1e-9),
@@ -320,14 +255,9 @@ U_FROZEN = [
 ]
 
 
-@pytest.mark.parametrize("nu, z, expected, rtol", U_FROZEN)
-def test_kummer_u_half_frozen(nu, z, expected, rtol):
-    assert kummer_u_half(nu, z) == pytest.approx(expected, rel=rtol)
-
-
-def test_kummer_u_half_rejects_negative_z():
-    with pytest.raises(ValueError):
-        kummer_u_half(0.5, -1.0)
+@pytest.mark.parametrize("nu, z, expected, former_rtol", U_FROZEN)
+def test_kummer_u_half_frozen(nu, z, expected, former_rtol):
+    assert _u_half(nu, z) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("nu", [0.3927, 2.2546])
@@ -335,7 +265,7 @@ def test_kummer_u_half_power_law_tail(nu):
     """U approaches z^(nu/2) from one side as z grows."""
     prev = math.inf
     for z in [25.0, 36.0, 64.0, 100.0]:
-        off = abs(kummer_u_half(nu, z) / math.exp(0.5 * nu * math.log(z)) - 1.0)
+        off = abs(_u_half(nu, z) / math.exp(0.5 * nu * math.log(z)) - 1.0)
         assert off < prev
         prev = off
     assert prev < 1e-2
@@ -346,9 +276,9 @@ def test_kummer_u_half_reduces_to_hermite(m):
     """At even integer nu = 2m, 4^m U(-m, 1/2, y^2) is the Hermite polynomial."""
     scale = 4.0**m
     for y in [0.3, 0.9, 1.7, 2.5, 3.3]:
-        lhs = scale * kummer_u_half(2.0 * m, y * y)
+        lhs = scale * _u_half(2.0 * m, y * y)
         rhs = hermite(2 * m, y)
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_kummer_u_half_origin_frozen():
@@ -358,12 +288,12 @@ def test_kummer_u_half_origin_frozen():
 
 
 def test_kummer_u_half_origin_consistency():
-    """Closed-form origin data agrees with the series evaluated nearby."""
+    """Closed-form origin data agrees with the evaluator nearby."""
     for nu in [0.3927, 1.37, -0.8424, -3.5865]:
         value, slope = kummer_u_half_origin(nu)
-        assert kummer_u_half(nu, 0.0) == pytest.approx(value, rel=1e-13)
+        assert _u_half(nu, 0.0) == pytest.approx(value, rel=1e-13)
         h = 1e-5
-        fd = (kummer_u_half(nu, h * h) - value) / h
+        fd = (_u_half(nu, h * h) - value) / h
         assert fd == pytest.approx(slope, rel=1e-3, abs=1e-8)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for eigenfunction sampling, normalization, and origin checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -175,22 +176,48 @@ def test_normalize_refuses_a_nan_sample():
         normalize(GridFunction(-10.0, 10.0, 11, values))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [151, 201, 301])
 def test_sample_state_refuses_an_overflowing_odd_state(n):
-    # at n = 151 the norm overflows (the state came back all zeros); at
-    # n = 201 and 301 the samples themselves are NaN
+    # at n = 151 the squares of the samples overflow; at n = 201 and 301
+    # the samples themselves are NaN.  Neither may warn on the way.
     with pytest.raises(OverflowError):
         sample_state(EigenSolution("odd", float(n), n))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sample_state_refuses_an_overflowing_even_state():
-    # the norm overflows, and the state came back all zeros
+    # the samples reach about 1e157, so their squares overflow
     sol = full_spectrum(1.0, SolverConfig(n_states=201))[200]
     assert sol.parity == "even"
     with pytest.raises(OverflowError):
         sample_state(sol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_state_refuses_an_underflowing_even_state():
+    # the deep ground state at g = -26 (nu ~ -338.5) has samples near 1e-304,
+    # whose squares underflow; the norm comes out 0 and the state NaN
+    sol = full_spectrum(-26.0, SolverConfig(n_states=1))[0]
+    with pytest.raises(OverflowError, match="norm is 0.0"):
+        sample_state(sol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu", [700.0, 1e4, 1e9, -700.0, -1e9])
+def test_even_state_past_the_double_range_is_refused_at_once(nu):
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="nu="):
+        sample_state(EigenSolution("even", nu, 0))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_non_finite_label_is_refused(nu):
+    with pytest.raises(ValueError, match="nu"):
+        EigenSolution("even", nu, 0)
+    with pytest.raises(ValueError, match="nu"):
+        eval_even(nu, 1.0)
 
 
 def test_norm_is_stable_under_grid_halving():
@@ -198,7 +225,7 @@ def test_norm_is_stable_under_grid_halving():
     norms = []
     for n in (1001, 2001, 4001):
         pts = (np.arange(n) - (n - 1) // 2) * (20.0 / (n - 1))
-        vals = np.array([eval_even(nu, y) for y in pts])
+        vals = eval_even(nu, pts)
         norms.append(normalize(GridFunction(-10.0, 10.0, n, vals))[1])
     assert norms[1] == pytest.approx(norms[0], rel=1e-8)
     assert norms[2] == pytest.approx(norms[1], rel=1e-8)
@@ -258,32 +285,27 @@ def test_no_kink_without_coupling():
 
 
 def test_schrodinger_residual_away_from_origin():
-    """-psi'' + y^2 psi = (2 nu + 1) psi off-origin, checked with a 5-point stencil.
-
-    The deep bound state is checked on a shorter range: past y ~ 2.5 its
-    tail falls below the cancellation noise of the confluent evaluation
-    and second differences of noise dominate.
-    """
+    """-psi'' + y^2 psi = (2 nu + 1) psi off-origin, checked with a 5-point stencil."""
     cases = []
     for g in (1.0, -1.0, 2.5, -2.5, 5.0):
-        cases.extend(("even", s.nu, 4.0) for s in solve_even(g, SolverConfig(n_states=3)))
-    cases.extend(("odd", float(n), 4.0) for n in (1, 3, 5))
-    cases.append(("even", solve_even(-5.0, SolverConfig(n_states=1))[0].nu, 2.5))
+        cases.extend(("even", s.nu) for s in solve_even(g, SolverConfig(n_states=3)))
+    cases.extend(("odd", float(n)) for n in (1, 3, 5))
+    cases.append(("even", solve_even(-5.0, SolverConfig(n_states=1))[0].nu))
     h = 0.01
-    for kind, nu, y_hi in cases:
+    ys = np.arange(0.5, 4.0 + h / 2, 4 * h)
+    for kind, nu in cases:
         if kind == "even":
             f = lambda y: eval_even(nu, y)
         else:
-            f = lambda y: eval_odd(int(nu), y)
-        peak = max(abs(f(y)) for y in np.linspace(0.0, 4.0, 161))
-        for y in np.arange(0.5, y_hi + h / 2, 4 * h):
-            samples = [f(y + k * h) for k in (-2, -1, 0, 1, 2)]
-            d2 = (
-                -samples[0] + 16 * samples[1] - 30 * samples[2]
-                + 16 * samples[3] - samples[4]
-            ) / (12 * h * h)
-            residual = abs(-d2 + y * y * samples[2] - (2.0 * nu + 1.0) * samples[2])
-            assert residual <= 1e-4 * peak, (kind, nu, y, residual, peak)
+            f = lambda y: np.array([eval_odd(int(nu), v) for v in y.tolist()])
+        peak = float(np.max(np.abs(f(np.linspace(0.0, 4.0, 161)))))
+        samples = [f(ys + k * h) for k in (-2, -1, 0, 1, 2)]
+        d2 = (
+            -samples[0] + 16 * samples[1] - 30 * samples[2]
+            + 16 * samples[3] - samples[4]
+        ) / (12 * h * h)
+        residual = np.abs(-d2 + ys * ys * samples[2] - (2.0 * nu + 1.0) * samples[2])
+        assert np.max(residual) <= 1e-4 * peak, (kind, nu, np.max(residual), peak)
 
 
 def test_sample_state_parity_structure():
@@ -332,7 +354,7 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
         inner = getattr(wavefunction, name)
 
         def counted(nu, y, inner=inner):
-            calls.append(y)
+            calls.append(np.size(y))
             return inner(nu, y)
 
         monkeypatch.setattr(wavefunction, name, counted)
@@ -340,7 +362,7 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
         calls.clear()
         state = sample_state(sol)
         assert state.n_points == 3001
-        assert len(calls) == 1501
+        assert sum(calls) == 1501
 
 
 def test_sample_state_contains_deep_bound_state():
@@ -350,6 +372,38 @@ def test_sample_state_contains_deep_bound_state():
     assert state.values[center] > 2.0
     w = _simpson_weights(state.n_points, state.delta_y)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_even_states_match_mpmath():
+    """Even states k <= 40 at six couplings: shape to 1e-10 of the supremum, k/2 nodes.
+
+    Twelve right-half samples per state, the origin included, against
+    exp(-y^2/2) U(-nu/2, 1/2, y^2) from mpmath at 30 digits; the scale is
+    the least-squares best multiple, since the norms differ.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    worst = (0.0, None)
+    for g in (-10.0, -5.0, -2.5, 1.0, 5.0, 10.0):
+        for sol in full_spectrum(g, SolverConfig(n_states=41))[::2]:
+            state = sample_state(sol)
+            center = (state.n_points - 1) // 2
+            right = state.values[center:]
+            assert _count_sign_changes(right) == sol.index // 2, (g, sol.index)
+            picks = np.linspace(0, center, 12).round().astype(int)
+            ys = state.points()[center + picks]
+            with mpmath.workdps(30):
+                a = -mpmath.mpf(sol.nu) / 2
+                ref = np.array([
+                    float(mpmath.sqrt(mpmath.pi) * mpmath.rgamma(a + 0.5)) if y == 0.0
+                    else float(mpmath.exp(-mpmath.mpf(y) ** 2 / 2)
+                               * mpmath.hyperu(a, 0.5, mpmath.mpf(y) ** 2))
+                    for y in ys
+                ])
+            values = right[picks]
+            scale = float(values @ ref) / float(ref @ ref)
+            error = float(np.max(np.abs(values - scale * ref))) / float(np.max(np.abs(right)))
+            worst = max(worst, (error, (g, sol.index, sol.nu)), key=lambda w: w[0])
+    assert worst[0] <= 1e-10, worst
 
 
 def test_even_state_node_counts():
