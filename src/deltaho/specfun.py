@@ -3,12 +3,12 @@
 The Gamma family (taken from the standard library's math.gamma and
 math.lgamma, with the reciprocal extended to an entire function), the
 ratio Gamma(y + 1/2)/Gamma(y + 1) that the eigenvalue condition is built
-on, the origin limits of the even eigenfunction's Tricomi factor, and
-physicists' Hermite polynomials.  Everything is scalar double-precision
-code with no dependencies beyond the standard library; the accuracy
-targets come from the eigenvalue solver, which resolves the quantum
-label to a few ulps.  The even eigenfunction itself, evaluated over
-arrays of points, lives in wavefunction.
+on, and the origin limits of the even eigenfunction's Tricomi factor.
+Everything is scalar double-precision code with no dependencies beyond
+the standard library; the accuracy targets come from the eigenvalue
+solver, which resolves the quantum label to a few ulps.  The
+eigenfunctions themselves, evaluated over arrays of points, live in
+wavefunction.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "reciprocal_gamma",
     "gamma_ratio",
     "kummer_u_half_origin",
-    "hermite",
 ]
 
 SQRT_PI = 1.7724538509055160273
@@ -101,15 +100,3 @@ def kummer_u_half_origin(nu: float) -> tuple[float, float]:
     slope = nu * SQRT_PI * reciprocal_gamma(1.0 - 0.5 * nu)
     return value, slope
 
-
-def hermite(n: int, y: float) -> float:
-    """Physicists' Hermite polynomial H_n(y) by the three-term recurrence."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"hermite needs an integer n >= 0, got n={n}")
-    if n == 0:
-        return 1.0
-    h_prev = 1.0
-    h = 2.0 * y
-    for k in range(1, int(n)):
-        h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
-    return h

@@ -5,8 +5,8 @@ nonzero coupling leaves a kink at the origin (its residual is
 spectrum.jump_check, next to the eigen condition).  They are evaluated over
 arrays of points as parabolic cylinder functions D_nu, by one integral and
 the order recurrence.  Odd states are the plain oscillator functions
-e^(-y^2/2) H_n(y), evaluated point by point, and never feel the contact
-term.  Amplitudes are fixed by unit L2 norm with a positive value just
+e^(-y^2/2) H_n(y), also evaluated over arrays of points, and never feel the
+contact term.  Amplitudes are fixed by unit L2 norm with a positive value just
 right of the origin.
 """
 
@@ -18,10 +18,9 @@ import sys
 import numpy as np
 
 from .errors import InsufficientDomainError
-from .specfun import hermite
 
-# exp(-y^2/2) is unrepresentable long before this; returning 0 instead of
-# evaluating keeps huge-order Hermite values from overflowing first
+# exp(-y^2/2) is unrepresentable long before this; states return 0 past
+# it, whatever a huge-order Hermite factor does out there
 _GAUSSIAN_FLOOR = 700.0
 
 _DECAY_FRACTION = 1e-12
@@ -149,14 +148,27 @@ def eval_even(nu, y):
 
 
 def eval_odd(n, y):
-    """Unnormalized odd oscillator eigenfunction e^(-y^2/2) H_n(y)."""
+    """Unnormalized odd oscillator eigenfunction e^(-y^2/2) H_n(y).
+
+    y is a float or an array of points; the result has its shape.  H_n
+    comes from the three-term recurrence over the whole array, the same
+    IEEE operations per point as a scalar loop.  Past n = 181 it leaves
+    the double range where y^2 <= 700, and the samples turn NaN.
+    """
     order = int(n)
     if n != order or order < 1 or order % 2 == 0:
         raise ValueError("odd-branch order must be a positive odd integer")
-    z = y * y
-    if z > _GAUSSIAN_FLOOR:
-        return 0.0
-    return math.exp(-0.5 * z) * hermite(order, y)
+    y = np.asarray(y, dtype=float)
+    # quietly: a far-out y may square to inf, and past n = 181 H_n overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = y * y
+        h_prev, h = 1.0, 2.0 * y
+        for k in range(1, order):
+            h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
+        # math.exp, not np.exp, which is 1 ulp off at about 5 % of points
+        gauss = np.array([math.exp(v) for v in (-0.5 * z).ravel().tolist()])
+        out = np.where(z > _GAUSSIAN_FLOOR, 0.0, gauss.reshape(z.shape) * h)
+    return out if out.ndim else float(out)
 
 
 def _simpson_weights(n_points, delta_y):
@@ -174,13 +186,14 @@ def normalize(f):
     Returns the scaled function and the original norm.  The grid must hold
     the whole state: both endpoint samples have to sit below 1e-12 of the
     peak magnitude, otherwise the tail is truncated and the norm is a lie.
-    A norm that is not finite raises OverflowError, since the scaled state
-    would be all NaN or all zeros; the weights are positive, so a NaN or
-    infinite sample makes the norm so too.  So does a zero norm under a
-    nonzero peak, where the squares fell below the double range and the
-    scaled state would be NaN.
+    Samples are scaled by 2^-e, with 2^e just above the peak, before
+    squaring; being exact, that keeps the bits wherever the unscaled
+    squares fit the double range.  A NaN or infinite sample, or a norm
+    past the double range, raises OverflowError.
     """
     peak = float(np.max(np.abs(f.values)))
+    if not math.isfinite(peak):
+        raise OverflowError(f"state peak is {peak!r}: a sample leaves the double range")
     if peak == 0.0:
         raise InsufficientDomainError("cannot normalize an all-zero grid")
     edge = max(abs(float(f.values[0])), abs(float(f.values[-1])))
@@ -189,12 +202,9 @@ def normalize(f):
             f"state has not decayed at the grid edge: edge/peak = {edge / peak:.2e}"
         )
     weights = _simpson_weights(f.n_points, f.delta_y)
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(float(weights @ (f.values * f.values)))
-    if not 0.0 < norm < math.inf:
-        raise OverflowError(
-            f"state norm is {norm!r}: a sample or its square leaves the double range"
-        )
+    e = math.frexp(peak)[1]
+    scaled = np.ldexp(f.values, -e)
+    norm = math.ldexp(math.sqrt(float(weights @ (scaled * scaled))), e)
     return GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm), norm
 
 
@@ -206,22 +216,24 @@ def sample_state(sol, grid_spec=None):
     Widening keeps the half-interval count even, which pins the origin to
     a Simpson panel boundary so the kink never sits inside a panel.  The
     spacing never changes, so the samples of a narrower window are kept
-    and each widening evaluates only the points it adds.
+    and each widening evaluates only the points it adds, in one array call.
+
+    Domain: even states with |nu| below about 342 (eval_even refuses the
+    rest with OverflowError) and odd states up to n = 181 (past it the
+    Hermite factor overflows and normalize refuses with OverflowError).
+    A deep state at g < 0 decays like e^(-|g| |y|), so its width is 1/|g|;
+    the default spacing 0.01 leaves about 4 points per width at g = -26,
+    and deeper states need a finer grid to give a meaningful norm.
     """
     spec = GridSpec() if grid_spec is None else grid_spec
     if spec.y_min != -spec.y_max or spec.n_points % 2 == 0:
         raise ValueError("state sampling needs a symmetric grid with odd points")
     half = (spec.n_points - 1) // 2
     step = spec.y_max / half
-    mirror = 1.0 if sol.parity == "even" else -1.0
+    evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
     right = np.empty(0)  # raw samples at i * step; the left half mirrors them
     for _ in range(_MAX_WIDENINGS + 1):
-        ys = np.arange(len(right), half + 1) * step
-        if sol.parity == "even":
-            new = eval_even(sol.nu, ys)
-        else:
-            new = [eval_odd(int(sol.nu), y) for y in ys.tolist()]
-        right = np.concatenate((right, new))
+        right = np.concatenate((right, evaluate(sol.nu, np.arange(len(right), half + 1) * step)))
         # orient before normalizing: the norm is positive, so dividing by
         # it keeps every sign, and negating first is exact
         sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)

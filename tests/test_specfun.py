@@ -2,9 +2,11 @@
 
 Reference values were frozen from a 40-digit mpmath evaluation done at
 development time.  mpmath is a test dependency (the `test` extra) but
-not a runtime one; the one test that calls it live, the Gamma-ratio
-gate, is skipped without it.  The Tricomi function U(-nu/2, 1/2, z) is
-read through the even eigenfunction, U = e^(z/2) eval_even(nu, sqrt(z)).
+not a runtime one; the two tests that call it live, the Gamma-ratio gate
+and the Hermite reduction, are skipped without it.  The Tricomi function
+U(-nu/2, 1/2, z) is read through the even eigenfunction,
+U = e^(z/2) eval_even(nu, sqrt(z)), and the odd-order Hermite
+polynomials through the odd one, H_n(y) = e^(y^2/2) eval_odd(n, y).
 """
 
 import math
@@ -17,13 +19,12 @@ from deltaho.specfun import (
     cospi,
     gamma,
     gamma_ratio,
-    hermite,
     kummer_u_half_origin,
     log_gamma,
     reciprocal_gamma,
     sinpi,
 )
-from deltaho.wavefunction import eval_even
+from deltaho.wavefunction import eval_even, eval_odd
 
 
 def _sinpi(x):
@@ -274,10 +275,11 @@ def test_kummer_u_half_power_law_tail(nu):
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
 def test_kummer_u_half_reduces_to_hermite(m):
     """At even integer nu = 2m, 4^m U(-m, 1/2, y^2) is the Hermite polynomial."""
+    mpmath = pytest.importorskip("mpmath")
     scale = 4.0**m
     for y in [0.3, 0.9, 1.7, 2.5, 3.3]:
         lhs = scale * _u_half(2.0 * m, y * y)
-        rhs = hermite(2 * m, y)
+        rhs = float(mpmath.hermite(2 * m, y))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -298,30 +300,31 @@ def test_kummer_u_half_origin_consistency():
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials
+# odd-order Hermite polynomials
+
+
+def _hermite(n, y):
+    return eval_odd(n, y) * math.exp(0.5 * y * y)
 
 
 def test_hermite_low_orders():
     ys = [-2.0, -0.5, 0.0, 0.7, 1.9]
     for y in ys:
-        assert hermite(0, y) == 1.0
-        assert hermite(1, y) == 2.0 * y
-        assert hermite(2, y) == pytest.approx(4.0 * y * y - 2.0, rel=1e-15)
-        assert hermite(3, y) == pytest.approx(8.0 * y**3 - 12.0 * y, rel=1e-14)
-        assert hermite(4, y) == pytest.approx(
-            16.0 * y**4 - 48.0 * y * y + 12.0, rel=1e-14, abs=1e-12
+        assert _hermite(1, y) == pytest.approx(2.0 * y, rel=1e-15)
+        assert _hermite(3, y) == pytest.approx(8.0 * y**3 - 12.0 * y, rel=1e-14)
+        assert _hermite(5, y) == pytest.approx(
+            32.0 * y**5 - 160.0 * y**3 + 120.0 * y, rel=1e-14, abs=1e-12
         )
 
 
 def test_hermite_parity():
-    for n in range(8):
-        sign = -1.0 if n % 2 else 1.0
+    for n in range(1, 8, 2):
         for y in [0.4, 1.3, 2.8]:
-            assert hermite(n, -y) == pytest.approx(sign * hermite(n, y), rel=1e-14)
+            assert _hermite(n, -y) == -_hermite(n, y)
 
 
 def test_hermite_rejects_bad_order():
     with pytest.raises(ValueError):
-        hermite(-1, 0.5)
+        eval_odd(-1, 0.5)
     with pytest.raises(ValueError):
-        hermite(2.5, 0.5)
+        eval_odd(2.5, 0.5)

@@ -71,6 +71,24 @@ def test_odd_evaluation_rejects_bad_order():
             eval_odd(bad, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
+    """Same shape, the bits of the scalar Hermite loop, 0 past the Gaussian floor."""
+    ys = np.array([[-27.0, -3.1, -0.4, 0.0], [0.7, 2.9, 26.4, 1e200]])
+    for n in (1, 9, 41, 151):
+        expected = []
+        for y in ys.ravel().tolist():
+            h_prev, h = 1.0, 2.0 * y
+            for k in range(1, n):
+                h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
+            expected.append(0.0 if y * y > 700.0 else math.exp(-0.5 * y * y) * h)
+        out = eval_odd(n, ys)
+        assert out.shape == ys.shape
+        assert out.tobytes() == np.array(expected).reshape(ys.shape).tobytes()
+        assert [eval_odd(n, y) for y in ys.ravel().tolist()] == out.ravel().tolist()
+        assert out[0, 0] == out[1, 3] == 0.0
+
+
 def test_far_tail_is_flushed_to_zero():
     assert eval_even(0.39274404530895262, 27.0) == 0.0
     assert eval_odd(3, -27.0) == 0.0
@@ -177,30 +195,12 @@ def test_normalize_refuses_a_nan_sample():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", [151, 201, 301])
+@pytest.mark.parametrize("n", [183, 201, 301])
 def test_sample_state_refuses_an_overflowing_odd_state(n):
-    # at n = 151 the squares of the samples overflow; at n = 201 and 301
-    # the samples themselves are NaN.  Neither may warn on the way.
+    # past n = 181 the Hermite factor overflows and the samples are NaN;
+    # the refusal may not warn on the way
     with pytest.raises(OverflowError):
         sample_state(EigenSolution("odd", float(n), n))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sample_state_refuses_an_overflowing_even_state():
-    # the samples reach about 1e157, so their squares overflow
-    sol = full_spectrum(1.0, SolverConfig(n_states=201))[200]
-    assert sol.parity == "even"
-    with pytest.raises(OverflowError):
-        sample_state(sol)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sample_state_refuses_an_underflowing_even_state():
-    # the deep ground state at g = -26 (nu ~ -338.5) has samples near 1e-304,
-    # whose squares underflow; the norm comes out 0 and the state NaN
-    sol = full_spectrum(-26.0, SolverConfig(n_states=1))[0]
-    with pytest.raises(OverflowError, match="norm is 0.0"):
-        sample_state(sol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -294,12 +294,9 @@ def test_schrodinger_residual_away_from_origin():
     h = 0.01
     ys = np.arange(0.5, 4.0 + h / 2, 4 * h)
     for kind, nu in cases:
-        if kind == "even":
-            f = lambda y: eval_even(nu, y)
-        else:
-            f = lambda y: np.array([eval_odd(int(nu), v) for v in y.tolist()])
-        peak = float(np.max(np.abs(f(np.linspace(0.0, 4.0, 161)))))
-        samples = [f(ys + k * h) for k in (-2, -1, 0, 1, 2)]
+        evaluate = eval_even if kind == "even" else eval_odd
+        peak = float(np.max(np.abs(evaluate(nu, np.linspace(0.0, 4.0, 161)))))
+        samples = [evaluate(nu, ys + k * h) for k in (-2, -1, 0, 1, 2)]
         d2 = (
             -samples[0] + 16 * samples[1] - 30 * samples[2]
             + 16 * samples[3] - samples[4]
@@ -348,7 +345,10 @@ def test_sample_state_widens_for_spread_out_states():
 
 
 def test_sample_state_evaluates_each_point_once(monkeypatch):
-    """Widening from 1001 to 1501 right-half points evaluates only the new 500."""
+    """Widening from 1001 to 1501 right-half points evaluates only the new 500.
+
+    Each window is one array call, for either parity.
+    """
     calls = []
     for name in ("eval_even", "eval_odd"):
         inner = getattr(wavefunction, name)
@@ -362,7 +362,7 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
         calls.clear()
         state = sample_state(sol)
         assert state.n_points == 3001
-        assert sum(calls) == 1501
+        assert calls == [1001, 500]
 
 
 def test_sample_state_contains_deep_bound_state():
@@ -404,6 +404,59 @@ def test_even_states_match_mpmath():
             error = float(np.max(np.abs(values - scale * ref))) / float(np.max(np.abs(right)))
             worst = max(worst, (error, (g, sol.index, sol.nu)), key=lambda w: w[0])
     assert worst[0] <= 1e-10, worst
+
+
+def _mpmath_shape_error(mpmath, sol, state):
+    """Best-multiple error of 12 right-half samples against mpmath, over the supremum.
+
+    The samples span the right half out to where the state falls below
+    1e-8 of its supremum, so a narrow deep state is probed where it lives.
+    """
+    center = (state.n_points - 1) // 2
+    right = state.values[center:]
+    sup = float(np.max(np.abs(right)))
+    last = int(np.nonzero(np.abs(right) > 1e-8 * sup)[0][-1])
+    picks = np.linspace(0, last, 12).round().astype(int)
+    with mpmath.workdps(30):
+        ref = []
+        for y in state.points()[center + picks].tolist():
+            z = mpmath.mpf(y) ** 2
+            if sol.parity == "odd":
+                ref.append(mpmath.exp(-z / 2) * mpmath.hermite(int(sol.nu), y))
+            elif y == 0.0:
+                ref.append(mpmath.sqrt(mpmath.pi) * mpmath.rgamma(0.5 - mpmath.mpf(sol.nu) / 2))
+            else:
+                ref.append(mpmath.exp(-z / 2) * mpmath.hyperu(-mpmath.mpf(sol.nu) / 2, 0.5, z))
+        # scaled in mpmath, since the raw references may leave the double range
+        big = max(abs(r) for r in ref)
+        ref = np.array([float(r / big) for r in ref])
+    values = right[picks]
+    scale = float(values @ ref) / float(ref @ ref)
+    return float(np.max(np.abs(values - scale * ref))) / sup
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "g, k",
+    [(0.0, 151), (0.0, 181), (1.0, 200), (1.0, 300), (-20.2, 0), (-24.5, 0), (-26.0, 0)],
+    ids=["odd-151", "odd-181", "even-200", "even-300", "g-20.2", "g-24.5", "g-26"],
+)
+def test_states_whose_squares_leave_the_double_range(g, k):
+    """Samples up to 1e160 or down to 1e-304 still give a unit-norm state of the right shape.
+
+    The odd states and the even k = 200 and 300 at g = 1 (nu ~ 200 and
+    300) have squares past the double range; the ground states at
+    g = -20.2, -24.5 and -26 (nu ~ -205, -301 and -338) have squares
+    below it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    sol = full_spectrum(g, SolverConfig(n_states=k + 1))[k]
+    state = sample_state(sol)
+    center = (state.n_points - 1) // 2
+    assert _count_sign_changes(state.values[center:]) == k // 2
+    w = _simpson_weights(state.n_points, state.delta_y)
+    assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
+    assert _mpmath_shape_error(mpmath, sol, state) <= 1e-10, sol.nu
 
 
 def test_even_state_node_counts():
