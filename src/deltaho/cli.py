@@ -124,14 +124,18 @@ def _emit(text, args, filename):
     if args.out is None:
         sys.stdout.write(text)
         return
+    os.makedirs(args.out, exist_ok=True)
     _write_atomic(os.path.join(args.out, filename), text)
+
+
+def _timestamp():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _stamp_comments(args):
     if not args.stamp:
         return []
-    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return [f"generated {now} by deltaho {__version__}"]
+    return [f"generated {_timestamp()} by deltaho {__version__}"]
 
 
 # --- solve --------------------------------------------------------------------
@@ -179,7 +183,7 @@ def cmd_solve(args):
         return 0
     config = {"version": __version__, "n_states": args.states}
     if args.stamp:
-        config["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        config["timestamp"] = _timestamp()
     payload = {
         "g": args.g,
         "states": [
@@ -287,7 +291,6 @@ def _figure_wavefunctions(args):
 
 
 def cmd_figures(args):
-    os.makedirs(args.out, exist_ok=True)
     if args.which == "eq-solution":
         _figure_eq_solution(args)
     elif args.which == "nu-vs-g":
@@ -308,9 +311,7 @@ def cmd_compare(args):
     coarse_cfg = oracle.OracleConfig(half_width=grid_l, n_intervals=grid_n // 2)
     analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
     fine = oracle.eigen_lowest(oracle.build_hamiltonian(g, cfg), k)
-    coarse = oracle.eigen_lowest(
-        oracle.build_hamiltonian(g, coarse_cfg), 1, classify=False
-    )
+    coarse = oracle.eigen_lowest(oracle.build_hamiltonian(g, coarse_cfg), 1)
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     parity_match = [o == a.parity for o, a in zip(fine.parities, analytic)]
     gap_fine = abs(fine.epsilons[0] - analytic[0].epsilon)
@@ -337,6 +338,9 @@ def cmd_compare(args):
         ] + _stamp_comments(args)
         _emit(_csv_text(rows, comments), args, "compare.csv")
     else:
+        config = {"half_width": grid_l, "n_intervals": grid_n, "version": __version__}
+        if args.stamp:
+            config["timestamp"] = _timestamp()
         payload = {
             "g": g,
             "k": k,
@@ -346,8 +350,7 @@ def cmd_compare(args):
             "parity_match": parity_match,
             "max_gap": max(gaps),
             "halving_ratio": halving_ratio,
-            "config": {"half_width": grid_l, "n_intervals": grid_n,
-                       "version": __version__},
+            "config": config,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args, "compare.json")
     return 0

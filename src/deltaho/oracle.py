@@ -2,23 +2,24 @@
 
 The dimensionless Hamiltonian is discretized on a symmetric grid with
 Dirichlet walls, the contact term entering as a single on-site spike of
-size g over the grid spacing.  Eigenvalues come from Sturm counts on the
-full matrix.  Every count of a call goes into one table, since it bounds
-all the eigenvalues sought; bisection on counts isolates each eigenvalue,
-and Newton steps on det(H - x) then narrow its count-certified bracket.
-The steps take the determinant's log-derivative from the whole pivot
-recurrence.  The last pivot alone, q_n = det(H - x)/det(H' - x) with H'
-short of its last row and column, would not do: eigenvectors vanish like
-e^-32 at the walls, so each zero of q_n sits next to a pole, closer than
-a double resolves, and q_n keeps its sign across the eigenvalue.  Parity
-labels come from the same Sturm count run on the matrix's even and odd
-mirror blocks: the spike sits on the centre node, so it enters the even
-block only, as in the continuum problem.  The Sturm recurrence is
-sequential, so the module is plain Python on tuples of floats and loads
-nothing beyond the standard library.  Nothing here is shared with the
-analytic solver; agreement between the two routes is the point of this
-module, so nothing here may import from spectrum, specfun or
-wavefunction.
+size g over the grid spacing.  Mirror-symmetric and antisymmetric
+combinations of node pairs split the matrix exactly into an even and an
+odd block; the spike sits on the centre node, so it enters the even
+block only, as in the continuum problem.  Each block's eigenvalues come
+lowest first from its own Sturm counts, and each eigenvalue carries the
+parity of the block it came from.  Every count on a block goes into one
+table, since it bounds all that block's eigenvalues; bisection on counts
+isolates each eigenvalue, and Newton steps on det(H - x) then narrow its
+count-certified bracket.  The steps take the determinant's
+log-derivative from the whole pivot recurrence.  The last pivot alone,
+q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
+would not do: eigenvectors vanish like e^-32 at the walls, so each zero
+of q_n sits next to a pole, closer than a double resolves, and q_n keeps
+its sign across the eigenvalue.  The Sturm recurrence is sequential, so
+the module is plain Python on tuples of floats and loads nothing beyond
+the standard library.  Nothing here is shared with the analytic solver;
+agreement between the two routes is the point of this module, so
+nothing here may import from spectrum, specfun or wavefunction.
 """
 
 import math
@@ -30,11 +31,6 @@ _WIDTH_TOL = 1e-10
 # counts this far either side of a converged Newton step close a bracket
 # narrower than _WIDTH_TOL
 _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
-# Half-width of the window in which a block's Sturm count must rise by one
-# at a full-matrix eigenvalue.  It sits far above the count's backward
-# error (eps * |H|, about 3e-11 at N = 4000) and the bracket width, and
-# far below any level spacing the 1e-3 comparison gate can resolve.
-_LABEL_WINDOW = 1e-6
 
 
 class OracleConfig:
@@ -88,8 +84,7 @@ class OracleSpectrum:
     def __init__(self, epsilons, parities):
         eps = tuple(float(x) for x in epsilons)
         par = tuple(parities)
-        # empty parities mark an eigenvalue-only run (classification skipped)
-        if par and len(eps) != len(par):
+        if len(eps) != len(par):
             raise ValueError("epsilons and parities must have equal length")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly increasing")
@@ -182,19 +177,6 @@ def _mirror_blocks(h):
     return {"even": Tridiagonal(even_diag, e[c:]), "odd": Tridiagonal(odd_diag, e[c:])}
 
 
-def _parity(blocks, lam):
-    rises = {
-        parity: count_below(block, lam + _LABEL_WINDOW) - count_below(block, lam - _LABEL_WINDOW)
-        for parity, block in blocks.items()
-    }
-    if sum(rises.values()) != 1:
-        raise ValueError(
-            f"eigenvalue {lam!r} has {sum(rises.values())} block eigenvalues "
-            f"within {_LABEL_WINDOW:g}, not one; its parity is undefined"
-        )
-    return max(rises, key=rises.get)
-
-
 def _newton_pass(h, x, squares):
     """Sturm count below x and d/dx log|det(h - x)|, in one pass.
 
@@ -223,7 +205,7 @@ def _newton_pass(h, x, squares):
 def _eigenvalue(h, j, table, squares):
     """Eigenvalue j (from 1) of h, bracketed by Sturm counts.
 
-    table holds every (x, count) sample of the call, sorted by x, and
+    table holds every (x, count) sample made on h so far, sorted by x, and
     takes the samples made here too.  The bracket starts as the pair of
     samples where the count first reaches j, and is bisected until it
     holds eigenvalue j alone.  From then on each pass is a Newton step on
@@ -281,34 +263,52 @@ def _eigenvalue(h, j, table, squares):
     return 0.5 * (lo + hi)
 
 
-def eigen_lowest(h, k, classify=True):
-    """The k smallest eigenvalues, with parity labels unless classify is off.
+def _ascending(h):
+    """The eigenvalues of h, lowest first, each solved when it is asked for.
 
-    Each eigenvalue is bracketed by Sturm counts of the full matrix to
-    1e-10 absolute, or to adjacent doubles where those lie farther apart:
-    bisection isolates it, then count-safeguarded Newton steps on
-    det(h - x) narrow the bracket (see _eigenvalue).  Every count of the
-    call bounds all k eigenvalues, so all of them share one table of
-    samples.  Each eigenvalue is then labelled by the mirror block whose
-    own Sturm count rises by one within _LABEL_WINDOW of it.  Labelling
-    raises ValueError when h is not mirror-symmetric, or when that window
-    holds no block eigenvalue or more than one; pass classify=False to get
-    the eigenvalues alone.  Two eigenvalues closer than the bracket width,
-    a repeated one included, end on the same bracket and raise ValueError
+    All of them share one table of Sturm samples (see _eigenvalue).
+    """
+    glo, ghi = _gershgorin(h)
+    table = [(glo, 0), (ghi, h.size)]
+    squares = (0.0,) + tuple(ei * ei for ei in h.off)
+    for j in range(1, h.size + 1):
+        yield _eigenvalue(h, j, table, squares)
+
+
+def eigen_lowest(h, k):
+    """The k smallest eigenvalues of a mirror-symmetric h, with parity labels.
+
+    h splits into its even and odd mirror blocks (ValueError if it has no
+    mirror symmetry), and each block gives its eigenvalues lowest first,
+    bracketed by its own Sturm counts to 1e-10 absolute, or to adjacent
+    doubles where those lie farther apart (see _eigenvalue).  The two
+    ascending streams merge lazily, so the call solves at most k + 1
+    block eigenvalues, and each eigenvalue is labelled by its block.  The
+    k reported eigenvalues and the other block's next one are then in
+    certified order unless two neighbours among them lie closer than the
+    bracket width, a repeated eigenvalue included; that raises ValueError
     naming both.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
-    blocks = _mirror_blocks(h) if classify else None
-    glo, ghi = _gershgorin(h)
-    table = [(glo, 0), (ghi, h.size)]
-    squares = (0.0,) + tuple(ei * ei for ei in h.off)
-    eigenvalues = tuple(_eigenvalue(h, j, table, squares) for j in range(1, k + 1))
-    for j, (a, b) in enumerate(zip(eigenvalues, eigenvalues[1:])):
-        if b <= a:
+    streams = {parity: _ascending(block) for parity, block in _mirror_blocks(h).items()}
+    heads = {parity: next(stream) for parity, stream in streams.items()}
+    found = []
+    while True:
+        parity = min(heads, key=heads.get)
+        found.append((heads[parity], parity))
+        if len(found) == k:
+            break
+        # a spent block's head is inf; the blocks hold h.size eigenvalues
+        heads[parity] = next(streams[parity], math.inf)
+    # the stream just reported from is not advanced: its next eigenvalue
+    # shares the label, so its order with the last one cannot matter
+    del heads[parity]
+    ordered = found + [(lam, p) for p, lam in heads.items()]
+    for j, ((a, pa), (b, pb)) in enumerate(zip(ordered, ordered[1:])):
+        if b - a < _WIDTH_TOL:
             raise ValueError(
-                f"eigenvalues {j} and {j + 1} meet at {a!r}: they lie closer than "
-                f"the {_WIDTH_TOL:g} bracket width can separate"
+                f"eigenvalues {j} and {j + 1} ({pa} {a!r}, {pb} {b!r}) lie closer "
+                f"than the {_WIDTH_TOL:g} bracket width, so their order is not certified"
             )
-    parities = tuple(_parity(blocks, lam) for lam in eigenvalues) if classify else ()
-    return OracleSpectrum(eigenvalues, parities)
+    return OracleSpectrum(*zip(*found))

@@ -1,9 +1,9 @@
 """Real-valued special functions for the oscillator-plus-delta solver.
 
-The Gamma family (taken from the standard library's math.gamma and
-math.lgamma, with the reciprocal extended to an entire function), the
-ratio Gamma(y + 1/2)/Gamma(y + 1) that the eigenvalue condition is built
-on, and the origin limits of the even eigenfunction's Tricomi factor.
+The reciprocal Gamma function (from the standard library's math.gamma
+and math.lgamma, extended to an entire function), the ratio
+Gamma(y + 1/2)/Gamma(y + 1) that the eigenvalue condition is built on,
+and the origin limits of the even eigenfunction's Tricomi factor.
 Everything is scalar double-precision code with no dependencies beyond
 the standard library; the accuracy targets come from the eigenvalue
 solver, which resolves the quantum label to a few ulps.  The
@@ -19,8 +19,6 @@ __all__ = [
     "SQRT_PI",
     "sinpi",
     "cospi",
-    "gamma",
-    "log_gamma",
     "reciprocal_gamma",
     "gamma_ratio",
     "kummer_u_half_origin",
@@ -45,16 +43,6 @@ def cospi(x: float) -> float:
     # |remainder| lies in [0, 1], where 1/2 - |remainder| is exact except
     # below 1/4; there cos(pi*x) is flat enough that the rounding is harmless
     return sinpi(0.5 - abs(math.remainder(x, 2.0)))
-
-
-gamma = math.gamma  # ValueError at the poles, OverflowError past x = 171.62
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma needs a positive argument, got x={x}")
-    return math.lgamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:

@@ -196,6 +196,25 @@ class TestCompare:
         assert result["analytic"][0] == pytest.approx(-12.49, abs=1e-4)
         assert result["oracle"][0] == pytest.approx(-12.49, abs=2e-3)
 
+    @pytest.mark.parametrize("g", ["1e7", "1e8"])
+    def test_strong_coupling_levels_keep_their_parity(self, capsys, g):
+        # the even ground level sits about 1e-7 under the odd one on the
+        # grid: far apart for the oracle's 1e-10 brackets
+        code, out = run_cli(capsys, "compare", "--g", g, "--states", "2")
+        assert code == 0
+        result = json.loads(out)
+        assert result["parity_match"] == [True, True]
+        assert result["oracle"][0] < result["oracle"][1]
+
+    def test_json_stamp_adds_only_the_timestamp(self, capsys):
+        argv = ("compare", "--g", "1", "--states", "2", "--grid-n", "400")
+        _, plain = run_cli(capsys, *argv)
+        _, stamped = run_cli(capsys, *argv, "--stamp")
+        assert "timestamp" not in json.loads(plain)["config"]
+        report = json.loads(stamped)
+        del report["config"]["timestamp"]
+        assert json.dumps(report, indent=2) + "\n" == plain
+
     @pytest.mark.parametrize("grid_n", ["4002", "6", "4"])
     def test_grid_n_must_allow_halving(self, capsys, grid_n):
         # the halving run uses grid_n / 2 intervals, which must be even too
@@ -363,6 +382,14 @@ class TestOutputFiles:
         assert code == 0
         mode = (tmp_path / "table.csv").stat().st_mode
         assert stat.S_IMODE(mode) == 0o666 & ~umask
+
+    def test_solve_creates_its_out_directory(self, capsys, tmp_path):
+        target = tmp_path / "made" / "here"
+        code, out = run_cli(capsys, "solve", "--g", "1", "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert [p.name for p in target.iterdir()] == ["solve.json"]
+        assert json.loads((target / "solve.json").read_text())["g"] == 1.0
 
 
 class TestStrongCouplingSolve:

@@ -1,6 +1,7 @@
 """Finite-difference oracle: eigensolver core, parity labels, convergence."""
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -52,11 +53,11 @@ class TestSmallMatrices:
         assert spec.parities == ("even", "odd")
 
     def test_diagonal_matrix_eigenvalues(self):
+        # the per-block engine needs no mirror symmetry
         h = Tridiagonal(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0]))
-        spec = eigen_lowest(h, 2, classify=False)
-        assert spec.epsilons[0] == pytest.approx(1.0, abs=1e-9)
-        assert spec.epsilons[1] == pytest.approx(2.0, abs=1e-9)
-        assert spec.parities == ()
+        first, second = _lowest(h, 2)
+        assert first == pytest.approx(1.0, abs=1e-9)
+        assert second == pytest.approx(2.0, abs=1e-9)
 
     def test_diagonal_matrix_has_no_parity(self):
         # diag [1, 2, 3] is not mirror-symmetric, so no labels exist
@@ -76,9 +77,8 @@ class TestSmallMatrices:
         d = rng.standard_normal(n) * 3.0
         e = rng.standard_normal(n - 1)
         h = Tridiagonal(d, e)
-        spec = eigen_lowest(h, 5, classify=False)
         dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        assert np.max(np.abs(np.array(spec.epsilons) - dense[:5])) < 1e-8
+        assert np.max(np.abs(np.array(_lowest(h, 5)) - dense[:5])) < 1e-8
 
     def test_bisection_ends_where_doubles_are_wider_than_its_tolerance(self, monkeypatch):
         # near 1e7 adjacent doubles lie 1.9e-9 apart, so a width of 1e-10
@@ -100,8 +100,14 @@ class TestSmallMatrices:
         assert spec.parities == ("even", "odd")
 
 
+def _lowest(h, k):
+    """The k smallest eigenvalues of any h, from the per-block engine."""
+    return list(itertools.islice(oracle._ascending(h), k))
+
+
 def _counted_passes(monkeypatch, cap=math.inf):
-    """Record the point of every Sturm pass, plain count or Newton step.
+    """Record the point and matrix size of every Sturm pass, plain count or
+    Newton step.
 
     Past cap passes the next one raises, so a search that never ends
     fails instead of hanging.
@@ -110,7 +116,7 @@ def _counted_passes(monkeypatch, cap=math.inf):
 
     def counted(sturm_pass):
         def wrapper(h, x, *rest):
-            passes.append(x)
+            passes.append((x, h.size))
             if len(passes) > cap:
                 raise RuntimeError("eigenvalue search does not terminate")
             return sturm_pass(h, x, *rest)
@@ -125,12 +131,15 @@ def _counted_passes(monkeypatch, cap=math.inf):
 class TestPassBudget:
     @pytest.mark.parametrize("g", [-5.0, 1.0, 5.0])
     def test_sturm_passes_per_eigenvalue(self, monkeypatch, g):
-        # labels included; plain bisection to 1e-10 from the Gershgorin
-        # interval needs about 55 per eigenvalue
+        # the other block's next eigenvalue included; plain bisection to
+        # 1e-10 from the Gershgorin interval needs about 55 per eigenvalue
         passes = _counted_passes(monkeypatch)
         spec = eigen_lowest(build_hamiltonian(g), 8)
         assert len(spec.parities) == 8
         assert len(passes) <= 20 * 8
+        # pivot rows walked: each pass runs over one half-size mirror block,
+        # where passes over the full matrix walked 368k-404k
+        assert sum(size for _, size in passes) <= 320_000
 
 
 def _mirror_symmetric(rng, n):
@@ -169,20 +178,25 @@ class TestDenseReference:
 
     def test_near_degenerate_pair_is_resolved(self):
         h = _double_well()
-        dense = np.linalg.eigvalsh(_dense(h))[:3]
+        values, vecs = np.linalg.eigh(_dense(h))
+        dense = values[:3]
         assert 1e-9 < dense[1] - dense[0] < 1e-7
-        # the pair sits inside one label window, so it has no parities
-        spec = eigen_lowest(h, 3, classify=False)
+        # each member of the pair comes from its own mirror block
+        spec = eigen_lowest(h, 3)
         assert spec.epsilons[0] < spec.epsilons[1] < spec.epsilons[2]
         assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
+        expected = tuple(
+            "even" if vecs[:, j] @ vecs[::-1, j] > 0.0 else "odd" for j in range(3)
+        )
+        assert spec.parities == expected
 
     @pytest.mark.parametrize("bond", [0.0, 1e-7])
     def test_cluster_below_the_stop_is_named(self, bond):
-        # eigenvalues 1 and 1 - bond^2/2 lie closer than the 1e-10 stop,
-        # so both brackets close on the same points
+        # the even 1 - bond^2/2 and the odd 1 lie closer than the 1e-10
+        # stop, so the blocks' brackets cannot order them
         h = Tridiagonal((1.0, 5.0, 1.0), (bond, bond))
         with pytest.raises(ValueError, match=r"eigenvalues 0 and 1 .*(1\.0000000000|0\.9999999999)"):
-            eigen_lowest(h, 2, classify=False)
+            eigen_lowest(h, 2)
 
 
 class TestMirrorBlockParity:
@@ -204,7 +218,6 @@ class TestMirrorBlockParity:
         e = np.array([-1.0, -0.5, -0.5, -0.25])
         with pytest.raises(ValueError, match="mirror-symmetric"):
             eigen_lowest(Tridiagonal(d, e), 2)
-        assert len(eigen_lowest(Tridiagonal(d, e), 2, classify=False).epsilons) == 2
 
     def test_one_by_one_is_even(self):
         assert eigen_lowest(Tridiagonal(np.array([4.0]), np.array([])), 1).parities == ("even",)
@@ -331,7 +344,7 @@ class TestConvergence:
         errs = []
         for n_int in (1000, 2000, 4000):
             cfg = OracleConfig(n_intervals=n_int)
-            spec = eigen_lowest(build_hamiltonian(1.0, cfg), 1, classify=False)
+            spec = eigen_lowest(build_hamiltonian(1.0, cfg), 1)
             errs.append(abs(spec.epsilons[0] - ref))
         for coarse, fine in zip(errs, errs[1:]):
             order = math.log2(coarse / fine)
@@ -339,12 +352,8 @@ class TestConvergence:
 
     def test_bound_state_converges_too(self):
         ref = spectrum.full_spectrum(-2.5, spectrum.SolverConfig(n_states=1))[0].epsilon
-        coarse = eigen_lowest(
-            build_hamiltonian(-2.5, OracleConfig(n_intervals=1000)), 1, classify=False
-        )
-        fine = eigen_lowest(
-            build_hamiltonian(-2.5, OracleConfig(n_intervals=2000)), 1, classify=False
-        )
+        coarse = eigen_lowest(build_hamiltonian(-2.5, OracleConfig(n_intervals=1000)), 1)
+        fine = eigen_lowest(build_hamiltonian(-2.5, OracleConfig(n_intervals=2000)), 1)
         assert abs(fine.epsilons[0] - ref) < abs(coarse.epsilons[0] - ref)
 
 
