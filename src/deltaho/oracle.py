@@ -16,14 +16,15 @@ q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
 would not do: eigenvectors vanish like e^-32 at the walls, so each zero
 of q_n sits next to a pole, closer than a double resolves, and q_n keeps
 its sign across the eigenvalue.  The Sturm recurrence is sequential, so
-the module is plain Python on tuples of floats and loads nothing beyond
-the standard library.  Nothing here is shared with the analytic solver;
-agreement between the two routes is the point of this module, so
-nothing here may import from spectrum, specfun or wavefunction.
+the module is plain Python on tuples of floats.  It imports math,
+operator and the package's shared errors, and nothing from spectrum,
+specfun or wavefunction: agreement between the two routes is the point.
 """
 
 import math
 import operator
+
+from .errors import ConvergenceError
 
 _EPS = math.ulp(1.0)
 # width of the count-certified bracket at which an eigenvalue is done
@@ -286,8 +287,8 @@ def eigen_lowest(h, k):
     block eigenvalues, and each eigenvalue is labelled by its block.  The
     k reported eigenvalues and the other block's next one are then in
     certified order unless two neighbours among them lie closer than the
-    bracket width, a repeated eigenvalue included; that raises ValueError
-    naming both.
+    bracket width, a repeated eigenvalue included; the brackets then fall
+    short of a valid input, and ConvergenceError names both.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
@@ -307,7 +308,7 @@ def eigen_lowest(h, k):
     ordered = found + [(lam, p) for p, lam in heads.items()]
     for j, ((a, pa), (b, pb)) in enumerate(zip(ordered, ordered[1:])):
         if b - a < _WIDTH_TOL:
-            raise ValueError(
+            raise ConvergenceError(
                 f"eigenvalues {j} and {j + 1} ({pa} {a!r}, {pb} {b!r}) lie closer "
                 f"than the {_WIDTH_TOL:g} bracket width, so their order is not certified"
             )

@@ -12,8 +12,7 @@ import operator
 from .errors import BracketError, ConvergenceError
 from .specfun import cospi, gamma_ratio, kummer_u_half_origin, sinpi
 
-_EPS = math.ulp(1.0)
-_MAX_STEPS = 200  # a guard: refinement needs at most about 60 evaluations per root
+_MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
 
 
 class EigenSolution:
@@ -130,12 +129,16 @@ def bracket_even_roots(g, n_states):
 
 
 def _refine_root(func, lo, hi):
-    """Bisection with interleaved secant steps, confined to the bracket.
+    """Root of func inside (lo, hi) by ITP, to a few ulps of the root itself.
 
-    Even-numbered steps always bisect, so the width at least halves every
-    other step regardless of how the secant behaves.  Stops at a width of
-    a few ulps; a bracket still wider after _MAX_STEPS steps raises
-    ConvergenceError.
+    ITP (Oliveira & Takahashi, ACM TOMS 47 (2020) 5) takes the regula-falsi
+    point from the end with the smaller |func|, moves it 0.2 w^2/w0 toward
+    the midpoint (w the width, w0 = hi - lo), and keeps it within a radius
+    of the midpoint that holds the width under 2 w0 2^-j after j steps,
+    and a double inside the ends.  The stop, a width of 4 ulps of the end
+    nearer zero, is relative to the root even at 1e-300.  Returns the end
+    with the smaller |func| among those inside (lo, hi); ConvergenceError
+    after _MAX_STEPS steps.
     """
     f_lo = func(lo)
     f_hi = func(hi)
@@ -145,24 +148,30 @@ def _refine_root(func, lo, hi):
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
-    for step in range(_MAX_STEPS):
-        if hi - lo <= 6.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if step % 2 == 1:
-            cand = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo < cand < hi:
-                mid = cand
-        f_mid = func(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_hi > 0.0):
-            hi, f_hi = mid, f_mid
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    budget = 2.0 * (hi - lo)  # ITP's n0 = 1: one step of slack
+    for _ in range(_MAX_STEPS):
+        w = b - a
+        if w <= 4.0 * math.ulp(min(abs(a), abs(b))):
+            break
+        mid = 0.5 * a + 0.5 * b
+        near_a = abs(f_a) <= abs(f_b)  # a step from the farther end can round onto the nearer
+        x = a + w * (f_a / (f_a - f_b)) if near_a else b - w * (f_b / (f_b - f_a))
+        toward = mid - x
+        x += math.copysign(min(0.2 * (w / (hi - lo)) * w, abs(toward)), toward)
+        radius = max(0.5 * (budget - w), 0.0)
+        x = min(max(x, mid - radius, math.nextafter(a, b)), mid + radius, math.nextafter(b, a))
+        budget *= 0.5
+        f_x = func(x)
+        if f_x == 0.0:
+            return x
+        if (f_x > 0.0) == (f_a > 0.0):
+            a, f_a = x, f_x
         else:
-            lo, f_lo = mid, f_mid
-    raise ConvergenceError(
-        f"bracket still {hi - lo:.3e} wide after {_MAX_STEPS} refinement steps"
-    )
+            b, f_b = x, f_x
+    else:
+        raise ConvergenceError(f"bracket still {b - a:.3e} wide after {_MAX_STEPS} refinement steps")
+    return a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b
 
 
 def solve_even(g, cfg=None):

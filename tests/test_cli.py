@@ -206,6 +206,15 @@ class TestCompare:
         assert result["parity_match"] == [True, True]
         assert result["oracle"][0] < result["oracle"][1]
 
+    def test_levels_closer_than_the_oracle_brackets_are_a_solver_failure(self, capsys):
+        # the input is valid: on the grid the even and odd ground levels lie
+        # 1.6e-11 apart, below the 1e-10 brackets, so the oracle cannot
+        # certify their order
+        code = main(["compare", "--g", "1e12", "--states", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "eigenvalues 0 and 1" in err
+
     def test_json_stamp_adds_only_the_timestamp(self, capsys):
         argv = ("compare", "--g", "1", "--states", "2", "--grid-n", "400")
         _, plain = run_cli(capsys, *argv)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from deltaho import oracle, spectrum
+from deltaho.errors import ConvergenceError
 from deltaho.oracle import (
     OracleConfig,
     OracleSpectrum,
@@ -195,7 +196,7 @@ class TestDenseReference:
         # the even 1 - bond^2/2 and the odd 1 lie closer than the 1e-10
         # stop, so the blocks' brackets cannot order them
         h = Tridiagonal((1.0, 5.0, 1.0), (bond, bond))
-        with pytest.raises(ValueError, match=r"eigenvalues 0 and 1 .*(1\.0000000000|0\.9999999999)"):
+        with pytest.raises(ConvergenceError, match=r"eigenvalues 0 and 1 .*(1\.0000000000|0\.9999999999)"):
             eigen_lowest(h, 2)
 
 
@@ -226,7 +227,7 @@ class TestMirrorBlockParity:
         # two uncoupled copies of one level: an even and an odd eigenvector
         # share the eigenvalue, so neither label is right
         h = Tridiagonal(np.array([1.0, 5.0, 1.0]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConvergenceError):
             eigen_lowest(h, 1)
 
 

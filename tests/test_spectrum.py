@@ -8,6 +8,7 @@ range against mpmath, and is skipped when mpmath is missing.
 
 import math
 import random
+import statistics
 
 import pytest
 
@@ -294,8 +295,9 @@ CAP_CASES = [(sign * 10.0 ** _cap_rng.uniform(-300.0, 150.0), _cap_rng.randint(1
 CAP_CASES += [(g, 500) for g in (1e-300, -1e-300, 1e150, -1e150)]
 
 
-@pytest.mark.parametrize("g,n_states", CAP_CASES, ids=lambda v: f"{v:.3g}")
-def test_refinement_stays_far_below_step_cap(monkeypatch, g, n_states):
+@pytest.fixture
+def evaluations_per_root(monkeypatch):
+    """solve_even(g, n_states), returning the condition evaluations per root."""
     evals = [0]
     per_root = []
     equation, refine = spectrum.eigen_equation, spectrum._refine_root
@@ -312,11 +314,49 @@ def test_refinement_stays_far_below_step_cap(monkeypatch, g, n_states):
 
     monkeypatch.setattr(spectrum, "eigen_equation", counted_equation)
     monkeypatch.setattr(spectrum, "_refine_root", counted_refine)
+
+    def solve(g, n_states):
+        per_root.clear()
+        solve_even(g, SolverConfig(n_states=n_states))
+        assert len(per_root) == n_states
+        return list(per_root)
+
+    return solve
+
+
+@pytest.mark.parametrize("g,n_states", CAP_CASES, ids=lambda v: f"{v:.3g}")
+def test_refinement_stays_far_below_step_cap(evaluations_per_root, g, n_states):
     lo, _ = bracket_even_roots(g, 1)[0]
-    assert equation(lo, g) < 0.0
-    solve_even(g, SolverConfig(n_states=n_states))
-    assert len(per_root) == n_states
-    assert max(per_root) <= 70
+    assert eigen_equation(lo, g) < 0.0
+    # the measured worst over these cases is 12, the ground root at
+    # g = -1e150 among others
+    assert max(evaluations_per_root(g, n_states)) <= 15
+
+
+def test_median_evaluations_per_root(evaluations_per_root):
+    # ITP needs a median of 10 here, the two bracket ends included; the
+    # bisection/secant alternation it replaced needed 29
+    rng = random.Random(20201005)
+    counts = []
+    for _ in range(100):
+        g = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        counts += evaluations_per_root(g, rng.randint(1, 12))
+    assert statistics.median(counts) <= 12
+
+
+def test_refinement_keeps_the_bisection_worst_case():
+    # regula falsi stalls beside the end whose value is tiny; the shrinking
+    # radius about the midpoint keeps ITP within one step of bisection's
+    # 55 halvings from width 1 to 4 ulps of 0.1, plus the two ends
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 0.1 else 1e-200
+
+    root = spectrum._refine_root(step, 0.0, 1.0)
+    assert abs(root - 0.1) <= 4.0 * math.ulp(0.1)
+    assert len(calls) <= 2 + 55 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +379,6 @@ def _assert_mpmath_root(g, sol):
     precision grown with log10|nu| so the window stays resolved.  One
     root per bracket, so a sign change across the window pins the root.
     """
-    mpmath = pytest.importorskip("mpmath")
     nu, k = sol.nu, sol.index // 2
     if g > 0.0:
         assert 2 * k < nu < 2 * k + 1
@@ -348,13 +387,21 @@ def _assert_mpmath_root(g, sol):
     else:
         assert 2 * k - 1 < nu < 2 * k
     delta = ROOT_RTOL * max(1.0, abs(nu))
-    with mpmath.workdps(30 + int(math.log10(max(1.0, abs(nu))))):
+    digits = 30 + int(math.log10(max(1.0, abs(nu))))
+    assert _changes_sign(g, nu - delta, nu + delta, digits), (
+        f"no root within {delta:.1e} of nu={nu!r} at g={g!r}"
+    )
+
+
+def _changes_sign(g, left, right, digits=30):
+    """The paper's condition changes sign on [left, right], in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
         def condition(x):
             x = mpmath.mpf(x)
             return x * mpmath.rgamma(1 - x / 2) - g * mpmath.rgamma(mpmath.mpf(0.5) - x / 2)
 
-        left, right = condition(nu - delta), condition(nu + delta)
-    assert left * right <= 0, f"no root within {delta:.1e} of nu={nu!r} at g={g!r}"
+        return condition(left) * condition(right) <= 0
 
 
 @pytest.mark.parametrize("g", GATE_COUPLINGS, ids=lambda g: f"{g:.3g}")
@@ -377,6 +424,33 @@ def test_root_171_with_343_states():
     assert sol.index == 342
     assert sol.nu == pytest.approx(342.18210945498515, rel=1e-13)
     _assert_mpmath_root(7.7, sol)
+
+
+# ---------------------------------------------------------------------------
+# weak coupling: the stop is relative to the root, not to 1
+
+WEAK_COUPLINGS = [sign * 10.0 ** e for sign in (1.0, -1.0)
+                  for e in (-300, -250, -200, -150, -100, -50, -30, -16, -12, -8)]
+
+
+@pytest.mark.parametrize("g", WEAK_COUPLINGS, ids=lambda g: f"{g:.0e}")
+def test_weak_coupling_ground_shift(g):
+    # nu = g/sqrt(pi) (1 - nu ln 2 + ...), so the first order holds to
+    # relative 4e-9 at |g| = 1e-8
+    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    assert sol.nu == pytest.approx(g * INV_SQRT_PI, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("g", [1e-300, -1e-300, 1e-12, -1e-12], ids=lambda g: f"{g:.0e}")
+def test_weak_coupling_excited_roots_to_one_ulp(g):
+    # the root lies between the returned double's neighbours; at
+    # |g| = 1e-300 it sits far less than an ulp from 2k, an end of its
+    # bracket, so the answer is the double next to 2k inside the bracket
+    for sol in solve_even(g, SolverConfig(n_states=5))[1:]:
+        _assert_mpmath_root(g, sol)
+        below = math.nextafter(sol.nu, -math.inf)
+        above = math.nextafter(sol.nu, math.inf)
+        assert _changes_sign(g, below, above), f"nu={sol.nu!r} at g={g!r}"
 
 
 def test_extreme_coupling_reaches_asymptote():
