@@ -1,10 +1,11 @@
 """Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin.
 
-The spectrum layer (eigen condition, root solves, origin-kink residual)
-and the finite-difference oracle (`oracle`) are plain standard-library
-Python and are imported eagerly.  Eigenfunction sampling (`wavefunction`),
-the one numpy-backed layer, loads on first access of one of its names
-(PEP 562), so `import deltaho` alone never imports numpy.
+The spectrum layer (Gamma factors, eigen condition, root solves,
+origin-kink residual) and the finite-difference oracle (`oracle`) are
+plain standard-library Python and are imported eagerly.  Eigenfunction
+sampling (`wavefunction`), the one numpy-backed layer, loads on first
+access of one of its names (PEP 562), so `import deltaho` alone never
+imports numpy.
 """
 
 import importlib

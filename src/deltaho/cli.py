@@ -18,6 +18,7 @@ failure.
 """
 
 import argparse
+import csv
 import datetime
 import functools
 import io
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 
-from . import __version__, oracle, specfun, spectrum
+from . import __version__, oracle, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
@@ -88,19 +89,11 @@ def _fmt(value, full_precision):
     return f"{value:.17g}" if full_precision else f"{value:.6g}"
 
 
-def _csv_field(text):
-    # RFC-4180: quote when a field holds a comma, quote, or line break
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _csv_text(rows, comments=()):
     out = io.StringIO()
     for line in comments:
         out.write(f"# {line}{_CRLF}")
-    for row in rows:
-        out.write(",".join(_csv_field(str(field)) for field in row) + _CRLF)
+    csv.writer(out, lineterminator=_CRLF).writerows(rows)
     return out.getvalue()
 
 
@@ -140,33 +133,9 @@ def _stamp_comments(args):
 
 # --- solve --------------------------------------------------------------------
 
-def _state_residual(sol, g):
-    if sol.parity == "odd":
-        return 0.0
-    try:
-        residual = spectrum.jump_check(sol.nu, g)
-        value, slope = specfun.kummer_u_half_origin(sol.nu)
-    except OverflowError:
-        # the origin values grow like Gamma(nu/2) and leave the double
-        # range near nu = 343, although the root itself is fine
-        raise OverflowError(
-            f"state {sol.index} (nu={sol.nu!r}): its kink residual is past "
-            "the double range"
-        ) from None
-    # relative to the two sides of 2 psi'(0+) = 2 g psi(0), floored at 1: they
-    # reach 1e18 for high even states at strong coupling, past an absolute 1e-8
-    scale = max(1.0, abs(2.0 * slope) + abs(2.0 * g * value))
-    if residual > 1e-8 * scale:
-        raise ConvergenceError(
-            f"state {sol.index} (nu={sol.nu!r}) misses the kink condition: "
-            f"residual {residual:.3e} is above 1e-8 of its scale {scale:.3e}"
-        )
-    return residual
-
-
 def cmd_solve(args):
     states = spectrum.full_spectrum(args.g, spectrum.SolverConfig(n_states=args.states))
-    residuals = [_state_residual(sol, args.g) for sol in states]
+    residuals = [spectrum.kink_residual(sol, args.g) for sol in states]
     if args.format == "csv":
         rows = [("index", "parity", "nu", "epsilon", "residual")]
         for sol, res in zip(states, residuals):

@@ -17,8 +17,8 @@ would not do: eigenvectors vanish like e^-32 at the walls, so each zero
 of q_n sits next to a pole, closer than a double resolves, and q_n keeps
 its sign across the eigenvalue.  The Sturm recurrence is sequential, so
 the module is plain Python on tuples of floats.  It imports math,
-operator and the package's shared errors, and nothing from spectrum,
-specfun or wavefunction: agreement between the two routes is the point.
+operator and the package's shared errors, and nothing from spectrum or
+wavefunction: agreement between the two routes is the point.
 """
 
 import math

@@ -1,18 +1,83 @@
 """Bound-state spectrum of the oscillator with a contact term at the origin.
 
 Even-parity levels solve a transcendental equation built from Gamma
-factors; odd-parity levels vanish at the origin and stay at their
-unperturbed positions.  States are labeled by the real quantum number nu,
-with dimensionless energy epsilon = nu + 1/2 in oscillator units.
+factors, taken from the standard library's math.gamma and math.lgamma,
+and each must meet the kink condition at the origin; odd-parity levels
+vanish at the origin and stay at their unperturbed positions.  States
+are labeled by the real quantum number nu, with dimensionless energy
+epsilon = nu + 1/2 in oscillator units.
 """
 
 import math
 import operator
 
 from .errors import BracketError, ConvergenceError
-from .specfun import cospi, gamma_ratio, kummer_u_half_origin, sinpi
 
 _MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
+
+SQRT_PI = 1.7724538509055160273
+
+
+def sinpi(x):
+    """sin(pi*x) with exact argument reduction, safe for large |x|."""
+    y = math.remainder(x, 2.0)
+    a = abs(y)
+    if a == 0.0 or a == 1.0:
+        return 0.0
+    if a <= 0.5:
+        return math.sin(math.pi * y)
+    return math.copysign(math.sin(math.pi * (1.0 - a)), y)
+
+
+def cospi(x):
+    """cos(pi*x) with the same exact argument reduction as sinpi."""
+    # |remainder| lies in [0, 1], where 1/2 - |remainder| is exact except
+    # below 1/4; there cos(pi*x) is flat enough that the rounding is harmless
+    return sinpi(0.5 - abs(math.remainder(x, 2.0)))
+
+
+def reciprocal_gamma(x):
+    """1/Gamma(x) as an entire function: exactly 0.0 at x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    if -170.0 < x < 171.0:
+        return 1.0 / math.gamma(x)
+    # Past the range where Gamma(x) is a normal double, go through
+    # log|Gamma|: the result underflows to 0.0 for large x and overflows
+    # loudly near x = -200, where its true magnitude leaves the double range.
+    sign = 1.0 if x > 0.0 else sinpi(x)
+    return math.copysign(math.exp(-math.lgamma(x)), sign)
+
+
+def gamma_ratio(y):
+    """Gamma(y + 1/2) / Gamma(y + 1) for y >= 0, about 1/sqrt(y) at large y.
+
+    Finite and positive on the whole non-negative double range.  Past
+    y = 170 the Gammas overflow, so the ratio comes from its asymptotic
+    series (DLMF 5.11.13) in log form, whose first omitted term,
+    17/(14336 y^7), is below 3e-19 there.
+    """
+    if y < 1.0:
+        return math.gamma(y + 0.5) / math.gamma(y + 1.0)
+    if y < 170.0:
+        # y - 1/2 and y are exact where y + 1/2 and y + 1 may round, and
+        # Gamma amplifies an argument rounding by its log-derivative
+        return (y - 0.5) / y * (math.gamma(y - 0.5) / math.gamma(y))
+    t = 1.0 / y
+    return math.exp(t * (-0.125 + t * t * (1.0 / 192.0 - t * t / 640.0))) / math.sqrt(y)
+
+
+def kummer_u_half_origin(nu):
+    """Origin limits of U(-nu/2, 1/2, y^2) viewed as a function of y.
+
+    Returns (value, slope): the y -> 0+ limits of the function value,
+    sqrt(pi)/Gamma(1/2 - nu/2), and of its one-sided y-derivative,
+    nu sqrt(pi)/Gamma(1 - nu/2).  Both are finite for every real nu
+    because the reciprocal gamma is entire.
+    """
+    value = SQRT_PI * reciprocal_gamma(0.5 - 0.5 * nu)
+    slope = nu * SQRT_PI * reciprocal_gamma(1.0 - 0.5 * nu)
+    return value, slope
 
 
 class EigenSolution:
@@ -47,9 +112,9 @@ class SolverConfig:
     Domain: g must be finite.  For g < 0 the lowest level sits near -g^2,
     so |g| past about 9.48e153 (where 2 g^2 leaves the double range)
     raises BracketError.  n_states must be at least 1; the mpmath root
-    gate covers n_states up to 500.  `deltaho solve` reports kink
-    residuals only up to about state 343, where the wavefunction's
-    origin values leave the double range.
+    gate covers n_states up to 500.  kink_residual, which `deltaho solve`
+    applies to every state, works only up to about state 343, where the
+    wavefunction's origin values leave the double range.
     """
 
     __slots__ = ("n_states",)
@@ -84,6 +149,12 @@ def eigen_equation(nu, g):
     return nu - g / gamma_ratio(-0.5 * nu)
 
 
+def _kink_sides(nu, g):
+    # the two sides of 2 psi'(0+) = 2 g psi(0), from analytic origin limits
+    value, slope = kummer_u_half_origin(nu)
+    return 2.0 * slope, 2.0 * g * value
+
+
 def jump_check(nu, g):
     """Residual of the derivative-jump condition at the origin.
 
@@ -93,8 +164,45 @@ def jump_check(nu, g):
     Zero within 1e-8 exactly when nu solves the eigenvalue equation at
     this coupling, a finite positive value otherwise.
     """
-    value, slope = kummer_u_half_origin(nu)
-    return abs(2.0 * slope - 2.0 * g * value)
+    lhs, rhs = _kink_sides(nu, g)
+    return abs(lhs - rhs)
+
+
+def kink_residual(sol, g):
+    """jump_check of one state, gated: what `deltaho solve` reports per state.
+
+    Odd states vanish at the origin and give 0.0.  An even state passes
+    when its residual is at most 1e-8 of the two sides' magnitudes, that
+    scale floored at 1; otherwise ConvergenceError names the state.  The
+    origin values grow like Gamma(nu/2), so past about nu = 343 they
+    leave the double range and OverflowError names the state, although
+    the root itself is fine.
+
+    The floor at 1 blinds the gate at strong attraction, where both sides
+    shrink like 1/Gamma(1 - nu/2).  A ground nu off by 1e-3 is caught at
+    g = -5 (residual 9.9e-7, each side about 0.025) and missed at g = -6
+    (2.9e-9, each side about 1e-4); from g ~ -7 a 1 % error passes, and
+    from g ~ -27 (nu ~ -365) both sides underflow to 0, so every nu passes.
+    """
+    if sol.parity == "odd":
+        return 0.0
+    try:
+        lhs, rhs = _kink_sides(sol.nu, g)
+    except OverflowError:
+        raise OverflowError(
+            f"state {sol.index} (nu={sol.nu!r}): its kink residual is past "
+            "the double range"
+        ) from None
+    residual = abs(lhs - rhs)
+    # the sides reach 1e18 for high even states at strong coupling, past an
+    # absolute 1e-8
+    scale = max(1.0, abs(lhs) + abs(rhs))
+    if residual > 1e-8 * scale:
+        raise ConvergenceError(
+            f"state {sol.index} (nu={sol.nu!r}) misses the kink condition: "
+            f"residual {residual:.3e} is above 1e-8 of its scale {scale:.3e}"
+        )
+    return residual
 
 
 def _bound_lower_edge(g):

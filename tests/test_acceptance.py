@@ -12,7 +12,7 @@ import pytest
 
 from deltaho import oracle, spectrum, wavefunction
 from deltaho.cli import reference_table
-from deltaho.specfun import SQRT_PI, reciprocal_gamma
+from deltaho.spectrum import SQRT_PI, reciprocal_gamma
 
 NONZERO_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 

@@ -24,6 +24,16 @@ def parse_csv(text):
     return list(csv.reader(io.StringIO("\n".join(lines))))
 
 
+def _shift_ground(monkeypatch, shift):
+    solve = spectrum.full_spectrum
+
+    def ground_off(g, cfg):
+        states = solve(g, cfg)
+        return [spectrum.EigenSolution("even", states[0].nu + shift, 0)] + states[1:]
+
+    monkeypatch.setattr(spectrum, "full_spectrum", ground_off)
+
+
 class TestSolve:
     def test_known_coupling(self, capsys):
         code, out = run_cli(capsys, "solve", "--g", "1.0", "--states", "5")
@@ -318,18 +328,22 @@ class TestExitCodes:
         assert "state 344" in err and "double range" in err
 
     def test_missed_kink_condition_is_a_solver_failure(self, capsys, monkeypatch):
-        solve = spectrum.full_spectrum
-
-        def ground_off_by_1e_3(g, cfg):
-            states = solve(g, cfg)
-            return [spectrum.EigenSolution("even", states[0].nu + 1e-3, 0)] + states[1:]
-
-        monkeypatch.setattr(spectrum, "full_spectrum", ground_off_by_1e_3)
+        _shift_ground(monkeypatch, 1e-3)
         code = main(["solve", "--g", "1", "--states", "3"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
         assert "state 0" in captured.err and "misses the kink condition" in captured.err
+
+    def test_missed_kink_condition_below_the_scale_floor(self, capsys, monkeypatch):
+        # both sides are about 0.025 here, so the gate's scale is its floor
+        # of 1; the residual 9.9e-7 still clears 1e-8 (at g = -6 it would not)
+        _shift_ground(monkeypatch, 1e-3)
+        code = main(["solve", "--g", "-5", "--states", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "state 0" in captured.err and "scale 1.000e+00" in captured.err
 
     def test_unwritable_output(self, capsys, tmp_path):
         blocker = tmp_path / "plainfile"

@@ -21,6 +21,8 @@ from deltaho.spectrum import (
     bracket_even_roots,
     eigen_equation,
     full_spectrum,
+    jump_check,
+    kink_residual,
     solve_even,
     solve_odd,
 )
@@ -229,6 +231,24 @@ def test_epsilon_is_exactly_nu_plus_half():
     for g in (0.0, 1.0, -2.5):
         for sol in full_spectrum(g, SolverConfig(n_states=6)):
             assert sol.epsilon == sol.nu + 0.5
+
+
+def test_kink_residual_evaluates_each_origin_once(monkeypatch):
+    origin = spectrum.kummer_u_half_origin
+    calls = []
+
+    def counted(nu):
+        calls.append(nu)
+        return origin(nu)
+
+    states = full_spectrum(2.5, SolverConfig(n_states=6))
+    evens = [sol.nu for sol in states if sol.parity == "even"]
+    expected = [jump_check(nu, 2.5) for nu in evens]
+    monkeypatch.setattr(spectrum, "kummer_u_half_origin", counted)
+    residuals = [kink_residual(sol, 2.5) for sol in states]
+    assert calls == evens
+    assert residuals[::2] == expected
+    assert residuals[1::2] == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
