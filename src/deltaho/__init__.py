@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
-from .oracle import OracleConfig, OracleSpectrum, Tridiagonal, build_hamiltonian, eigen_lowest
+from .oracle import OracleSpectrum, Tridiagonal, build_hamiltonian, eigen_lowest
 from .spectrum import (
     EigenSolution,
     SolverConfig,
@@ -29,7 +29,6 @@ from .spectrum import (
 _LAZY = {
     "wavefunction": "wavefunction",
     "GridFunction": "wavefunction",
-    "GridSpec": "wavefunction",
     "eval_even": "wavefunction",
     "eval_odd": "wavefunction",
     "normalize": "wavefunction",
@@ -66,14 +65,12 @@ __all__ = [
     "solve_even",
     "solve_odd",
     "GridFunction",
-    "GridSpec",
     "eval_even",
     "eval_odd",
     "jump_check",
     "normalize",
     "orthogonality",
     "sample_state",
-    "OracleConfig",
     "OracleSpectrum",
     "Tridiagonal",
     "build_hamiltonian",

@@ -35,42 +35,6 @@ _TABLE_COUPLINGS = (0.0, -0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _CRLF = "\r\n"
 
 
-class PhysicalScales:
-    """Physical inputs and the derived dimensionless quantities.
-
-    The oscillator length sets the unit of y; alpha is the strength of
-    the contact potential in physical units (energy times length).
-    """
-
-    __slots__ = ("mass", "omega", "hbar", "alpha")
-
-    def __init__(self, mass, omega, hbar=1.0, alpha=0.0):
-        for name, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(alpha):
-            raise ValueError("alpha must be finite")
-        self.mass = mass
-        self.omega = omega
-        self.hbar = hbar
-        self.alpha = alpha
-
-    @property
-    def length(self):
-        return math.sqrt(self.hbar / (self.mass * self.omega))
-
-    @property
-    def coupling(self):
-        return self.alpha * self.length * self.mass / self.hbar**2
-
-    def energy(self, epsilon):
-        return epsilon * self.hbar * self.omega
-
-    def deep_reference_energy(self):
-        """Energy of the isolated contact well, the g -> -inf limit."""
-        return -(self.alpha**2) * self.mass / (2.0 * self.hbar**2)
-
-
 @functools.lru_cache(maxsize=1)
 def reference_table():
     """Fixture of four-decimal even levels, keyed by coupling (0 included)."""
@@ -276,11 +240,12 @@ def cmd_compare(args):
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too
         raise ValueError(f"--grid-n must be a multiple of 4 and at least 8, got {grid_n}")
-    cfg = oracle.OracleConfig(half_width=grid_l, n_intervals=grid_n)
-    coarse_cfg = oracle.OracleConfig(half_width=grid_l, n_intervals=grid_n // 2)
+    # built first, so a bad grid is reported before a bad coupling
+    h_fine = oracle.build_hamiltonian(g, grid_l, grid_n)
+    h_coarse = oracle.build_hamiltonian(g, grid_l, grid_n // 2)
     analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
-    fine = oracle.eigen_lowest(oracle.build_hamiltonian(g, cfg), k)
-    coarse = oracle.eigen_lowest(oracle.build_hamiltonian(g, coarse_cfg), 1)
+    fine = oracle.eigen_lowest(h_fine, k)
+    coarse = oracle.eigen_lowest(h_coarse, 1)
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     parity_match = [o == a.parity for o, a in zip(fine.parities, analytic)]
     gap_fine = abs(fine.epsilons[0] - analytic[0].epsilon)
@@ -328,10 +293,11 @@ def cmd_compare(args):
 # --- units -----------------------------------------------------------------------
 
 def _derived(name, compute):
-    # NaN or infinity would print as invalid JSON; float ** and / may raise
+    # NaN or infinity would print as invalid JSON; bound_state_asymptote
+    # refuses a coupling that has underflowed to zero
     try:
         value = compute()
-    except ArithmeticError:
+    except ValueError:
         raise ValueError(f"{name} is past the double range for these scales") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} = {value!r} is not finite for these scales")
@@ -339,26 +305,39 @@ def _derived(name, compute):
 
 
 def cmd_units(args):
-    scales = PhysicalScales(
-        mass=args.mass, omega=args.omega, hbar=args.hbar, alpha=args.alpha
-    )
-    if args.nu is not None and not math.isfinite(args.nu):
-        raise ValueError(f"--nu must be finite, got {args.nu!r}")
-    a0 = _derived("a0", lambda: scales.length)
-    g = _derived("g", lambda: scales.coupling)
+    # the oscillator length a0 sets the unit of y; alpha is the contact
+    # strength in energy times length
+    mass, omega, hbar, alpha, nu = args.mass, args.omega, args.hbar, args.alpha, args.nu
+    for name, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if nu is not None and not math.isfinite(nu):
+        raise ValueError(f"--nu must be finite, got {nu!r}")
+    # square roots and ratios before products: the root of a double never
+    # leaves the range, while m omega, hbar^2 and alpha^2 leave it at
+    # scales where a0, g and the energies still fit
+    root_m, root_w, root_h = math.sqrt(mass), math.sqrt(omega), math.sqrt(hbar)
+    a0 = _derived("a0", lambda: root_h / root_m / root_w)
+    g = _derived("g", lambda: alpha / hbar * (root_m / root_h / root_w))
     lines = [
         f"a0 = {a0:.12g}",
         f"g = {g:.12g}",
     ]
     payload = {"a0": a0, "g": g}
-    if args.nu is not None:
-        energy = _derived(f"E(nu={args.nu:g})", lambda: scales.energy(args.nu + 0.5))
-        lines.append(f"E(nu={args.nu:g}) = {energy:.12g}")
+    if nu is not None:
+        energy = _derived(f"E(nu={nu:g})", lambda: (nu + 0.5) * hbar * omega)
+        lines.append(f"E(nu={nu:g}) = {energy:.12g}")
         payload["E"] = energy
-    if scales.alpha < 0.0:
+    if alpha < 0.0:
         ground = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0]
-        solved = _derived("E_ground_solved", lambda: scales.energy(ground.epsilon))
-        deep = _derived("E_deep_reference", scales.deep_reference_energy)
+        solved = _derived("E_ground_solved", lambda: ground.epsilon * hbar * omega)
+        # the isolated contact well's energy, the g -> -inf limit, that is
+        # -g^2/2 times hbar omega; g takes the factor sqrt(hbar omega)
+        # before it is squared, so g^2 cannot underflow or overflow alone
+        deep = _derived("E_deep_reference",
+                        lambda: spectrum.bound_state_asymptote(g * root_h * root_w))
         lines.append(f"E_ground_solved = {solved:.12g}")
         lines.append(f"E_deep_reference = {deep:.12g}")
         payload["E_ground_solved"] = solved

@@ -1,17 +1,19 @@
 """Independent cross-check by brute force: finite differences plus Sturm counts.
 
 The dimensionless Hamiltonian is discretized on a symmetric grid with
-Dirichlet walls, the contact term entering as a single on-site spike of
-size g over the grid spacing.  Mirror-symmetric and antisymmetric
-combinations of node pairs split the matrix exactly into an even and an
-odd block; the spike sits on the centre node, so it enters the even
-block only, as in the continuum problem.  Each block's eigenvalues come
-lowest first from its own Sturm counts, and each eigenvalue carries the
-parity of the block it came from.  Every count on a block goes into one
-table, since it bounds all that block's eigenvalues; bisection on counts
-isolates each eigenvalue, and Newton steps on det(H - x) then narrow its
-count-certified bracket.  The steps take the determinant's
-log-derivative from the whole pivot recurrence.  The last pivot alone,
+Dirichlet walls (build_hamiltonian takes its half-width and interval
+count as plain arguments, 8 and 4000 by default), the contact term
+entering as a single on-site spike of size g over the grid spacing.
+Mirror-symmetric and antisymmetric combinations of node pairs split the
+matrix exactly into an even and an odd block; the spike sits on the
+centre node, so it enters the even block only, as in the continuum
+problem.  Each block's eigenvalues come lowest first from its own Sturm
+counts, and each eigenvalue carries the parity of the block it came
+from.  Every count on a block goes into one table, since it bounds all
+that block's eigenvalues; bisection on counts isolates each eigenvalue,
+and Newton steps on det(H - x) then narrow its count-certified bracket.
+The steps take the determinant's log-derivative from the whole pivot
+recurrence.  The last pivot alone,
 q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
 would not do: eigenvectors vanish like e^-32 at the walls, so each zero
 of q_n sits next to a pole, closer than a double resolves, and q_n keeps
@@ -32,27 +34,6 @@ _WIDTH_TOL = 1e-10
 # counts this far either side of a converged Newton step close a bracket
 # narrower than _WIDTH_TOL
 _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
-
-
-class OracleConfig:
-    """Discretization knobs: window half-width and interval count."""
-
-    __slots__ = ("half_width", "n_intervals")
-
-    def __init__(self, half_width=8.0, n_intervals=4000):
-        # the potential y^2/2 reaches half_width^2/2 at the walls
-        if not math.isfinite(half_width * half_width):
-            raise ValueError(f"half_width must be finite with a finite square, got {half_width!r}")
-        if half_width < 6.0:
-            raise ValueError("half_width below 6 truncates the states under test")
-        try:
-            n_intervals = operator.index(n_intervals)
-        except TypeError:
-            raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}") from None
-        if n_intervals < 4 or n_intervals % 2 != 0:
-            raise ValueError("n_intervals must be even (origin on a node) and >= 4")
-        self.half_width = half_width
-        self.n_intervals = n_intervals
 
 
 class Tridiagonal:
@@ -95,19 +76,29 @@ class OracleSpectrum:
         self.parities = par
 
 
-def build_hamiltonian(g, cfg=None):
+def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     """Finite-difference Hamiltonian, already scaled so eigenvalues are epsilon.
 
     Interior nodes only (Dirichlet walls at +-half_width): diagonal
     1/dy^2 + y^2/2 with g/dy added on the origin node, off-diagonal
-    -1/(2 dy^2).
+    -1/(2 dy^2), dy = 2 half_width/n_intervals.  The grid is checked
+    before the coupling.
     """
-    cfg = OracleConfig() if cfg is None else cfg
+    # the potential y^2/2 reaches half_width^2/2 at the walls
+    if not math.isfinite(half_width * half_width):
+        raise ValueError(f"half_width must be finite with a finite square, got {half_width!r}")
+    if half_width < 6.0:
+        raise ValueError("half_width below 6 truncates the states under test")
+    try:
+        n = operator.index(n_intervals)
+    except TypeError:
+        raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}") from None
+    if n < 4 or n % 2 != 0:
+        raise ValueError("n_intervals must be even (origin on a node) and >= 4")
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
-    n = cfg.n_intervals
     c = n // 2
-    delta = 2.0 * cfg.half_width / n
+    delta = 2.0 * half_width / n
     kinetic = 1.0 / delta**2
     diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1 - c, c))]
     diag[c - 1] += g / delta

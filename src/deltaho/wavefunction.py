@@ -33,32 +33,6 @@ _LEFT_TAIL = 60.0
 _SPAN = 12
 
 
-def _check_grid(grid):
-    """Validate a window's fields in place; n_points becomes a plain int."""
-    y_min, y_max = grid.y_min, grid.y_max
-    if not -math.inf < y_min < y_max < math.inf:
-        raise ValueError(f"need finite y_min < y_max, got y_min={y_min!r}, y_max={y_max!r}")
-    try:
-        n_points = operator.index(grid.n_points)
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got {grid.n_points!r}") from None
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
-    object.__setattr__(grid, "n_points", n_points)
-
-
-@dataclasses.dataclass(frozen=True)
-class GridSpec:
-    """Uniform sampling window, endpoints included."""
-
-    y_min: float = -10.0
-    y_max: float = 10.0
-    n_points: int = 2001
-
-    def __post_init__(self):
-        _check_grid(self)
-
-
 @dataclasses.dataclass(frozen=True)
 class GridFunction:
     """A real function sampled on a uniform grid; values are immutable."""
@@ -69,7 +43,16 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_grid(self)
+        y_min, y_max = self.y_min, self.y_max
+        if not -math.inf < y_min < y_max < math.inf:
+            raise ValueError(f"need finite y_min < y_max, got y_min={y_min!r}, y_max={y_max!r}")
+        try:
+            n_points = operator.index(self.n_points)
+        except TypeError:
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
+        if n_points < 3:
+            raise ValueError("n_points must be at least 3")
+        object.__setattr__(self, "n_points", n_points)
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.n_points,):
             raise ValueError("values length must equal n_points")
@@ -208,28 +191,37 @@ def normalize(f):
     return GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm), norm
 
 
-def sample_state(sol, grid_spec=None):
+def sample_state(sol, half_width=10.0, n_points=2001):
     """Normalized eigenfunction samples, positive just right of the origin.
 
-    When the requested window cannot hold the state's tails, the window
-    grows by half steps of the same spacing until the decay check passes.
-    Widening keeps the half-interval count even, which pins the origin to
-    a Simpson panel boundary so the kink never sits inside a panel.  The
-    spacing never changes, so the samples of a narrower window are kept
-    and each widening evaluates only the points it adds, in one array call.
+    The window is [-half_width, half_width] with n_points samples, ends
+    included.  half_width must be positive and finite, and n_points an
+    odd integer >= 3, so that a sample sits on the origin; ValueError
+    names the one that is not.  When the window cannot hold the state's
+    tails, it grows by half steps of the same spacing until the decay
+    check passes.  Widening keeps the half-interval count even, which
+    pins the origin to a Simpson panel boundary so the kink never sits
+    inside a panel.  The spacing never changes, so the samples of a
+    narrower window are kept and each widening evaluates only the points
+    it adds, in one array call.
 
     Domain: even states with |nu| below about 342 (eval_even refuses the
     rest with OverflowError) and odd states up to n = 181 (past it the
     Hermite factor overflows and normalize refuses with OverflowError).
     A deep state at g < 0 decays like e^(-|g| |y|), so its width is 1/|g|;
     the default spacing 0.01 leaves about 4 points per width at g = -26,
-    and deeper states need a finer grid to give a meaningful norm.
+    and a deeper state needs a larger n_points to give a meaningful norm.
     """
-    spec = GridSpec() if grid_spec is None else grid_spec
-    if spec.y_min != -spec.y_max or spec.n_points % 2 == 0:
-        raise ValueError("state sampling needs a symmetric grid with odd points")
-    half = (spec.n_points - 1) // 2
-    step = spec.y_max / half
+    if not 0.0 < half_width < math.inf:
+        raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
+    try:
+        n = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n_points must be an odd integer >= 3, got {n}")
+    half = (n - 1) // 2
+    step = half_width / half
     evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
     right = np.empty(0)  # raw samples at i * step; the left half mirrors them
     for _ in range(_MAX_WIDENINGS + 1):

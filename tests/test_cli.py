@@ -10,7 +10,7 @@ import stat
 import pytest
 
 from deltaho import __version__, spectrum
-from deltaho.cli import PhysicalScales, main, reference_table
+from deltaho.cli import main, reference_table
 
 
 def run_cli(capsys, *argv):
@@ -271,18 +271,39 @@ class TestUnits:
         assert result["E_deep_reference"] == -12.5
         assert result["E_ground_solved"] == pytest.approx(-12.49, abs=1e-3)
 
-    def test_scale_derivation(self):
-        scales = PhysicalScales(mass=2.0, omega=0.5, hbar=2.0, alpha=3.0)
-        assert scales.length == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert scales.coupling == pytest.approx(3.0 * math.sqrt(2.0) * 2.0 / 4.0,
-                                                rel=1e-15)
-        assert scales.energy(1.5) == pytest.approx(1.5, rel=1e-15)
+    def test_scale_derivation(self, capsys):
+        code, out = run_cli(capsys, "units", "--mass", "2", "--omega", "0.5",
+                            "--hbar", "2", "--alpha", "3", "--nu", "1",
+                            "--format", "json")
+        assert code == 0
+        result = json.loads(out)
+        assert result["a0"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert result["g"] == pytest.approx(3.0 * math.sqrt(2.0) * 2.0 / 4.0, rel=1e-15)
+        assert result["E"] == pytest.approx(1.5, rel=1e-15)
 
     @pytest.mark.parametrize("field", ["mass", "omega", "hbar"])
-    def test_rejects_nonpositive_scales(self, field):
-        kwargs = {"mass": 1.0, "omega": 1.0, "hbar": 1.0, field: -1.0}
-        with pytest.raises(ValueError):
-            PhysicalScales(**kwargs)
+    def test_rejects_nonpositive_scales(self, capsys, field):
+        code = main(["units", f"--{field}", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {field} must be positive and finite\n"
+
+    @pytest.mark.parametrize("argv,name,expected", [
+        (["--mass", "1e-300", "--omega", "1e-300"], "a0", 1e300),
+        (["--alpha", "1", "--hbar", "1e200"], "g", 1e-300),
+        (["--alpha", "1e-200", "--hbar", "1e-170"], "g", 1e55),
+        (["--alpha", "-1e200", "--hbar", "1e100"], "E_deep_reference", -5e199),
+        (["--mass", "1e300", "--omega", "1e300", "--alpha", "3"], "g", 3.0),
+    ])
+    def test_derived_values_inside_double_range_are_reported(self, capsys, argv,
+                                                            name, expected):
+        # each product of raw scales (m omega, hbar^2, alpha^2) would leave
+        # the double range, though the derived value does not (m omega =
+        # 1e600 would turn a0 and g into 0 without an error)
+        code, out = run_cli(capsys, "units", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)[name] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
     def test_rejects_nonfinite_nu(self, capsys, nu):
@@ -296,7 +317,10 @@ class TestUnits:
         (["--alpha", "1e300", "--hbar", "1e-10"], "g"),
         (["--hbar", "1e300", "--mass", "1e-300", "--omega", "1e-300"], "a0"),
         (["--omega", "1e300", "--nu", "1e10"], "E(nu=1e+10)"),
-        (["--alpha", "-1e200", "--hbar", "1e100"], "E_deep_reference"),
+        # g = -5: E_ground_solved, 12.49 hbar omega, fits below the largest
+        # double, and E_deep_reference, 12.5 hbar omega, does not
+        (["--alpha", "-7.194e307", "--hbar", "1.4388e307", "--mass", "1.4388e307"],
+         "E_deep_reference"),
     ])
     def test_rejects_derived_values_past_double_range(self, capsys, argv, name):
         code = main(["units", *argv, "--format", "json"])

@@ -125,7 +125,7 @@ class TestLazyExports:
         from deltaho import oracle, spectrum, wavefunction
 
         assert deltaho.sample_state is wavefunction.sample_state
-        assert deltaho.OracleConfig is oracle.OracleConfig
+        assert deltaho.build_hamiltonian is oracle.build_hamiltonian
         assert deltaho.jump_check is spectrum.jump_check
 
     def test_unknown_name_raises_attribute_error(self):

@@ -11,7 +11,6 @@ import pytest
 from deltaho import oracle, spectrum
 from deltaho.errors import ConvergenceError
 from deltaho.oracle import (
-    OracleConfig,
     OracleSpectrum,
     Tridiagonal,
     build_hamiltonian,
@@ -172,7 +171,7 @@ def _double_well(a=170.0, n=201):
 class TestDenseReference:
     @pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0])
     def test_grid_hamiltonian_matches_dense(self, g):
-        h = build_hamiltonian(g, OracleConfig(n_intervals=800))
+        h = build_hamiltonian(g, n_intervals=800)
         spec = eigen_lowest(h, 8)
         dense = np.linalg.eigvalsh(_dense(h))[:8]
         assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
@@ -233,23 +232,21 @@ class TestMirrorBlockParity:
 
 class TestHamiltonianBuild:
     def test_center_node_carries_the_coupling(self):
-        cfg = OracleConfig(n_intervals=400)
-        h0 = build_hamiltonian(0.0, cfg)
-        h1 = build_hamiltonian(2.0, cfg)
+        h0 = build_hamiltonian(0.0, n_intervals=400)
+        h1 = build_hamiltonian(2.0, n_intervals=400)
         diff = np.asarray(h1.diag) - np.asarray(h0.diag)
-        center = cfg.n_intervals // 2 - 1
-        delta_y = 2.0 * cfg.half_width / cfg.n_intervals
+        center = 400 // 2 - 1
+        delta_y = 2.0 * 8.0 / 400
         assert diff[center] == pytest.approx(2.0 / delta_y, rel=1e-12)
         assert np.all(diff[np.arange(diff.size) != center] == 0.0)
 
     def test_diagonal_is_mirror_symmetric(self):
-        h = build_hamiltonian(1.5, OracleConfig(n_intervals=800))
+        h = build_hamiltonian(1.5, n_intervals=800)
         assert np.array_equal(h.diag, h.diag[::-1])
 
     def test_off_diagonal_is_constant(self):
-        cfg = OracleConfig(n_intervals=100)
-        h = build_hamiltonian(0.0, cfg)
-        delta_y = 2.0 * cfg.half_width / cfg.n_intervals
+        h = build_hamiltonian(0.0, n_intervals=100)
+        delta_y = 2.0 * 8.0 / 100
         assert np.all(np.asarray(h.off) == -0.5 / delta_y**2)
 
     def test_rejects_nonfinite_coupling(self):
@@ -266,7 +263,7 @@ class TestHamiltonianBuild:
     )
     def test_config_rejections(self, kwargs):
         with pytest.raises(ValueError):
-            OracleConfig(**kwargs)
+            build_hamiltonian(0.0, **kwargs)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -281,7 +278,7 @@ class TestHamiltonianBuild:
     )
     def test_config_rejection_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
-            OracleConfig(**{field: value})
+            build_hamiltonian(0.0, **{field: value})
 
     def test_tridiagonal_shape_validation(self):
         with pytest.raises(ValueError):
@@ -344,8 +341,7 @@ class TestConvergence:
         ref = analytic[0].epsilon
         errs = []
         for n_int in (1000, 2000, 4000):
-            cfg = OracleConfig(n_intervals=n_int)
-            spec = eigen_lowest(build_hamiltonian(1.0, cfg), 1)
+            spec = eigen_lowest(build_hamiltonian(1.0, n_intervals=n_int), 1)
             errs.append(abs(spec.epsilons[0] - ref))
         for coarse, fine in zip(errs, errs[1:]):
             order = math.log2(coarse / fine)
@@ -353,8 +349,8 @@ class TestConvergence:
 
     def test_bound_state_converges_too(self):
         ref = spectrum.full_spectrum(-2.5, spectrum.SolverConfig(n_states=1))[0].epsilon
-        coarse = eigen_lowest(build_hamiltonian(-2.5, OracleConfig(n_intervals=1000)), 1)
-        fine = eigen_lowest(build_hamiltonian(-2.5, OracleConfig(n_intervals=2000)), 1)
+        coarse = eigen_lowest(build_hamiltonian(-2.5, n_intervals=1000), 1)
+        fine = eigen_lowest(build_hamiltonian(-2.5, n_intervals=2000), 1)
         assert abs(fine.epsilons[0] - ref) < abs(coarse.epsilons[0] - ref)
 
 

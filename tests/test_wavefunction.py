@@ -11,7 +11,6 @@ from deltaho.errors import InsufficientDomainError
 from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, jump_check, solve_even
 from deltaho.wavefunction import (
     GridFunction,
-    GridSpec,
     _simpson_weights,
     eval_even,
     eval_odd,
@@ -101,17 +100,16 @@ def test_far_tail_is_flushed_to_zero():
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(2.0, -2.0, 101)
-    with pytest.raises(ValueError):
-        GridSpec(-2.0, 2.0, 2)
-    with pytest.raises(ValueError, match="n_points"):
-        GridSpec(-10.0, 10.0, 2001.0)
-    with pytest.raises(ValueError, match="y_min"):
-        GridSpec(-math.inf, math.inf, 2001)
-    with pytest.raises(ValueError, match="y_max"):
-        GridSpec(-10.0, math.nan, 2001)
-    assert type(GridSpec(-10.0, 10.0, np.int64(2001)).n_points) is int
+    sol = EigenSolution("odd", 1.0, 1)
+    for half_width in (-2.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_width"):
+            sample_state(sol, half_width=half_width)
+    for n_points in (1, 2, 2000, 2001.0, "2001"):
+        with pytest.raises(ValueError, match="n_points"):
+            sample_state(sol, n_points=n_points)
+    state = sample_state(sol, 10.0, np.int64(2001))
+    assert type(state.n_points) is int
+    assert state.values.tolist() == sample_state(sol).values.tolist()
 
 
 def test_grid_function_validation():
@@ -156,8 +154,7 @@ def test_simpson_rejects_even_point_count():
 
 
 def test_normalize_recovers_oscillator_ground_state():
-    spec = GridSpec(-8.0, 8.0, 1601)
-    state = sample_state(EigenSolution("even", 0.0, 0), spec)
+    state = sample_state(EigenSolution("even", 0.0, 0), 8.0, 1601)
     pts = state.points()
     closed_form = math.pi**-0.25 * np.exp(-0.5 * pts * pts)
     assert np.max(np.abs(state.values - closed_form)) < 1e-12
@@ -328,9 +325,7 @@ def test_sample_state_sign_convention():
 def test_sample_state_validates_grid():
     sol = EigenSolution("odd", 1.0, 1)
     with pytest.raises(ValueError):
-        sample_state(sol, GridSpec(-9.0, 10.0, 2001))
-    with pytest.raises(ValueError):
-        sample_state(sol, GridSpec(-10.0, 10.0, 2000))
+        sample_state(sol, n_points=2000)
 
 
 def test_sample_state_widens_for_spread_out_states():
@@ -486,8 +481,8 @@ def test_zero_coupling_even_state_matches_hermite_form():
 
 
 def test_orthogonality_requires_matching_grids():
-    a = sample_state(EigenSolution("odd", 1.0, 1), GridSpec(-10.0, 10.0, 2001))
-    b = sample_state(EigenSolution("odd", 1.0, 1), GridSpec(-10.0, 10.0, 1001))
+    a = sample_state(EigenSolution("odd", 1.0, 1), 10.0, 2001)
+    b = sample_state(EigenSolution("odd", 1.0, 1), 10.0, 1001)
     with pytest.raises(ValueError):
         orthogonality(a, b)
 
