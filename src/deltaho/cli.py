@@ -97,9 +97,18 @@ def _stamp_comments(args):
 
 # --- solve --------------------------------------------------------------------
 
+def _certified_residual(sol, g):
+    # certify_root gates; the residual only informs, and is None (JSON null) past state ~343
+    spectrum.certify_root(sol, g)
+    try:
+        return 0.0 if sol.parity == "odd" else spectrum.jump_check(sol.nu, g)
+    except OverflowError:
+        return None
+
+
 def cmd_solve(args):
     states = spectrum.full_spectrum(args.g, spectrum.SolverConfig(n_states=args.states))
-    residuals = [spectrum.kink_residual(sol, args.g) for sol in states]
+    residuals = [_certified_residual(sol, args.g) for sol in states]
     if args.format == "csv":
         rows = [("index", "parity", "nu", "epsilon", "residual")]
         for sol, res in zip(states, residuals):
@@ -109,7 +118,7 @@ def cmd_solve(args):
                     sol.parity,
                     _fmt(sol.nu, args.full_precision),
                     _fmt(sol.epsilon, args.full_precision),
-                    _fmt(res, args.full_precision),
+                    "" if res is None else _fmt(res, args.full_precision),
                 )
             )
         _emit(_csv_text(rows, _stamp_comments(args)), args, "solve.csv")

@@ -25,10 +25,10 @@ wavefunction: agreement between the two routes is the point.
 
 import math
 import operator
+import sys
 
 from .errors import ConvergenceError
 
-_EPS = math.ulp(1.0)
 # width of the count-certified bracket at which an eigenvalue is done
 _WIDTH_TOL = 1e-10
 # counts this far either side of a converged Newton step close a bracket
@@ -39,7 +39,7 @@ _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
 class Tridiagonal:
     """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    __slots__ = ("diag", "off", "_extent")
+    __slots__ = ("diag", "off", "pivmin")
 
     def __init__(self, diag, off):
         diag = tuple(map(float, diag))
@@ -50,8 +50,9 @@ class Tridiagonal:
             raise ValueError("off must be one element shorter than diag")
         self.diag = diag
         self.off = off
-        # what _pivmin reads, found once rather than on every Sturm pass
-        self._extent = (min(diag), max(diag), max(map(abs, off), default=0.0))
+        # smaller pivots count as negative: LAPACK dstebz's floor (Demmel,
+        # Dhillon & Ren, ETNA 3 (1995) 116), which no spike g/dy outgrows
+        self.pivmin = sys.float_info.min * max([1.0] + [e * e for e in off])
 
     @property
     def size(self):
@@ -82,7 +83,7 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     Interior nodes only (Dirichlet walls at +-half_width): diagonal
     1/dy^2 + y^2/2 with g/dy added on the origin node, off-diagonal
     -1/(2 dy^2), dy = 2 half_width/n_intervals.  The grid is checked
-    before the coupling.
+    before the coupling, whose spike g/dy must be finite: |g| < 1.79e308 dy.
     """
     # the potential y^2/2 reaches half_width^2/2 at the walls
     if not math.isfinite(half_width * half_width):
@@ -95,31 +96,22 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
         raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}") from None
     if n < 4 or n % 2 != 0:
         raise ValueError("n_intervals must be even (origin on a node) and >= 4")
-    if not math.isfinite(g):
-        raise ValueError("coupling must be finite")
     c = n // 2
     delta = 2.0 * half_width / n
+    spike = g / delta
+    if not math.isfinite(spike):
+        raise ValueError(f"the contact spike g/dy is not finite for g={g!r}, dy={delta!r}")
     kinetic = 1.0 / delta**2
     diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1 - c, c))]
-    diag[c - 1] += g / delta
+    diag[c - 1] += spike
     return Tridiagonal(diag, (-0.5 / delta**2,) * (n - 2))
-
-
-def _pivmin(h, x):
-    """Pivots smaller than this in magnitude count as negative.
-
-    It is eps times the largest entry of h - x; the largest |d_i - x|
-    sits at an end of the diagonal's range.
-    """
-    dmin, dmax, emax = h._extent
-    return _EPS * max(1.0, abs(dmax - x), abs(dmin - x), emax)
 
 
 def count_below(h, x):
     """Number of eigenvalues of h strictly below x, by Sturm sign counting."""
     d = h.diag
     e = h.off
-    pivmin = _pivmin(h, x)
+    pivmin = h.pivmin
     count = 0
     # a zero bond ahead of the first pivot makes it d_0 - x exactly
     q = 1.0
@@ -177,7 +169,7 @@ def _newton_pass(h, x, squares):
     and the pass sums w_i = q_i'/q_i, which is the log-derivative of
     det(h - x) = prod q_i.  squares holds 0 and then e_i^2.
     """
-    pivmin = _pivmin(h, x)
+    pivmin = h.pivmin
     count = 0
     q = 1.0
     w = 0.0

@@ -81,11 +81,11 @@ def kummer_u_half_origin(nu):
 
 
 class EigenSolution:
-    """One stationary state: parity branch, quantum label, spectral position."""
+    """One stationary state: parity branch, quantum label, spectral position, root bracket."""
 
-    __slots__ = ("parity", "nu", "index")
+    __slots__ = ("parity", "nu", "index", "bracket")
 
-    def __init__(self, parity, nu, index):
+    def __init__(self, parity, nu, index, bracket=None):
         if parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
         if index < 0:
@@ -99,6 +99,7 @@ class EigenSolution:
         self.parity = parity
         self.nu = nu
         self.index = index
+        self.bracket = bracket
 
     @property
     def epsilon(self):
@@ -112,9 +113,9 @@ class SolverConfig:
     Domain: g must be finite.  For g < 0 the lowest level sits near -g^2,
     so |g| past about 9.48e153 (where 2 g^2 leaves the double range)
     raises BracketError.  n_states must be at least 1; the mpmath root
-    gate covers n_states up to 500.  kink_residual, which `deltaho solve`
-    applies to every state, works only up to about state 343, where the
-    wavefunction's origin values leave the double range.
+    gate covers n_states up to 500.  jump_check, the residual `deltaho
+    solve` reports beside its gate certify_root, works only up to about
+    state 343, where the origin values leave the double range.
     """
 
     __slots__ = ("n_states",)
@@ -149,60 +150,40 @@ def eigen_equation(nu, g):
     return nu - g / gamma_ratio(-0.5 * nu)
 
 
-def _kink_sides(nu, g):
-    # the two sides of 2 psi'(0+) = 2 g psi(0), from analytic origin limits
-    value, slope = kummer_u_half_origin(nu)
-    return 2.0 * slope, 2.0 * g * value
-
-
 def jump_check(nu, g):
     """Residual of the derivative-jump condition at the origin.
 
     The even extension gives psi'(0-) = -psi'(0+), so the condition reads
     2 psi'(0+) = 2 g psi(0).  Both sides come from analytic origin limits;
     finite differences across the kink would converge far too slowly.
-    Zero within 1e-8 exactly when nu solves the eigenvalue equation at
-    this coupling, a finite positive value otherwise.
+    Small relative to the origin values when nu solves the eigenvalue
+    equation, so it informs and certify_root gates.  Those values grow
+    like Gamma(nu/2), and past about nu = 342 they raise OverflowError.
     """
-    lhs, rhs = _kink_sides(nu, g)
-    return abs(lhs - rhs)
+    value, slope = kummer_u_half_origin(nu)
+    residual = abs(2.0 * slope - 2.0 * g * value)
+    if not math.isfinite(residual):
+        raise OverflowError(f"the kink residual at nu={nu!r} is past the double range")
+    return residual
 
 
-def kink_residual(sol, g):
-    """jump_check of one state, gated: what `deltaho solve` reports per state.
+def certify_root(sol, g):
+    """The gate `deltaho solve` applies to each state; ConvergenceError names a failure.
 
-    Odd states vanish at the origin and give 0.0.  An even state passes
-    when its residual is at most 1e-8 of the two sides' magnitudes, that
-    scale floored at 1; otherwise ConvergenceError names the state.  The
-    origin values grow like Gamma(nu/2), so past about nu = 343 they
-    leave the double range and OverflowError names the state, although
-    the root itself is fine.
-
-    The floor at 1 blinds the gate at strong attraction, where both sides
-    shrink like 1/Gamma(1 - nu/2).  A ground nu off by 1e-3 is caught at
-    g = -5 (residual 9.9e-7, each side about 0.025) and missed at g = -6
-    (2.9e-9, each side about 1e-4); from g ~ -7 a 1 % error passes, and
-    from g ~ -27 (nu ~ -365) both sides underflow to 0, so every nu passes.
+    Odd states pass.  An even state passes when its refiner's bracket holds
+    nu, spans at most 4 ulps, and eigen_equation, deterministic and finite,
+    changes sign or vanishes across it: exact, with no scale or tolerance.
     """
     if sol.parity == "odd":
-        return 0.0
-    try:
-        lhs, rhs = _kink_sides(sol.nu, g)
-    except OverflowError:
-        raise OverflowError(
-            f"state {sol.index} (nu={sol.nu!r}): its kink residual is past "
-            "the double range"
-        ) from None
-    residual = abs(lhs - rhs)
-    # the sides reach 1e18 for high even states at strong coupling, past an
-    # absolute 1e-8
-    scale = max(1.0, abs(lhs) + abs(rhs))
-    if residual > 1e-8 * scale:
-        raise ConvergenceError(
-            f"state {sol.index} (nu={sol.nu!r}) misses the kink condition: "
-            f"residual {residual:.3e} is above 1e-8 of its scale {scale:.3e}"
-        )
-    return residual
+        return
+    if sol.bracket is not None:
+        lo, hi = sol.bracket
+        ends = (eigen_equation(lo, g), eigen_equation(hi, g))
+        width_ok = hi - lo <= 4.0 * math.ulp(min(abs(lo), abs(hi)))  # the refiner's stop
+        if lo <= sol.nu <= hi and width_ok and min(ends) <= 0.0 <= max(ends):
+            return
+    raise ConvergenceError(f"state {sol.index} (nu={sol.nu!r}) is not a certified root: its "
+                           f"bracket {sol.bracket!r} fails the 4-ulp sign-change check")
 
 
 def _bound_lower_edge(g):
@@ -245,15 +226,16 @@ def _refine_root(func, lo, hi):
     of the midpoint that holds the width under 2 w0 2^-j after j steps,
     and a double inside the ends.  The stop, a width of 4 ulps of the end
     nearer zero, is relative to the root even at 1e-300.  Returns the end
-    with the smaller |func| among those inside (lo, hi); ConvergenceError
-    after _MAX_STEPS steps.
+    with the smaller |func| among those inside (lo, hi) and the last
+    bracket, where func changes sign or is 0; ConvergenceError after
+    _MAX_STEPS steps.
     """
     f_lo = func(lo)
     f_hi = func(hi)
     if f_lo == 0.0:
-        return lo
+        return lo, (lo, lo)
     if f_hi == 0.0:
-        return hi
+        return hi, (hi, hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
     a, f_a, b, f_b = lo, f_lo, hi, f_hi
@@ -272,33 +254,33 @@ def _refine_root(func, lo, hi):
         budget *= 0.5
         f_x = func(x)
         if f_x == 0.0:
-            return x
+            return x, (x, x)
         if (f_x > 0.0) == (f_a > 0.0):
             a, f_a = x, f_x
         else:
             b, f_b = x, f_x
     else:
         raise ConvergenceError(f"bracket still {b - a:.3e} wide after {_MAX_STEPS} refinement steps")
-    return a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b
+    return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
 def solve_even(g, cfg=None):
     """Lowest even-parity solutions for coupling g, ordered by energy.
 
     Returns cfg.n_states records carrying full-spectrum indices 0, 2, 4,
-    since one odd level falls between consecutive even ones.  g = 0 is an
-    exact special case: the equation degenerates and the unperturbed
-    labels 0, 2, 4, ... are returned without root finding.
+    since one odd level falls between consecutive even ones, and their
+    refiners' last brackets.  g = 0 is an exact special case: the equation
+    degenerates to 0 at the unperturbed labels 0, 2, 4, ..., returned
+    without root finding, each its own bracket.
     """
     cfg = SolverConfig() if cfg is None else cfg
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
     if g == 0.0:
-        return [EigenSolution("even", 2.0 * k, 2 * k) for k in range(cfg.n_states)]
+        return [EigenSolution("even", 2.0 * k, 2 * k, (2.0 * k,) * 2) for k in range(cfg.n_states)]
     func = lambda nu: eigen_equation(nu, g)
-    brackets = bracket_even_roots(g, cfg.n_states)
-    return [EigenSolution("even", _refine_root(func, lo, hi), 2 * k)
-            for k, (lo, hi) in enumerate(brackets)]
+    roots = (_refine_root(func, lo, hi) for lo, hi in bracket_even_roots(g, cfg.n_states))
+    return [EigenSolution("even", nu, 2 * k, bracket) for k, (nu, bracket) in enumerate(roots)]
 
 
 def solve_odd(n_states):

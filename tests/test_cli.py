@@ -25,11 +25,13 @@ def parse_csv(text):
 
 
 def _shift_ground(monkeypatch, shift):
+    # nu moves, its refiner's bracket stays
     solve = spectrum.full_spectrum
 
     def ground_off(g, cfg):
         states = solve(g, cfg)
-        return [spectrum.EigenSolution("even", states[0].nu + shift, 0)] + states[1:]
+        ground = spectrum.EigenSolution("even", states[0].nu + shift, 0, states[0].bracket)
+        return [ground] + states[1:]
 
     monkeypatch.setattr(spectrum, "full_spectrum", ground_off)
 
@@ -343,13 +345,19 @@ class TestExitCodes:
     def test_solver_range_failure(self, capsys):
         assert run_cli(capsys, "solve", "--g", "-1e200")[0] == 3
 
-    def test_kink_residual_past_double_range_names_the_state(self, capsys):
-        # the roots solve, but the origin values of state 344 (nu ~ 344)
-        # overflow a double, so its residual cannot be reported
-        code = main(["solve", "--g", "1", "--states", "400"])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "state 344" in err and "double range" in err
+    def test_residuals_past_double_range_are_null(self, capsys):
+        # the roots solve and pass their gate, but from state 344 (nu ~ 344)
+        # the origin values overflow a double, so the residual has no value
+        code, out = run_cli(capsys, "solve", "--g", "1", "--states", "400")
+        assert code == 0
+        residuals = json.loads(out)["residuals"]
+        assert None not in residuals[:344]
+        assert residuals[344::2] == [None] * 28
+        code, out = run_cli(capsys, "solve", "--g", "1", "--states", "400", "--format", "csv")
+        assert code == 0
+        rows = parse_csv(out)[1:]
+        assert [row[4] for row in rows[344::2]] == [""] * 28
+        assert all(row[4] for row in rows[:344])
 
     def test_missed_kink_condition_is_a_solver_failure(self, capsys, monkeypatch):
         _shift_ground(monkeypatch, 1e-3)
@@ -357,17 +365,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert "state 0" in captured.err and "misses the kink condition" in captured.err
+        assert "state 0" in captured.err and "not a certified root" in captured.err
 
-    def test_missed_kink_condition_below_the_scale_floor(self, capsys, monkeypatch):
-        # both sides are about 0.025 here, so the gate's scale is its floor
-        # of 1; the residual 9.9e-7 still clears 1e-8 (at g = -6 it would not)
+    def test_shifted_ground_is_refused_at_strong_attraction(self, capsys, monkeypatch):
+        # the origin values shrink like 1/Gamma(1 - nu/2) here, and from
+        # g ~ -27 both underflow; the bracket check needs no scale
         _shift_ground(monkeypatch, 1e-3)
-        code = main(["solve", "--g", "-5", "--states", "3"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert "state 0" in captured.err and "scale 1.000e+00" in captured.err
+        for g in [-1.0 - 0.5 * i for i in range(59)]:
+            code = main(["solve", "--g", repr(g), "--states", "3"])
+            captured = capsys.readouterr()
+            assert code == 3, g
+            assert captured.out == ""
+            assert "state 0" in captured.err and "not a certified root" in captured.err
 
     def test_unwritable_output(self, capsys, tmp_path):
         blocker = tmp_path / "plainfile"
@@ -440,9 +449,23 @@ class TestOutputFiles:
 
 
 class TestStrongCouplingSolve:
+    @pytest.mark.parametrize("states", [8, 40])
+    @pytest.mark.parametrize("g", [2e8, 3e8, 1e9, 1e10, 1e12, 1e20, 1e300])
+    def test_strong_repulsion_is_reported(self, capsys, g, states):
+        # each even level sits just under the odd one above it, where one
+        # ulp of nu moves the kink residual by ulp(nu)/delta relative: the
+        # residual is information, the bracket is the gate
+        code, out = run_cli(capsys, "solve", "--g", repr(g), "--states", str(states))
+        assert code == 0
+        report = json.loads(out)
+        for entry in report["states"]:
+            if entry["parity"] == "even":
+                assert entry["index"] < entry["nu"] < entry["index"] + 1
+        assert len(report["residuals"]) == states
+
     def test_high_states_at_g100(self, capsys):
-        # origin values reach 1e18 here, so the kink residual is judged
-        # relative to them; mpmath roots of the same pole-free condition
+        # origin values reach 1e18 here; mpmath roots of the same
+        # pole-free condition
         mpmath = pytest.importorskip("mpmath")
         code, out = run_cli(capsys, "solve", "--g", "100", "--states", "40")
         assert code == 0

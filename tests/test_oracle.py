@@ -253,6 +253,12 @@ class TestHamiltonianBuild:
         with pytest.raises(ValueError):
             build_hamiltonian(math.nan)
 
+    @pytest.mark.parametrize("g", [1e308, -1e308])
+    def test_rejects_a_spike_past_the_double_range(self, g):
+        # g is finite, but g/dy = 2.5e310 at dy = 0.004 is not
+        with pytest.raises(ValueError, match=r"g=.*dy=0\.004"):
+            build_hamiltonian(g)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -333,6 +339,13 @@ class TestAgainstAnalyticSolver:
 
     def test_attractive_ground_vector_is_even(self, spec_gm25):
         assert spec_gm25.parities[0] == "even"
+
+    @pytest.mark.parametrize("g", [1e20, 1e100, 1e300])
+    def test_even_block_meets_the_strong_repulsion_limit(self, g):
+        # the even ground level falls onto the odd one at 1.5, up to the
+        # grid's own 2.5e-6; the spike g/dy must not widen the pivot floor
+        even = oracle._mirror_blocks(build_hamiltonian(g))["even"]
+        assert _lowest(even, 1)[0] == pytest.approx(1.5, abs=1e-5)
 
 
 class TestConvergence:

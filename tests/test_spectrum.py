@@ -13,16 +13,16 @@ import statistics
 import pytest
 
 from deltaho import spectrum
-from deltaho.errors import BracketError
+from deltaho.errors import BracketError, ConvergenceError
 from deltaho.spectrum import (
     EigenSolution,
     SolverConfig,
     bound_state_asymptote,
     bracket_even_roots,
+    certify_root,
     eigen_equation,
     full_spectrum,
     jump_check,
-    kink_residual,
     solve_even,
     solve_odd,
 )
@@ -233,22 +233,54 @@ def test_epsilon_is_exactly_nu_plus_half():
             assert sol.epsilon == sol.nu + 0.5
 
 
-def test_kink_residual_evaluates_each_origin_once(monkeypatch):
-    origin = spectrum.kummer_u_half_origin
+def test_certify_root_rechecks_the_bracket_ends(monkeypatch):
+    equation = spectrum.eigen_equation
     calls = []
 
-    def counted(nu):
+    def counted(nu, g):
         calls.append(nu)
-        return origin(nu)
+        return equation(nu, g)
 
     states = full_spectrum(2.5, SolverConfig(n_states=6))
-    evens = [sol.nu for sol in states if sol.parity == "even"]
-    expected = [jump_check(nu, 2.5) for nu in evens]
-    monkeypatch.setattr(spectrum, "kummer_u_half_origin", counted)
-    residuals = [kink_residual(sol, 2.5) for sol in states]
-    assert calls == evens
-    assert residuals[::2] == expected
-    assert residuals[1::2] == [0.0, 0.0, 0.0]
+    ends = [x for sol in states if sol.parity == "even" for x in sol.bracket]
+    monkeypatch.setattr(spectrum, "eigen_equation", counted)
+    for sol in states:
+        certify_root(sol, 2.5)
+    assert calls == ends
+
+
+@pytest.mark.parametrize("g", [-1e150, -30.0, -5.0, -1e-300, 0.0, 1e-300, 2.5, 1e9, 1e300])
+def test_certify_root_passes_every_solved_state(g):
+    for sol in full_spectrum(g, SolverConfig(n_states=40)):
+        certify_root(sol, g)
+
+
+def _refused(sol, g):
+    with pytest.raises(ConvergenceError, match=f"state {sol.index} "):
+        certify_root(sol, g)
+
+
+def test_certify_root_refuses_an_uncertified_even_state():
+    sol = solve_even(1.0, SolverConfig(n_states=1))[0]
+    lo, hi = sol.bracket
+    _refused(EigenSolution("even", sol.nu, 0), 1.0)
+    # nu outside its bracket, a bracket wider than 4 ulps, and one beside
+    # the root, where the condition keeps its sign
+    _refused(EigenSolution("even", sol.nu + 1e-3, 0, sol.bracket), 1.0)
+    _refused(EigenSolution("even", sol.nu, 0, (lo - 8.0 * math.ulp(lo), hi)), 1.0)
+    beside = (math.nextafter(hi, 1.0), math.nextafter(math.nextafter(hi, 1.0), 1.0))
+    _refused(EigenSolution("even", beside[0], 0, beside), 1.0)
+    # odd states vanish at the origin, so they carry nothing to check
+    certify_root(EigenSolution("odd", 1.0, 1), 1.0)
+
+
+def test_jump_check_past_double_range_raises():
+    # both sides are -inf at nu = 342.5, so their difference is NaN; from
+    # about nu = 344 the origin value itself overflows
+    with pytest.raises(OverflowError, match="nu=342.5"):
+        jump_check(342.5, 1.0)
+    with pytest.raises(OverflowError):
+        jump_check(400.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +360,9 @@ def evaluations_per_root(monkeypatch):
 
     def counted_refine(func, lo, hi):
         before = evals[0]
-        root = refine(func, lo, hi)
+        result = refine(func, lo, hi)
         per_root.append(evals[0] - before)
-        return root
+        return result
 
     monkeypatch.setattr(spectrum, "eigen_equation", counted_equation)
     monkeypatch.setattr(spectrum, "_refine_root", counted_refine)
@@ -374,8 +406,9 @@ def test_refinement_keeps_the_bisection_worst_case():
         calls.append(x)
         return -1.0 if x < 0.1 else 1e-200
 
-    root = spectrum._refine_root(step, 0.0, 1.0)
-    assert abs(root - 0.1) <= 4.0 * math.ulp(0.1)
+    root, (lo, hi) = spectrum._refine_root(step, 0.0, 1.0)
+    assert lo <= root <= hi
+    assert lo < 0.1 <= hi <= lo + 4.0 * math.ulp(lo)
     assert len(calls) <= 2 + 55 + 1
 
 
@@ -478,3 +511,62 @@ def test_extreme_coupling_reaches_asymptote():
     g = -1e150
     (sol,) = solve_even(g, SolverConfig(n_states=1))
     assert sol.epsilon == pytest.approx(bound_state_asymptote(g), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# closed-form limits of the paper's condition, free of the Gamma code
+#
+# With Q(y) = Gamma(y + 1/2)/Gamma(y + 1), the condition near nu = 2k reads
+# 2 tan(pi x/2) = g Q(k + x/2), x = nu - 2k, and near nu = 2k + 1 it reads
+# tan(pi delta/2) = 2/(g Q(k + 1/2 - delta/2)), delta = 2k + 1 - nu.  Q at
+# integer and half-integer points is a ratio of factorials, and the
+# digamma differences from Q'/Q are finite sums of 1/j.
+
+
+def _q_int(k):
+    # Q(k) = (2k)! sqrt(pi)/(4^k (k!)^2)
+    return math.comb(2 * k, k) / 4**k * math.sqrt(math.pi)
+
+
+def _q_half(k):
+    # Q(k + 1/2) = 4^k (k!)^2/((k + 1/2) (2k)! sqrt(pi))
+    return 4**k / math.comb(2 * k, k) / ((k + 0.5) * math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("g", [1e-3, -1e-3, 1e-4, -1e-4], ids=lambda g: f"{g:.0e}")
+def test_weak_coupling_closed_form(g):
+    # x = x1 (1 + g Q'(k)/(2 pi) + O(g^2)) with x1 = g Q(k)/pi; the O(g^2)
+    # term is at most 0.1 g^2 here (k = 0, g = 1e-3), and 8 ulps of nu
+    # cover the 4-ulp bracket plus forming x1 and the ratio
+    for k, sol in enumerate(solve_even(g, SolverConfig(n_states=5))):
+        x1 = g * _q_int(k) / math.pi
+        # psi(k + 1/2) - psi(k + 1)
+        dpsi = -2.0 * math.log(2.0) + sum(2.0 / (2 * j - 1) - 1.0 / j for j in range(1, k + 1))
+        deviation = (sol.nu - 2 * k) / x1 - 1.0
+        bound = g * g + 8.0 * math.ulp(sol.nu) / abs(x1)
+        assert abs(deviation - g * _q_int(k) * dpsi / (2.0 * math.pi)) <= bound, (k, deviation)
+
+
+@pytest.mark.parametrize("g", [1e6, 1e8, 1e10, 1e12], ids=lambda g: f"{g:.0e}")
+def test_strong_repulsion_closed_form(g):
+    # delta = delta1 (1 + (psi(k+1) - psi(k+3/2)) delta1/2 + O(delta1^2))
+    # with delta1 = 4/(pi g Q(k + 1/2)); from g ~ 1e8 the 4 ulps of the
+    # bracket, relative to delta1, outweigh the correction
+    for k, sol in enumerate(solve_even(g, SolverConfig(n_states=5))):
+        delta1 = 4.0 / (math.pi * g * _q_half(k))
+        dpsi = -(2.0 - 2.0 * math.log(2.0)) - sum(2.0 / (2 * j + 1) - 1.0 / j for j in range(1, k + 1))
+        deviation = (2 * k + 1 - sol.nu) / delta1 - 1.0
+        bound = delta1 * delta1 + 4.0 * math.ulp(sol.nu) / delta1
+        assert abs(deviation - dpsi * delta1 / 2.0) <= bound, (k, deviation)
+
+
+@pytest.mark.parametrize("g", [-5.0, -10.0, -30.0])
+def test_deep_well_closed_form(g):
+    # epsilon_0 = -g^2/2 + 1/(4 g^2) - 7/(16 g^6) + D/g^10, where D tends
+    # to 121/32 (a 60-digit mpmath solve gives 3.78081 at g = -20 and
+    # 3.7812500 at g = -300); deep roots are good to 16 ulps, and 4 more
+    # cover the series' own rounding
+    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    series = -0.5 * g * g + 0.25 / (g * g) - 7.0 / (16.0 * g**6)
+    bound = 4.0 / g**10 + 20.0 * math.ulp(sol.epsilon)
+    assert abs(sol.epsilon - series) <= bound
