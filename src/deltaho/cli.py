@@ -302,15 +302,23 @@ def cmd_compare(args):
 # --- units -----------------------------------------------------------------------
 
 def _derived(name, compute):
-    # NaN or infinity would print as invalid JSON; bound_state_asymptote
-    # refuses a coupling that has underflowed to zero
+    # NaN or infinity would print as invalid JSON; ldexp refuses a result
+    # past the largest double, and bound_state_asymptote a coupling that
+    # has underflowed to zero
     try:
         value = compute()
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"{name} is past the double range for these scales") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} = {value!r} is not finite for these scales")
     return value
+
+
+def _split(value):
+    # value = m * 2**e exactly, with e even and 0.5 <= |m| < 2: sqrt(value)
+    # is sqrt(m) * 2**(e // 2), and products and ratios of such m stay near 1
+    m, e = math.frexp(value)
+    return (2.0 * m, e - 1) if e % 2 else (m, e)
 
 
 def cmd_units(args):
@@ -324,37 +332,41 @@ def cmd_units(args):
         raise ValueError("alpha must be finite")
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"--nu must be finite, got {nu!r}")
-    # square roots and ratios before products: the root of a double never
-    # leaves the range, while m omega, hbar^2 and alpha^2 leave it at
-    # scales where a0, g and the energies still fit
-    root_m, root_w, root_h = math.sqrt(mass), math.sqrt(omega), math.sqrt(hbar)
-    a0 = _derived("a0", lambda: root_h / root_m / root_w)
-    g = _derived("g", lambda: alpha / hbar * (root_m / root_h / root_w))
-    lines = [
-        f"a0 = {a0:.12g}",
-        f"g = {g:.12g}",
-    ]
+    # each formula runs on mantissas, where no double on the way overflows
+    # or turns subnormal as m omega, hbar^2 or sqrt(m)/sqrt(hbar)/sqrt(omega)
+    # can, and ldexp applies the powers of two once; where the formula on
+    # the raw scales stays normal, both give the same doubles
+    (m, e_m), (w, e_w), (h, e_h), (a, e_a) = map(_split, (mass, omega, hbar, alpha))
+    root_m, root_w, root_h = math.sqrt(m), math.sqrt(w), math.sqrt(h)
+
+    def times_hbar_omega(x):
+        x, e_x = _split(x)
+        return math.ldexp(x * h * w, e_x + e_h + e_w)
+
+    a0 = _derived("a0", lambda: math.ldexp(root_h / root_m / root_w, (e_h - e_m - e_w) // 2))
+    g = _derived("g", lambda: math.ldexp(a / h * (root_m / root_h / root_w),
+                                         e_a - e_h + (e_m - e_h - e_w) // 2))
     payload = {"a0": a0, "g": g}
+    labels = {}  # text labels that differ from the JSON keys
     if nu is not None:
-        energy = _derived(f"E(nu={nu:g})", lambda: (nu + 0.5) * hbar * omega)
-        lines.append(f"E(nu={nu:g}) = {energy:.12g}")
-        payload["E"] = energy
+        labels["E"] = f"E(nu={nu:g})"
+        payload["E"] = _derived(labels["E"], lambda: times_hbar_omega(nu + 0.5))
     if alpha < 0.0:
         ground = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0]
-        solved = _derived("E_ground_solved", lambda: ground.epsilon * hbar * omega)
+        payload["E_ground_solved"] = _derived(
+            "E_ground_solved", lambda: times_hbar_omega(ground.epsilon))
         # the isolated contact well's energy, the g -> -inf limit, that is
         # -g^2/2 times hbar omega; g takes the factor sqrt(hbar omega)
         # before it is squared, so g^2 cannot underflow or overflow alone
-        deep = _derived("E_deep_reference",
-                        lambda: spectrum.bound_state_asymptote(g * root_h * root_w))
-        lines.append(f"E_ground_solved = {solved:.12g}")
-        lines.append(f"E_deep_reference = {deep:.12g}")
-        payload["E_ground_solved"] = solved
-        payload["E_deep_reference"] = deep
+        coupling, e_g = _split(g)
+        payload["E_deep_reference"] = _derived("E_deep_reference", lambda: (
+            spectrum.bound_state_asymptote(
+                math.ldexp(coupling * root_h * root_w, e_g + (e_h + e_w) // 2))))
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args, "units.json")
     else:
-        _emit("\n".join(lines) + "\n", args, "units.txt")
+        lines = (f"{labels.get(key, key)} = {value:.12g}\n" for key, value in payload.items())
+        _emit("".join(lines), args, "units.txt")
     return 0
 
 

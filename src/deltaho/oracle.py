@@ -17,10 +17,13 @@ recurrence.  The last pivot alone,
 q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
 would not do: eigenvectors vanish like e^-32 at the walls, so each zero
 of q_n sits next to a pole, closer than a double resolves, and q_n keeps
-its sign across the eigenvalue.  The Sturm recurrence is sequential, so
-the module is plain Python on tuples of floats.  It imports math,
-operator and the package's shared errors, and nothing from spectrum or
-wavefunction: agreement between the two routes is the point.
+its sign across the eigenvalue.  Bisection and closing counts stop once
+they pass the index sought, and enter the table as lower bounds, to be
+counted in full only if a later eigenvalue needs them.  Each block keeps
+its bond squares once, for every pass.  The Sturm recurrence is
+sequential, so the module is plain Python on tuples of floats.  It
+imports math, operator and the package's shared errors, and nothing from
+spectrum or wavefunction: agreement between the two routes is the point.
 """
 
 import math
@@ -39,7 +42,7 @@ _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
 class Tridiagonal:
     """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    __slots__ = ("diag", "off", "pivmin")
+    __slots__ = ("diag", "off", "squares", "pivmin")
 
     def __init__(self, diag, off):
         diag = tuple(map(float, diag))
@@ -50,9 +53,12 @@ class Tridiagonal:
             raise ValueError("off must be one element shorter than diag")
         self.diag = diag
         self.off = off
+        # the bond squares the pivot recurrence reads, one per row: the
+        # first row has no bond ahead of it
+        self.squares = (0.0,) + tuple(e * e for e in off)
         # smaller pivots count as negative: LAPACK dstebz's floor (Demmel,
         # Dhillon & Ren, ETNA 3 (1995) 116), which no spike g/dy outgrows
-        self.pivmin = sys.float_info.min * max([1.0] + [e * e for e in off])
+        self.pivmin = sys.float_info.min * max((1.0,) + self.squares)
 
     @property
     def size(self):
@@ -107,22 +113,27 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     return Tridiagonal(diag, (-0.5 / delta**2,) * (n - 2))
 
 
-def count_below(h, x):
-    """Number of eigenvalues of h strictly below x, by Sturm sign counting."""
-    d = h.diag
-    e = h.off
+def count_below(h, x, limit=math.inf):
+    """Number of eigenvalues of h strictly below x, by Sturm sign counting.
+
+    With a limit, the walk stops where the count passes it and returns
+    min(count, limit + 1); far above the limit-th eigenvalue, within a few rows.
+    """
     pivmin = h.pivmin
     count = 0
     # a zero bond ahead of the first pivot makes it d_0 - x exactly
     q = 1.0
-    for di, ei in zip(d, (0.0,) + e):
-        q = di - x - ei * ei / q
-        # a pivot inside the pivmin band counts as negative (the standard
-        # convention: it keeps the count monotone in x)
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+    for di, e2 in zip(h.diag, h.squares):
+        q = di - x - e2 / q
+        # a pivot inside the pivmin band counts as negative and is floored
+        # at -pivmin (the standard convention: it keeps the count monotone
+        # in x); -pivmin itself, and NaN, are left as they are
+        if q < pivmin:
             count += 1
+            if count > limit:
+                return count
+            if q > -pivmin:
+                q = -pivmin
     return count
 
 
@@ -161,50 +172,60 @@ def _mirror_blocks(h):
     return {"even": Tridiagonal(even_diag, e[c:]), "odd": Tridiagonal(odd_diag, e[c:])}
 
 
-def _newton_pass(h, x, squares):
+def _newton_pass(h, x):
     """Sturm count below x and d/dx log|det(h - x)|, in one pass.
 
     The pivots q_i are those of count_below, bit for bit, so the count is
-    too.  Their derivatives obey q_i' = -1 + e_{i-1}^2 q_{i-1}'/q_{i-1}^2,
-    and the pass sums w_i = q_i'/q_i, which is the log-derivative of
-    det(h - x) = prod q_i.  squares holds 0 and then e_i^2.
+    too; it is always the full count.  Their derivatives obey
+    q_i' = -1 + e_{i-1}^2 q_{i-1}'/q_{i-1}^2, and the pass sums
+    w_i = q_i'/q_i, which is the log-derivative of det(h - x) = prod q_i.
     """
     pivmin = h.pivmin
     count = 0
     q = 1.0
     w = 0.0
     total = 0.0
-    for di, e2 in zip(h.diag, squares):
+    for di, e2 in zip(h.diag, h.squares):
         r = e2 / q
         q = di - x - r
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+        if q < pivmin:
             count += 1
+            if q > -pivmin:
+                q = -pivmin
         w = (r * w - 1.0) / q
         total += w
     return count, total
 
 
-def _eigenvalue(h, j, table, squares):
+def _eigenvalue(h, j, table):
     """Eigenvalue j (from 1) of h, bracketed by Sturm counts.
 
-    table holds every (x, count) sample made on h so far, sorted by x, and
-    takes the samples made here too.  The bracket starts as the pair of
-    samples where the count first reaches j, and is bisected until it
-    holds eigenvalue j alone.  From then on each pass is a Newton step on
-    det(h - x) that also counts, so every pass still shrinks the bracket.
-    A step that leaves the bracket, or two passes that halve neither the
-    bracket nor the step, give way to the midpoint.  (The bracket alone is
-    the wrong measure: Newton converges from one side, so the far end
-    stays put until the closing counts.)  Once a step drops below
-    _WIDTH_TOL, or below one ulp where doubles lie farther apart, plain
-    counts just either side of where it lands close the bracket.  The
-    search stops when the bracket is _WIDTH_TOL wide or holds no double
-    strictly inside, and returns its midpoint.
+    table holds every (x, count, bound) sample made on h so far, sorted by
+    x, and takes the samples made here too; bound marks a count that
+    stopped early, a lower bound.  The bracket starts as the pair of
+    samples where the count first reaches j; a bound of j or less met on
+    the way is counted again in full.  It is bisected until it holds
+    eigenvalue j alone.  From then on each pass is a Newton
+    step on det(h - x) that also counts, so every pass still shrinks the
+    bracket.  A step that leaves the bracket, or two passes that halve
+    neither the bracket nor the step, give way to the midpoint.  (The
+    bracket alone is the wrong measure: Newton converges from one side, so
+    the far end stays put until the closing counts.)  Once a step drops
+    below _WIDTH_TOL, or below one ulp where doubles lie farther apart,
+    plain counts just either side of where it lands close the bracket.
+    Bisection and closing only ask whether a count is below j, j or above
+    it, so their counts stop past j.
+    The search stops when the bracket is _WIDTH_TOL wide or holds no
+    double strictly inside, and returns its midpoint.
     """
-    i = next(i for i, (_, c) in enumerate(table) if c >= j)
-    (lo, c_lo), (hi, c_hi) = table[i - 1], table[i]
+    for i, (x, c, bound) in enumerate(table):
+        if bound and c <= j:
+            c = count_below(h, x)
+            table[i] = (x, c, False)
+        if c >= j:
+            break
+    lo, c_lo, _ = table[i - 1]
+    hi, c_hi = x, c
     target = None  # where the last Newton step lands
     closing = []  # plain counts still due around a converged step
     passes, reference = 0, hi - lo  # Newton passes, and the progress they must halve
@@ -215,16 +236,18 @@ def _eigenvalue(h, j, table, squares):
         slope = None
         if c_lo != j - 1 or c_hi != j:
             x = mid
-            c = count_below(h, x)
+            c = count_below(h, x, j)
         elif closing:
             x = closing.pop()
             if not lo < x < hi:
                 continue
-            c = count_below(h, x)
+            c = count_below(h, x, j)
         else:
             x = target if target is not None and lo < target < hi else mid
-            c, slope = _newton_pass(h, x, squares)
-        table.insert(i, (x, c))
+            c, slope = _newton_pass(h, x)
+        # a count past j stopped early (a Newton pass, inside a bracket
+        # that holds eigenvalue j alone, never gets past it)
+        table.insert(i, (x, c, c > j))
         if c >= j:
             hi, c_hi = x, c
         else:
@@ -253,10 +276,9 @@ def _ascending(h):
     All of them share one table of Sturm samples (see _eigenvalue).
     """
     glo, ghi = _gershgorin(h)
-    table = [(glo, 0), (ghi, h.size)]
-    squares = (0.0,) + tuple(ei * ei for ei in h.off)
+    table = [(glo, 0, False), (ghi, h.size, False)]
     for j in range(1, h.size + 1):
-        yield _eigenvalue(h, j, table, squares)
+        yield _eigenvalue(h, j, table)
 
 
 def eigen_lowest(h, k):

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import random
 import stat
+import sys
 
 import pytest
 
@@ -297,15 +299,22 @@ class TestUnits:
         (["--alpha", "1e-200", "--hbar", "1e-170"], "g", 1e55),
         (["--alpha", "-1e200", "--hbar", "1e100"], "E_deep_reference", -5e199),
         (["--mass", "1e300", "--omega", "1e300", "--alpha", "3"], "g", 3.0),
+        # sqrt(m)/sqrt(hbar)/sqrt(omega) is a subnormal 6.6e-323 in the
+        # first, which kept two digits of g, and overflows to 7.2e344 in the
+        # second; g from mpmath at 40 digits
+        (["--mass", "1.02e-259", "--omega", "2.52e262", "--hbar", "9.16e122",
+          "--alpha", "2.31e214"], "g", 1.6763650001732791e-231),
+        (["--alpha", "1.85e-233", "--mass", "2.22e274", "--omega", "4.28e-251",
+          "--hbar", "1.01e-165"], "g", 1.3126358776525442e277),
     ])
     def test_derived_values_inside_double_range_are_reported(self, capsys, argv,
                                                             name, expected):
-        # each product of raw scales (m omega, hbar^2, alpha^2) would leave
-        # the double range, though the derived value does not (m omega =
-        # 1e600 would turn a0 and g into 0 without an error)
+        # each product of raw scales (m omega, hbar^2, alpha^2), or a ratio of
+        # their roots, would leave the double range, though the derived value
+        # does not (m omega = 1e600 would turn a0 and g into 0 without an error)
         code, out = run_cli(capsys, "units", *argv, "--format", "json")
         assert code == 0
-        assert json.loads(out)[name] == pytest.approx(expected, rel=1e-15)
+        assert json.loads(out)[name] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
     def test_rejects_nonfinite_nu(self, capsys, nu):
@@ -331,6 +340,81 @@ class TestUnits:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} ")
 
+    def test_unsplit_formulas_keep_their_bits_where_they_stay_normal(self, capsys):
+        # wherever the formulas on the raw scales meet no subnormal and no
+        # overflow, the split scales give the same doubles
+        rng = random.Random(17)
+        compared = {"repulsive": 0, "attractive": 0}
+        for draw in range(400):
+            span = 150 if draw % 2 else 300
+            mass, omega, hbar = (10.0 ** rng.uniform(-span, span) for _ in range(3))
+            alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-span, span)
+            nu = rng.uniform(-0.4, 1e3)
+            expected = _unsplit_units(mass, omega, hbar, alpha, nu)
+            if expected is None:
+                continue
+            argv = _units_argv(mass, omega, hbar, alpha, nu)
+            code, out = run_cli(capsys, "units", *argv, "--format", "json")
+            assert code == 0, argv
+            assert json.loads(out) == expected, argv
+            compared["attractive" if alpha < 0.0 else "repulsive"] += 1
+        assert min(compared.values()) >= 25, compared
+
+    def test_derived_values_match_mpmath_across_the_range(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        checked = 0
+        with mpmath.workdps(40):
+            for _ in range(400):
+                mass, omega, hbar = (10.0 ** rng.uniform(-300, 300) for _ in range(3))
+                alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+                nu = rng.uniform(0.0, 1e3)
+                m, w, h, a = map(mpmath.mpf, (mass, omega, hbar, alpha))
+                g = a / h * mpmath.sqrt(m / (h * w))
+                expected = {"a0": mpmath.sqrt(h / (m * w)), "g": g, "E": (nu + 0.5) * h * w}
+                if alpha < 0.0:
+                    expected["E_deep_reference"] = -g * g / 2 * h * w
+                # past -1e150 the ground solve refuses g
+                if not all(1e-300 < abs(v) < 1e300 for v in expected.values()) or g < -1e150:
+                    continue
+                argv = _units_argv(mass, omega, hbar, alpha, nu)
+                code, out = run_cli(capsys, "units", *argv, "--format", "json")
+                assert code == 0, argv
+                got = json.loads(out)
+                for name, ref in expected.items():
+                    assert got[name] == pytest.approx(float(ref), rel=2e-15, abs=0.0), (argv, name)
+                checked += 1
+        assert checked >= 100
+
+def _units_argv(mass, omega, hbar, alpha, nu):
+    return [f"--{k}={v!r}" for k, v in
+            (("mass", mass), ("omega", omega), ("hbar", hbar), ("alpha", alpha), ("nu", nu))]
+
+
+def _unsplit_units(mass, omega, hbar, alpha, nu):
+    """What units reports, by its formulas on the raw scales, or None when
+    a double on the way is subnormal or overflows (a nonzero alpha and nu
+    != -1/2 make every exact zero an underflow)."""
+    root_m, root_w, root_h = math.sqrt(mass), math.sqrt(omega), math.sqrt(hbar)
+    a0_first = root_h / root_m
+    g_left, g_mid = alpha / hbar, root_m / root_h
+    g_right = g_mid / root_w
+    g = g_left * g_right
+    n = nu + 0.5
+    chain = [a0_first, a0_first / root_w, g_left, g_mid, g_right, g, n, n * hbar, n * hbar * omega]
+    values = {"a0": chain[1], "g": g, "E": chain[-1]}
+    if alpha < 0.0:
+        if g < -1e150:
+            # past the ground solve's reach
+            return None
+        epsilon = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0].epsilon
+        arg = g * root_h * root_w
+        chain += [epsilon * hbar, epsilon * hbar * omega, g * root_h, arg, -0.5 * arg, -0.5 * arg * arg]
+        values["E_ground_solved"] = epsilon * hbar * omega
+        values["E_deep_reference"] = -0.5 * arg * arg
+    if all(math.isfinite(x) and abs(x) >= sys.float_info.min for x in chain):
+        return values
+    return None
 
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +138,12 @@ class TestPassBudget:
         spec = eigen_lowest(build_hamiltonian(g), 8)
         assert len(spec.parities) == 8
         assert len(passes) <= 20 * 8
-        # pivot rows walked: each pass runs over one half-size mirror block,
-        # where passes over the full matrix walked 368k-404k
+        # pivot rows walked, at most: each pass runs over one half-size
+        # mirror block, where passes over the full matrix walked 368k-404k.
+        # The sum counts every pass as a full one, though a bisection or
+        # closing count stops once it passes j: within a handful of rows at
+        # the Gershgorin top, a few hundred near the low levels (179k-183k
+        # rows walked in all, against 210k-214k when every count ran full)
         assert sum(size for _, size in passes) <= 320_000
 
 
@@ -390,6 +395,190 @@ class TestSturmSelfConsistency:
         h = build_hamiltonian(1.0)
         enumerated = sum(1 for e in spec_g1.epsilons if e < 5.0)
         assert count_below(h, 5.0) == enumerated
+
+
+def _reference_pass(h, x):
+    """count and log-derivative of det(h - x), with the pivot floor written
+    out case by case as in LAPACK dstebz: |q| < pivmin becomes -pivmin,
+    then a negative pivot counts."""
+    count, q, w, total = 0, 1.0, 0.0, 0.0
+    for di, ei in zip(h.diag, (0.0,) + h.off):
+        r = ei * ei / q
+        q = di - x - r
+        if abs(q) < h.pivmin:
+            q = -h.pivmin
+        if q < 0.0:
+            count += 1
+        w = (r * w - 1.0) / q
+        total += w
+    return count, total
+
+
+def _samples(rng, h, n):
+    # points over the Gershgorin interval, crowded towards its low end
+    # where the eigenvalues under test lie; limits over 0..size
+    lo, hi = oracle._gershgorin(h)
+    xs = lo + (hi - lo) * rng.uniform(0.0, 1.0, n) ** 4
+    return zip(xs.tolist(), rng.integers(0, h.size + 1, n).tolist())
+
+
+def _grid_blocks():
+    for g in (-5.0, 0.0, 1.0, 1e9):
+        yield from oracle._mirror_blocks(build_hamiltonian(g)).values()
+
+
+class TestCountSemantics:
+    def test_passes_on_random_points_and_limits(self):
+        # the N = 4000 blocks and random mirror-symmetric matrices; the
+        # Newton pass matches the written-out floor bit for bit, its
+        # log-derivative included, so the floored pivots are the same doubles
+        rng = np.random.default_rng(4000)
+        matrices = itertools.chain(
+            _grid_blocks(),
+            (_mirror_symmetric(np.random.default_rng(seed), n) for seed in (1, 2, 3) for n in (201, 200)),
+        )
+        for h in matrices:
+            for x, limit in _samples(rng, h, 60):
+                full = count_below(h, x)
+                assert count_below(h, x, limit) == min(full, limit + 1)
+                count, total = oracle._newton_pass(h, x)
+                ref_count, ref_total = _reference_pass(h, x)
+                assert (count, total.hex()) == (full, ref_total.hex())
+                assert ref_count == full
+
+    def test_table_entries_hold_or_bound_the_full_count(self):
+        h = oracle._mirror_blocks(build_hamiltonian(1.0))["even"]
+        lo, hi = oracle._gershgorin(h)
+        table = [(lo, 0, False), (hi, h.size, False)]
+        for j in range(1, 6):
+            oracle._eigenvalue(h, j, table)
+        xs = [x for x, _, _ in table]
+        assert xs == sorted(xs)
+        assert any(bound for _, _, bound in table)
+        for x, c, bound in table:
+            full = count_below(h, x)
+            assert c <= full if bound else c == full
+
+
+class TestPivotFloor:
+    # pivmin is the smallest normal double here: no bond exceeds 1
+    TINY = sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "first, count",
+        [
+            (0.0, 1),  # exactly zero: inside the band, negative
+            (-0.0, 1),
+            (-TINY, 1),  # exactly -pivmin: already negative, kept
+            (0.5 * TINY, 1),  # positive but inside the band
+            (-0.5 * TINY, 1),
+            (TINY, 0),  # exactly pivmin: outside the band
+            (math.nextafter(-TINY, -1.0), 1),
+        ],
+    )
+    def test_first_pivot_on_the_band(self, first, count):
+        # alone, the pivot d_0 - x = first is the count
+        alone = Tridiagonal((first,), ())
+        assert alone.pivmin == self.TINY
+        assert count_below(alone, 0.0) == count
+        for limit in range(2):
+            assert count_below(alone, 0.0, limit) == min(count, limit + 1)
+        # ahead of a bond, the one negative eigenvalue is counted at the
+        # first pivot, or at the second when the first is pivmin or more
+        h = Tridiagonal((first, 3.0), (1.0,))
+        assert count_below(h, 0.0) == 1
+        assert count_below(h, 0.0, 0) == 1
+        ref_count, ref_total = _reference_pass(h, 0.0)
+        got_count, got_total = oracle._newton_pass(h, 0.0)
+        assert (got_count, got_total.hex()) == (ref_count, ref_total.hex())
+
+    def test_zero_pivot_inside_the_recurrence(self):
+        # q_0 = 1 and q_1 = 1 - 1/1 = 0 exactly: without the floor q_2
+        # would divide by zero
+        h = Tridiagonal((1.0, 1.0, 2.0), (1.0, 1.0))
+        assert count_below(h, 0.0) == 1
+        assert count_below(h, 0.0, 0) == 1
+        assert oracle._newton_pass(h, 0.0)[0] == 1
+        assert _reference_pass(h, 0.0)[0] == 1
+
+    def test_nan_counts_nothing(self):
+        h = Tridiagonal((1.0, 1.0, 2.0), (1.0, 1.0))
+        assert count_below(h, math.nan) == 0
+        assert count_below(h, math.nan, 0) == 0
+        assert oracle._newton_pass(h, math.nan)[0] == 0
+
+class TestPinnedBits:
+    # float.hex of eigen_lowest(build_hamiltonian(g, n_intervals=N), 8),
+    # recorded before the Sturm passes were last reworked: a faster pass
+    # must return the same doubles, not merely close ones
+    PINNED = {
+        (-5.0, 4000): (
+            "-0x1.8fa41182f694ap+3",
+            "0x1.7fffd60e8df13p+0",
+            "0x1.bb03d55016e89p+0",
+            "0x1.bfff972451aa2p+1",
+            "0x1.e94d84ad1206ep+1",
+            "0x1.5fff8012ab4cbp+2",
+            "0x1.7887c06068deap+2",
+            "0x1.dfff13051ae17p+2",
+        ),
+        (-2.5, 4000): (
+            "-0x1.8b1021f0ff7fep+1",
+            "0x1.7fffd60e8df13p+0",
+            "0x1.edb1c8f65e082p+0",
+            "0x1.bfff972451aa2p+1",
+            "0x1.02afd70eb5f1cp+2",
+            "0x1.5fff8012ab4cbp+2",
+            "0x1.86b9f0dea1834p+2",
+            "0x1.dfff13051ae17p+2",
+        ),
+        (0.0, 4000): (
+            "0x1.ffffde726809ep-2",
+            "0x1.7fffd60e8df13p+0",
+            "0x1.3fffc9795d221p+1",
+            "0x1.bfff972451aa2p+1",
+            "0x1.1fffaa042ba96p+2",
+            "0x1.5fff8012ab4cbp+2",
+            "0x1.9fff4dbdb2616p+2",
+            "0x1.dfff13051ae17p+2",
+        ),
+        (1.0, 4000): (
+            "0x1.c915bfbaf591dp-1",
+            "0x1.7fffd60e8df13p+0",
+            "0x1.6097ed13d42d9p+1",
+            "0x1.bfff972451aa2p+1",
+            "0x1.2ccfb4bc67c2dp+2",
+            "0x1.5fff8012ab4cbp+2",
+            "0x1.aadf22b78c15ap+2",
+            "0x1.dfff13051ae17p+2",
+        ),
+        (5.0, 4000): (
+            "0x1.4bcea67f8d10ep+0",
+            "0x1.7fffd60e8df13p+0",
+            "0x1.99a3566ff0a8bp+1",
+            "0x1.bfff972451aa2p+1",
+            "0x1.48baf22b015a2p+2",
+            "0x1.5fff8012ab4cbp+2",
+            "0x1.c5acd252fb51ep+2",
+            "0x1.dfff13051ae17p+2",
+        ),
+        (1.0, 2000): (
+            "0x1.c915c0d71e992p-1",
+            "0x1.7fff583a01404p+0",
+            "0x1.60976c4d04262p+1",
+            "0x1.bffe5c904c534p+1",
+            "0x1.2ccecc7af9912p+2",
+            "0x1.5ffe00488bc94p+2",
+            "0x1.aadd2c3591c2bp+2",
+            "0x1.dffc4c0efb2aep+2",
+        ),
+    }
+
+    @pytest.mark.parametrize("g, n", list(PINNED))
+    def test_eigenvalues_keep_their_bits(self, g, n):
+        spec = eigen_lowest(build_hamiltonian(g, n_intervals=n), 8)
+        assert tuple(x.hex() for x in spec.epsilons) == self.PINNED[g, n]
+        assert spec.parities == ("even", "odd") * 4
 
 
 class TestIndependence:
