@@ -33,6 +33,11 @@ from .errors import BracketError, ConvergenceError, InsufficientDomainError
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _TABLE_COUPLINGS = (0.0, -0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _CRLF = "\r\n"
+# a second-order grid shrinks the gap about fourfold per halving; below the
+# floor the ratio drifts where the grid error changes sign (near g = -0.755,
+# 0.93 and 1.55 at N = 4000)
+_HALVING_WINDOW = (3.5, 4.5)
+_HALVING_GAP_FLOOR = 1e-7
 
 
 @functools.lru_cache(maxsize=1)
@@ -245,6 +250,12 @@ def cmd_figures(args):
 # --- compare ---------------------------------------------------------------------
 
 def cmd_compare(args):
+    """Analytic levels against the oracle's, each matched within its parity.
+
+    A ground-state gap above _HALVING_GAP_FLOOR whose halving_ratio leaves
+    _HALVING_WINDOW raises InsufficientDomainError.  That guards state 0
+    only, and by ratio only: g = -60 passes with a ground gap of 25 at 3.70.
+    """
     g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too
@@ -260,6 +271,13 @@ def cmd_compare(args):
     gap_fine = abs(fine.epsilons[0] - analytic[0].epsilon)
     gap_coarse = abs(coarse.epsilons[0] - analytic[0].epsilon)
     halving_ratio = gap_coarse / gap_fine if gap_fine > 0.0 else math.inf
+    low, high = _HALVING_WINDOW
+    if gap_fine > _HALVING_GAP_FLOOR and not low <= halving_ratio <= high:
+        raise InsufficientDomainError(
+            f"the grid does not resolve state 0 at g={g!r}, dy={2.0 * grid_l / grid_n!r}: "
+            f"its gap {gap_fine:.3g} has halving_ratio {halving_ratio:.3g}, "
+            f"outside [{low:g}, {high:g}]"
+        )
     if args.format == "csv":
         rows = [("index", "parity_analytic", "parity_oracle",
                  "epsilon_analytic", "epsilon_oracle", "abs_gap")]

@@ -14,4 +14,4 @@ class BracketError(RuntimeError):
 
 
 class InsufficientDomainError(ValueError):
-    """A grid is too narrow for the function living on it to have decayed."""
+    """A grid is too narrow for the function on it to have decayed, or too coarse to resolve it."""

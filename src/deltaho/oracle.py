@@ -9,9 +9,10 @@ matrix exactly into an even and an odd block; the spike sits on the
 centre node, so it enters the even block only, as in the continuum
 problem.  Each block's eigenvalues come lowest first from its own Sturm
 counts, and each eigenvalue carries the parity of the block it came
-from.  Every count on a block goes into one table, since it bounds all
-that block's eigenvalues; bisection on counts isolates each eigenvalue,
-and Newton steps on det(H - x) then narrow its count-certified bracket.
+from; eigen_lowest never orders one block's levels against the other's.
+Every count on a block goes into one table, since it bounds all that
+block's eigenvalues; bisection on counts isolates each eigenvalue, and
+Newton steps on det(H - x) then narrow its count-certified bracket.
 The steps take the determinant's log-derivative from the whole pivot
 recurrence.  The last pivot alone,
 q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
@@ -22,15 +23,13 @@ they pass the index sought, and enter the table as lower bounds, to be
 counted in full only if a later eigenvalue needs them.  Each block keeps
 its bond squares once, for every pass.  The Sturm recurrence is
 sequential, so the module is plain Python on tuples of floats.  It
-imports math, operator and the package's shared errors, and nothing from
-spectrum or wavefunction: agreement between the two routes is the point.
+imports math, operator and sys, and nothing from spectrum or
+wavefunction: agreement between the two routes is the point.
 """
 
 import math
 import operator
 import sys
-
-from .errors import ConvergenceError
 
 # width of the count-certified bracket at which an eigenvalue is done
 _WIDTH_TOL = 1e-10
@@ -66,7 +65,7 @@ class Tridiagonal:
 
 
 class OracleSpectrum:
-    """Sorted eigenvalues with their parity labels."""
+    """Eigenvalues with their parity labels."""
 
     __slots__ = ("epsilons", "parities")
 
@@ -75,8 +74,6 @@ class OracleSpectrum:
         par = tuple(parities)
         if len(eps) != len(par):
             raise ValueError("epsilons and parities must have equal length")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilons must be strictly increasing")
         if any(p not in ("even", "odd") for p in par):
             raise ValueError("parities must be 'even' or 'odd'")
         self.epsilons = eps
@@ -270,51 +267,34 @@ def _eigenvalue(h, j, table):
     return 0.5 * (lo + hi)
 
 
-def _ascending(h):
-    """The eigenvalues of h, lowest first, each solved when it is asked for.
+def _lowest(h, n):
+    """The n lowest eigenvalues of h, lowest first.
 
     All of them share one table of Sturm samples (see _eigenvalue).
     """
     glo, ghi = _gershgorin(h)
     table = [(glo, 0, False), (ghi, h.size, False)]
-    for j in range(1, h.size + 1):
-        yield _eigenvalue(h, j, table)
+    return [_eigenvalue(h, j, table) for j in range(1, n + 1)]
 
 
 def eigen_lowest(h, k):
-    """The k smallest eigenvalues of a mirror-symmetric h, with parity labels.
+    """The lowest levels of each mirror block of h, interleaved even first.
 
     h splits into its even and odd mirror blocks (ValueError if it has no
-    mirror symmetry), and each block gives its eigenvalues lowest first,
-    bracketed by its own Sturm counts to 1e-10 absolute, or to adjacent
-    doubles where those lie farther apart (see _eigenvalue).  The two
-    ascending streams merge lazily, so the call solves at most k + 1
-    block eigenvalues, and each eigenvalue is labelled by its block.  The
-    k reported eigenvalues and the other block's next one are then in
-    certified order unless two neighbours among them lie closer than the
-    bracket width, a repeated eigenvalue included; the brackets then fall
-    short of a valid input, and ConvergenceError names both.
+    mirror symmetry), which give their (k + 1) // 2 and k // 2 lowest
+    eigenvalues, each bracketed by its block's own Sturm counts to 1e-10
+    absolute, or to adjacent doubles where those lie farther apart (see
+    _eigenvalue), and labelled by its block.  Even, odd, even, ... is the
+    order of the analytic spectrum, whose ground state is even.  The two
+    blocks are never ordered against each other, so their levels may lie
+    as close as they like: 1.7e-11 apart at g = 1e12 on the default grid.
     """
     if not 1 <= k <= h.size:
         raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
-    streams = {parity: _ascending(block) for parity, block in _mirror_blocks(h).items()}
-    heads = {parity: next(stream) for parity, stream in streams.items()}
-    found = []
-    while True:
-        parity = min(heads, key=heads.get)
-        found.append((heads[parity], parity))
-        if len(found) == k:
-            break
-        # a spent block's head is inf; the blocks hold h.size eigenvalues
-        heads[parity] = next(streams[parity], math.inf)
-    # the stream just reported from is not advanced: its next eigenvalue
-    # shares the label, so its order with the last one cannot matter
-    del heads[parity]
-    ordered = found + [(lam, p) for p, lam in heads.items()]
-    for j, ((a, pa), (b, pb)) in enumerate(zip(ordered, ordered[1:])):
-        if b - a < _WIDTH_TOL:
-            raise ConvergenceError(
-                f"eigenvalues {j} and {j + 1} ({pa} {a!r}, {pb} {b!r}) lie closer "
-                f"than the {_WIDTH_TOL:g} bracket width, so their order is not certified"
-            )
-    return OracleSpectrum(*zip(*found))
+    blocks = _mirror_blocks(h)
+    levels = [None] * k
+    levels[::2] = _lowest(blocks["even"], (k + 1) // 2)
+    # a 1x1 h has no odd block, and k = 1 asks for no odd level
+    if k > 1:
+        levels[1::2] = _lowest(blocks["odd"], k // 2)
+    return OracleSpectrum(levels, (("even", "odd") * k)[:k])

@@ -220,14 +220,52 @@ class TestCompare:
         assert result["parity_match"] == [True, True]
         assert result["oracle"][0] < result["oracle"][1]
 
-    def test_levels_closer_than_the_oracle_brackets_are_a_solver_failure(self, capsys):
-        # the input is valid: on the grid the even and odd ground levels lie
-        # 1.6e-11 apart, below the 1e-10 brackets, so the oracle cannot
-        # certify their order
-        code = main(["compare", "--g", "1e12", "--states", "2"])
+    @pytest.mark.parametrize("g", ["1e12", "1e16", "1e100", "1e300"])
+    def test_levels_closer_than_the_oracle_brackets_keep_their_parity(self, capsys, g):
+        # on the grid each even level lies within 1.7e-11 of the odd one
+        # above it, below the 1e-10 brackets; each is matched within its
+        # own block, so no order across the blocks is needed
+        code, out = run_cli(capsys, "compare", "--g", g, "--states", "8")
+        assert code == 0
+        result = json.loads(out)
+        assert all(result["parity_match"])
+        assert max(result["gaps"]) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--g", "1", "--states", "2", "--grid-n", "400", "--grid-l", "1e4"),
+            ("--g", "1", "--states", "8", "--grid-n", "400", "--grid-l", "1e3"),
+            ("--g", "-10000", "--states", "2"),
+        ],
+        ids=["dy=50", "dy=5", "deep-well"],
+    )
+    def test_unresolved_ground_state_is_a_solver_failure(self, capsys, argv):
+        # halving dy shrinks the ground state's gap by 1.01, 1.20 and 1.03,
+        # not the fourfold of a second-order scheme
+        code = main(["compare", *argv])
         err = capsys.readouterr().err
         assert code == 3
-        assert "eigenvalues 0 and 1" in err
+        assert "state 0" in err and "dy=" in err and "halving_ratio" in err
+
+    @pytest.mark.parametrize("g", ["-0.755", "0.93", "0.945", "1.545", "1.56"])
+    def test_grid_error_sign_changes_are_not_refused(self, capsys, g):
+        # the ground state's grid error changes sign near each coupling,
+        # where its halving_ratio drifts from 4 (3.83 at 0.93)
+        code, out = run_cli(capsys, "compare", "--g", g, "--states", "1")
+        assert code == 0
+        assert json.loads(out)["gaps"][0] <= 1e-8
+
+    @pytest.mark.parametrize("g", ["0.9328", "1.557"])
+    def test_ratio_under_the_gap_floor_is_not_refused(self, capsys, g):
+        # closer still to a sign change the fine gap is a few 1e-11, near
+        # the oracle's brackets, and the ratio leaves the window: only the
+        # 1e-7 floor lets these pass
+        code, out = run_cli(capsys, "compare", "--g", g, "--states", "1")
+        assert code == 0
+        result = json.loads(out)
+        assert result["gaps"][0] <= 1e-10
+        assert not 3.5 <= result["halving_ratio"] <= 4.5
 
     def test_json_stamp_adds_only_the_timestamp(self, capsys):
         argv = ("compare", "--g", "1", "--states", "2", "--grid-n", "400")
@@ -281,9 +319,9 @@ class TestUnits:
                             "--format", "json")
         assert code == 0
         result = json.loads(out)
-        assert result["a0"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert result["g"] == pytest.approx(3.0 * math.sqrt(2.0) * 2.0 / 4.0, rel=1e-15)
-        assert result["E"] == pytest.approx(1.5, rel=1e-15)
+        assert result["a0"] == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert result["g"] == pytest.approx(3.0 * math.sqrt(2.0) * 2.0 / 4.0, rel=1e-15, abs=0.0)
+        assert result["E"] == pytest.approx(1.5, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("field", ["mass", "omega", "hbar"])
     def test_rejects_nonpositive_scales(self, capsys, field):

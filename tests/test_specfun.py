@@ -45,12 +45,12 @@ HALF_INTEGER_GAMMAS = [
 
 @pytest.mark.parametrize("x, expected", HALF_INTEGER_GAMMAS)
 def test_gamma_half_integers(x, expected):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / expected, rel=1e-14)
+    assert reciprocal_gamma(x) == pytest.approx(1.0 / expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n, expected", [(1, 1.0), (2, 1.0), (5, 24.0), (11, 3628800.0)])
 def test_gamma_positive_integers_exact(n, expected):
-    assert reciprocal_gamma(float(n)) == pytest.approx(1.0 / expected, rel=1e-14)
+    assert reciprocal_gamma(float(n)) == pytest.approx(1.0 / expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -59,7 +59,7 @@ def test_gamma_positive_integers_exact(n, expected):
 )
 def test_gamma_positive_matches_math(x):
     # 171.0 takes the log-gamma branch
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13)
+    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -67,25 +67,25 @@ def test_gamma_positive_matches_math(x):
     [-0.5, -1.5, -2.7, -10.3, -33.8, -99.7, -140.25, -169.5],
 )
 def test_gamma_negative_matches_math(x):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12)
+    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12, abs=0.0)
 
 
 def test_gamma_recurrence():
     """1/Gamma(x) = x/Gamma(x + 1) across both signs."""
     for x in [0.123, 0.5, 3.7, 25.4, 101.1, -0.7, -4.3, -20.6, -77.77]:
-        assert reciprocal_gamma(x) == pytest.approx(x * reciprocal_gamma(x + 1.0), rel=1e-12)
+        assert reciprocal_gamma(x) == pytest.approx(x * reciprocal_gamma(x + 1.0), rel=1e-12, abs=0.0)
 
 
 def test_gamma_overflow():
     # Gamma overflows past about 171.62; its reciprocal stays finite
-    assert reciprocal_gamma(171.0) == pytest.approx(1.0 / math.gamma(171.0), rel=1e-13)
+    assert reciprocal_gamma(171.0) == pytest.approx(1.0 / math.gamma(171.0), rel=1e-13, abs=0.0)
     assert 0.0 < reciprocal_gamma(172.0) < reciprocal_gamma(171.0)
 
 
 def test_gamma_deep_negative_underflow():
     # |Gamma| drops below the double floor near x = -180, where its
     # reciprocal leaves the double range
-    assert reciprocal_gamma(-169.5) == pytest.approx(1.0 / 5.648220884223328e-306, rel=1e-11)
+    assert reciprocal_gamma(-169.5) == pytest.approx(1.0 / 5.648220884223328e-306, rel=1e-11, abs=0.0)
     with pytest.raises(OverflowError):
         reciprocal_gamma(-199.5)
 
@@ -100,14 +100,14 @@ def test_reciprocal_gamma_zero_at_poles():
     [0.5, 1.0, 3.25, 17.0, 120.6, -0.5, -2.5, -19.75, -99.5],
 )
 def test_reciprocal_gamma_matches_math(x):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12)
+    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12, abs=0.0)
 
 
 def test_reciprocal_gamma_beyond_gamma_overflow():
     # 1/Gamma stays representable (subnormal) a little past the Gamma
     # overflow point, then honestly underflows to zero
     assert reciprocal_gamma(172.0) == pytest.approx(
-        math.exp(-math.lgamma(172.0)), rel=1e-9
+        math.exp(-math.lgamma(172.0)), rel=1e-9, abs=0.0
     )
     assert reciprocal_gamma(200.0) == 0.0
 
@@ -126,7 +126,7 @@ def test_reflection_identity(x):
     """1/Gamma(x) * 1/Gamma(1-x) = sin(pi x) / pi for non-integer x."""
     lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
     rhs = _sinpi(x) / math.pi
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_sinpi_cospi_exact_at_special_points():
@@ -236,7 +236,7 @@ U_FROZEN = [
 
 @pytest.mark.parametrize("nu, z, expected, former_rtol", U_FROZEN)
 def test_kummer_u_half_frozen(nu, z, expected, former_rtol):
-    assert _u_half(nu, z) == pytest.approx(expected, rel=1e-13)
+    assert _u_half(nu, z) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("nu", [0.3927, 2.2546])
@@ -263,15 +263,15 @@ def test_kummer_u_half_reduces_to_hermite(m):
 
 def test_kummer_u_half_origin_frozen():
     value, slope = kummer_u_half_origin(1.37)
-    assert value == pytest.approx(-0.28568219516205344, rel=1e-13)
-    assert slope == pytest.approx(0.8543441170852805, rel=1e-13)
+    assert value == pytest.approx(-0.28568219516205344, rel=1e-13, abs=0.0)
+    assert slope == pytest.approx(0.8543441170852805, rel=1e-13, abs=0.0)
 
 
 def test_kummer_u_half_origin_consistency():
     """Closed-form origin data agrees with the evaluator nearby."""
     for nu in [0.3927, 1.37, -0.8424, -3.5865]:
         value, slope = kummer_u_half_origin(nu)
-        assert _u_half(nu, 0.0) == pytest.approx(value, rel=1e-13)
+        assert _u_half(nu, 0.0) == pytest.approx(value, rel=1e-13, abs=0.0)
         h = 1e-5
         fd = (_u_half(nu, h * h) - value) / h
         assert fd == pytest.approx(slope, rel=1e-3, abs=1e-8)
@@ -288,8 +288,8 @@ def _hermite(n, y):
 def test_hermite_low_orders():
     ys = [-2.0, -0.5, 0.0, 0.7, 1.9]
     for y in ys:
-        assert _hermite(1, y) == pytest.approx(2.0 * y, rel=1e-15)
-        assert _hermite(3, y) == pytest.approx(8.0 * y**3 - 12.0 * y, rel=1e-14)
+        assert _hermite(1, y) == pytest.approx(2.0 * y, rel=1e-15, abs=0.0)
+        assert _hermite(3, y) == pytest.approx(8.0 * y**3 - 12.0 * y, rel=1e-14, abs=0.0)
         assert _hermite(5, y) == pytest.approx(
             32.0 * y**5 - 160.0 * y**3 + 120.0 * y, rel=1e-14, abs=1e-12
         )

@@ -63,7 +63,7 @@ def test_eigen_equation_trivial_zero():
 def test_eigen_equation_at_origin():
     # F(0) = -g/sqrt(pi)
     assert eigen_equation(0.0, 0.25) == pytest.approx(
-        -0.14104739588693907, rel=1e-13
+        -0.14104739588693907, rel=1e-13, abs=0.0
     )
 
 
@@ -118,7 +118,7 @@ def test_even_roots_frozen(g):
     assert [s.parity for s in sols] == ["even"] * 5
     assert [s.index for s in sols] == [0, 2, 4, 6, 8]
     for sol, ref in zip(sols, EVEN_ROOTS[g]):
-        assert sol.nu == pytest.approx(ref, rel=1e-12)
+        assert sol.nu == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("g", COUPLING_GRID)
@@ -162,7 +162,7 @@ def test_perturbative_slope_of_ground_state():
     # linearizing the eigenvalue condition at nu = 0 gives nu = g/sqrt(pi)
     for g in (1e-4, -1e-4):
         nu0 = solve_even(g, SolverConfig(n_states=1))[0].nu
-        assert nu0 / g == pytest.approx(INV_SQRT_PI, rel=1e-2)
+        assert nu0 / g == pytest.approx(INV_SQRT_PI, rel=1e-2, abs=0.0)
 
 
 def test_strong_coupling_stays_inside_brackets():
@@ -176,9 +176,9 @@ def test_strong_coupling_stays_inside_brackets():
 
 def test_deep_bound_state_frozen():
     nu0 = solve_even(-20.0, SolverConfig(n_states=1))[0].nu
-    assert nu0 == pytest.approx(-200.49937500683557, rel=1e-12)
+    assert nu0 == pytest.approx(-200.49937500683557, rel=1e-12, abs=0.0)
     nu0 = solve_even(-50.0, SolverConfig(n_states=1))[0].nu
-    assert nu0 == pytest.approx(-1250.499900000028, rel=1e-11)
+    assert nu0 == pytest.approx(-1250.499900000028, rel=1e-11, abs=0.0)
 
 
 def test_solve_even_rejects_nonfinite_coupling():
@@ -215,16 +215,16 @@ def test_full_spectrum_orders_and_alternates(g):
 
 def test_full_spectrum_known_column():
     sols = full_spectrum(1.0, SolverConfig(n_states=4))
-    assert sols[0].nu == pytest.approx(0.39274404530895262, rel=1e-12)
+    assert sols[0].nu == pytest.approx(0.39274404530895262, rel=1e-12, abs=0.0)
     assert sols[1].nu == 1.0
-    assert sols[2].nu == pytest.approx(2.2546415332793666, rel=1e-12)
+    assert sols[2].nu == pytest.approx(2.2546415332793666, rel=1e-12, abs=0.0)
     assert sols[3].nu == 3.0
 
 
 def test_full_spectrum_single_state():
     (only,) = full_spectrum(-1.0, SolverConfig(n_states=1))
     assert only.parity == "even"
-    assert only.nu == pytest.approx(-0.84241894678128868, rel=1e-12)
+    assert only.nu == pytest.approx(-0.84241894678128868, rel=1e-12, abs=0.0)
 
 
 def test_epsilon_is_exactly_nu_plus_half():
@@ -333,7 +333,7 @@ def test_solver_config_validation():
 def test_attractive_domain_edge():
     # the search edge -2 g^2 leaves the double range past |g| = 9.4808e153
     (sol,) = solve_even(-9.48e153, SolverConfig(n_states=1))
-    assert sol.epsilon == pytest.approx(bound_state_asymptote(-9.48e153), rel=1e-15)
+    assert sol.epsilon == pytest.approx(bound_state_asymptote(-9.48e153), rel=1e-15, abs=0.0)
     with pytest.raises(BracketError):
         solve_even(-9.49e153, SolverConfig(n_states=1))
 
@@ -475,7 +475,7 @@ def test_root_171_with_343_states():
     # this root once came back as 342.1097..., whatever the coupling
     sol = full_spectrum(7.7, SolverConfig(n_states=343))[342]
     assert sol.index == 342
-    assert sol.nu == pytest.approx(342.18210945498515, rel=1e-13)
+    assert sol.nu == pytest.approx(342.18210945498515, rel=1e-13, abs=0.0)
     _assert_mpmath_root(7.7, sol)
 
 
@@ -510,7 +510,7 @@ def test_extreme_coupling_reaches_asymptote():
     # the level sits at -g^2/2 = -5e299, still inside the double range
     g = -1e150
     (sol,) = solve_even(g, SolverConfig(n_states=1))
-    assert sol.epsilon == pytest.approx(bound_state_asymptote(g), rel=1e-15)
+    assert sol.epsilon == pytest.approx(bound_state_asymptote(g), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,9 @@ def _center_jump(f):
 
 
 def test_even_evaluation_spot_values():
-    assert eval_even(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert eval_even(0.0, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     # U(-1, 1/2, 1) = 1/2, so the sample is exp(-1/2)/2
-    assert eval_even(2.0, 1.0) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-13)
+    assert eval_even(2.0, 1.0) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-13, abs=0.0)
 
 
 def test_even_evaluation_is_symmetric():
@@ -55,7 +55,7 @@ def test_even_evaluation_is_symmetric():
 
 def test_odd_evaluation_spot_values():
     assert eval_odd(1, 0.0) == 0.0
-    assert eval_odd(1, 1.0) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-14)
+    assert eval_odd(1, 1.0) == pytest.approx(2.0 * math.exp(-0.5), rel=1e-14, abs=0.0)
 
 
 def test_odd_evaluation_is_antisymmetric():
@@ -141,7 +141,7 @@ def test_symmetric_grid_has_exact_center_and_mirror():
 def test_simpson_is_exact_for_quadratics():
     pts = GridFunction(-1.0, 1.0, 11, np.zeros(11)).points()
     w = _simpson_weights(11, 0.2)
-    assert float(w @ (pts * pts)) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert float(w @ (pts * pts)) == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
 
 
 def test_simpson_rejects_even_point_count():
@@ -168,7 +168,7 @@ def test_normalize_returns_original_norm():
     pts = (np.arange(n) - (n - 1) // 2) * (16.0 / (n - 1))
     raw = GridFunction(-8.0, 8.0, n, np.exp(-0.5 * pts * pts))
     _, norm = normalize(raw)
-    assert norm == pytest.approx(math.pi**0.25, rel=1e-10)
+    assert norm == pytest.approx(math.pi**0.25, rel=1e-10, abs=0.0)
 
 
 def test_normalize_rejects_degenerate_input():
@@ -224,9 +224,9 @@ def test_norm_is_stable_under_grid_halving():
         pts = (np.arange(n) - (n - 1) // 2) * (20.0 / (n - 1))
         vals = eval_even(nu, pts)
         norms.append(normalize(GridFunction(-10.0, 10.0, n, vals))[1])
-    assert norms[1] == pytest.approx(norms[0], rel=1e-8)
-    assert norms[2] == pytest.approx(norms[1], rel=1e-8)
-    assert norms[1] == pytest.approx(1.1691971363523952, rel=1e-10)
+    assert norms[1] == pytest.approx(norms[0], rel=1e-8, abs=0.0)
+    assert norms[2] == pytest.approx(norms[1], rel=1e-8, abs=0.0)
+    assert norms[1] == pytest.approx(1.1691971363523952, rel=1e-10, abs=0.0)
 
 
 def test_normalized_state_passes_rectangle_rule_check():
@@ -253,7 +253,7 @@ def test_jump_residual_vanishes_at_solved_roots(g):
 
 
 def test_jump_residual_away_from_roots():
-    assert jump_check(0.5, 1.0) == pytest.approx(0.46866801718515334, rel=1e-12)
+    assert jump_check(0.5, 1.0) == pytest.approx(0.46866801718515334, rel=1e-12, abs=0.0)
     assert jump_check(0.5, 1.0) > 0.05
 
 
@@ -269,7 +269,7 @@ def test_kink_jump_matches_coupling():
         target = 2.0 * g * state.values[center]
         jump = _center_jump(state)
         assert jump > 0.5
-        assert jump == pytest.approx(target, rel=5e-2)
+        assert jump == pytest.approx(target, rel=5e-2, abs=0.0)
 
 
 def test_no_kink_without_coupling():
@@ -334,7 +334,7 @@ def test_sample_state_widens_for_spread_out_states():
     state = sample_state(high)
     assert state.y_max == pytest.approx(15.0, abs=1e-12)
     assert state.n_points == 3001
-    assert state.delta_y == pytest.approx(0.01, rel=1e-12)
+    assert state.delta_y == pytest.approx(0.01, rel=1e-12, abs=0.0)
     w = _simpson_weights(state.n_points, state.delta_y)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
 
