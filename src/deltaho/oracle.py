@@ -4,12 +4,12 @@ The dimensionless Hamiltonian is discretized on a symmetric grid with
 Dirichlet walls (build_hamiltonian takes its half-width and interval
 count as plain arguments, 8 and 4000 by default), the contact term
 entering as a single on-site spike of size g over the grid spacing.
-Mirror-symmetric and antisymmetric combinations of node pairs split the
-matrix exactly into an even and an odd block; the spike sits on the
-centre node, so it enters the even block only, as in the continuum
-problem.  Each block's eigenvalues come lowest first from its own Sturm
-counts, and each eigenvalue carries the parity of the block it came
-from; eigen_lowest never orders one block's levels against the other's.
+build_hamiltonian returns the matrix's even and odd mirror blocks, each
+built from the grid; the spike sits on the centre node, so it enters the
+even block only, as in the continuum problem.  Each block's eigenvalues
+come lowest first from its own Sturm counts, and each eigenvalue carries
+the parity of the block it came from; eigen_lowest never orders one
+block's levels against the other's.
 Every count on a block goes into one table, since it bounds all that
 block's eigenvalues; bisection on counts isolates each eigenvalue, and
 Newton steps on det(H - x) then narrow its count-certified bracket.
@@ -81,12 +81,15 @@ class OracleSpectrum:
 
 
 def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
-    """Finite-difference Hamiltonian, already scaled so eigenvalues are epsilon.
+    """The even and odd mirror blocks of the finite-difference Hamiltonian.
 
-    Interior nodes only (Dirichlet walls at +-half_width): diagonal
-    1/dy^2 + y^2/2 with g/dy added on the origin node, off-diagonal
-    -1/(2 dy^2), dy = 2 half_width/n_intervals.  The grid is checked
-    before the coupling, whose spike g/dy must be finite: |g| < 1.79e308 dy.
+    Scaled so eigenvalues are epsilon: on the interior nodes (walls at
+    +-half_width, dy = 2 half_width/n_intervals) the diagonal is
+    1/dy^2 + y^2/2, plus g/dy on the origin, and each bond -1/(2 dy^2).
+    Returns (even, odd) over nodes 0 .. c-1 and 1 .. c-1 from the origin
+    out, c = n_intervals/2; the origin joins the even block through
+    sqrt(2) times its bond, and the odd combinations vanish on it.  The
+    grid is checked first; the spike must be finite, |g| < 1.79e308 dy.
     """
     # the potential y^2/2 reaches half_width^2/2 at the walls
     if not math.isfinite(half_width * half_width):
@@ -105,9 +108,11 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     if not math.isfinite(spike):
         raise ValueError(f"the contact spike g/dy is not finite for g={g!r}, dy={delta!r}")
     kinetic = 1.0 / delta**2
-    diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1 - c, c))]
-    diag[c - 1] += spike
-    return Tridiagonal(diag, (-0.5 / delta**2,) * (n - 2))
+    bond = -0.5 / delta**2
+    diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(c))]
+    odd = Tridiagonal(diag[1:], (bond,) * (c - 2))
+    diag[0] += spike
+    return Tridiagonal(diag, (bond * math.sqrt(2.0),) + (bond,) * (c - 2)), odd
 
 
 def count_below(h, x, limit=math.inf):
@@ -141,32 +146,6 @@ def _gershgorin(h):
         min(d - p for d, p in zip(h.diag, pad)),
         max(d + p for d, p in zip(h.diag, pad)),
     )
-
-
-def _mirror_blocks(h):
-    """The even and odd blocks of a mirror-symmetric h, keyed by parity.
-
-    Mirror-symmetric and antisymmetric combinations of node pairs split h
-    exactly into two blocks whose spectra make up the spectrum of h.  A
-    1x1 matrix has no odd block.
-    """
-    d, e = h.diag, h.off
-    if d != d[::-1] or e != e[::-1]:
-        raise ValueError("matrix is not mirror-symmetric, so it has no parities")
-    m = h.size
-    c = m // 2
-    if m == 1:
-        return {"even": h}
-    if m % 2:
-        # the centre node joins the even block through sqrt(2) times its
-        # bond; the odd combinations vanish on it
-        even_off = (e[c] * math.sqrt(2.0),) + e[c + 1 :]
-        return {"even": Tridiagonal(d[c:], even_off), "odd": Tridiagonal(d[c + 1 :], e[c + 1 :])}
-    # the bond across the centre adds to the even pair and subtracts
-    # from the odd one
-    even_diag = (d[c] + e[c - 1],) + d[c + 1 :]
-    odd_diag = (d[c] - e[c - 1],) + d[c + 1 :]
-    return {"even": Tridiagonal(even_diag, e[c:]), "odd": Tridiagonal(odd_diag, e[c:])}
 
 
 def _newton_pass(h, x):
@@ -277,24 +256,27 @@ def _lowest(h, n):
     return [_eigenvalue(h, j, table) for j in range(1, n + 1)]
 
 
-def eigen_lowest(h, k):
-    """The lowest levels of each mirror block of h, interleaved even first.
+def eigen_lowest(blocks, k):
+    """The lowest levels of each mirror block, interleaved even first.
 
-    h splits into its even and odd mirror blocks (ValueError if it has no
-    mirror symmetry), which give their (k + 1) // 2 and k // 2 lowest
-    eigenvalues, each bracketed by its block's own Sturm counts to 1e-10
-    absolute, or to adjacent doubles where those lie farther apart (see
-    _eigenvalue), and labelled by its block.  Even, odd, even, ... is the
-    order of the analytic spectrum, whose ground state is even.  The two
-    blocks are never ordered against each other, so their levels may lie
-    as close as they like: 1.7e-11 apart at g = 1e12 on the default grid.
+    blocks is the (even, odd) pair of build_hamiltonian; an odd block not
+    one row shorter than the even one, or as long, is a ValueError, as a
+    block could then run out of levels.  They give their (k + 1) // 2 and
+    k // 2 lowest eigenvalues, each bracketed by its block's own Sturm
+    counts to 1e-10 absolute, or to adjacent doubles where those lie
+    farther apart (see _eigenvalue), and labelled by its block.  Even,
+    odd, even, ... is the order of the analytic spectrum, whose ground
+    state is even.  The two blocks are never ordered against each other,
+    so their levels may lie as close as they like: 1.7e-11 apart at
+    g = 1e12 on the default grid.
     """
-    if not 1 <= k <= h.size:
-        raise ValueError(f"need 1 <= k <= {h.size}, got {k}")
-    blocks = _mirror_blocks(h)
+    even, odd = blocks
+    if not 0 <= even.size - odd.size <= 1:
+        raise ValueError(f"need an odd block as long as the even one or one row shorter, "
+                         f"got {even.size} and {odd.size} rows")
+    if not 1 <= k <= even.size + odd.size:
+        raise ValueError(f"need 1 <= k <= {even.size + odd.size}, got {k}")
     levels = [None] * k
-    levels[::2] = _lowest(blocks["even"], (k + 1) // 2)
-    # a 1x1 h has no odd block, and k = 1 asks for no odd level
-    if k > 1:
-        levels[1::2] = _lowest(blocks["odd"], k // 2)
+    levels[::2] = _lowest(even, (k + 1) // 2)
+    levels[1::2] = _lowest(odd, k // 2)
     return OracleSpectrum(levels, (("even", "odd") * k)[:k])

@@ -121,13 +121,18 @@ class SolverConfig:
     __slots__ = ("n_states",)
 
     def __init__(self, n_states=5):
-        try:
-            n_states = operator.index(n_states)
-        except TypeError:
-            raise ValueError(f"n_states must be an integer, got {n_states!r}") from None
-        if n_states < 1:
-            raise ValueError("n_states must be at least 1")
-        self.n_states = n_states
+        self.n_states = _n_states(n_states)
+
+
+def _n_states(n_states):
+    """n_states as an int; ValueError unless it is an integer of at least 1."""
+    try:
+        n_states = operator.index(n_states)
+    except TypeError:
+        raise ValueError(f"n_states must be an integer, got {n_states!r}") from None
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1")
+    return n_states
 
 
 def eigen_equation(nu, g):
@@ -208,8 +213,7 @@ def bracket_even_roots(g, n_states):
     """
     if not math.isfinite(g) or g == 0.0:
         raise ValueError("bracketing needs a finite nonzero coupling")
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1")
+    n_states = _n_states(n_states)
     if g > 0.0:
         return [(2.0 * k, 2.0 * k + 1.0) for k in range(n_states)]
     out = [(_bound_lower_edge(g), 0.0)]
@@ -285,9 +289,7 @@ def solve_even(g, cfg=None):
 
 def solve_odd(n_states):
     """Odd-parity levels nu = 1, 3, 5, ...; the contact term cannot shift them."""
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1")
-    return [EigenSolution("odd", 2.0 * j + 1.0, 2 * j + 1) for j in range(n_states)]
+    return [EigenSolution("odd", 2.0 * j + 1.0, 2 * j + 1) for j in range(_n_states(n_states))]
 
 
 def full_spectrum(g, cfg=None):

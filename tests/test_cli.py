@@ -248,6 +248,20 @@ class TestCompare:
         assert code == 3
         assert "state 0" in err and "dy=" in err and "halving_ratio" in err
 
+    def test_smallest_grid_holds_seven_levels(self, capsys):
+        # --grid-n 8 leaves 7 interior nodes: a 4-row even block and a
+        # 3-row odd one
+        code = main(["compare", "--g", "1", "--states", "8", "--grid-n", "8", "--grid-l", "6"])
+        assert code == 2
+        assert "need 1 <= k <= 7, got 8" in capsys.readouterr().err
+
+    def test_smallest_grid_cannot_resolve_the_ground_state(self, capsys):
+        # at dy = 1.5, halving dy shrinks the ground state's gap 8.03-fold
+        code = main(["compare", "--g", "1", "--states", "7", "--grid-n", "8", "--grid-l", "6"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "state 0" in err and "dy=1.5" in err and "halving_ratio 8.03" in err
+
     @pytest.mark.parametrize("g", ["-0.755", "0.93", "0.945", "1.545", "1.56"])
     def test_grid_error_sign_changes_are_not_refused(self, capsys, g):
         # the ground state's grid error changes sign near each coupling,

@@ -46,11 +46,16 @@ def spec_gm5():
 
 class TestSmallMatrices:
     def test_two_by_two(self):
-        h = Tridiagonal(np.array([2.0, 2.0]), np.array([-1.0]))
-        spec = eigen_lowest(h, 2)
-        assert spec.epsilons[0] == pytest.approx(1.0, abs=1e-9)
-        assert spec.epsilons[1] == pytest.approx(3.0, abs=1e-9)
-        assert spec.parities == ("even", "odd")
+        # even levels 1 and 3, odd levels 3 and 5
+        blocks = (Tridiagonal((2.0, 2.0), (-1.0,)), Tridiagonal((4.0, 4.0), (1.0,)))
+        spec = eigen_lowest(blocks, 4)
+        assert spec.epsilons == pytest.approx((1.0, 3.0, 3.0, 5.0), rel=0.0, abs=1e-9)
+        assert spec.parities == ("even", "odd") * 2
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            blocks = [Tridiagonal(3.0 * rng.standard_normal(2), rng.standard_normal(1)) for _ in range(2)]
+            spec = eigen_lowest(blocks, 4)
+            assert max(_block_gaps(spec, _dense_by_block(blocks)).values()) <= 1e-9
 
     def test_diagonal_matrix_eigenvalues(self):
         # the per-block engine needs no mirror symmetry
@@ -58,12 +63,6 @@ class TestSmallMatrices:
         first, second = oracle._lowest(h, 2)
         assert first == pytest.approx(1.0, abs=1e-9)
         assert second == pytest.approx(2.0, abs=1e-9)
-
-    def test_diagonal_matrix_has_no_parity(self):
-        # diag [1, 2, 3] is not mirror-symmetric, so no labels exist
-        h = Tridiagonal(np.array([1.0, 2.0, 3.0]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            eigen_lowest(h, 2)
 
     def test_count_below_two_by_two(self):
         h = Tridiagonal(np.array([2.0, 2.0]), np.array([-1.0]))
@@ -84,7 +83,8 @@ class TestSmallMatrices:
         # near 1e7 adjacent doubles lie 1.9e-9 apart, so a width of 1e-10
         # is never reached; the cap turns a hang into a failure
         passes = _counted_passes(monkeypatch, cap=1000)
-        spec = eigen_lowest(Tridiagonal((1e7, 1e7), (-1.0,)), 2)
+        blocks = (Tridiagonal((1e7, 1e7), (-1.0,)), Tridiagonal((1e7 + 2.0, 1e7 + 2.0), (-1.0,)))
+        spec = eigen_lowest(blocks, 2)
         assert spec.epsilons[0] == pytest.approx(1e7 - 1.0, rel=1e-15, abs=0.0)
         assert spec.epsilons[1] == pytest.approx(1e7 + 1.0, rel=1e-15, abs=0.0)
         assert spec.parities == ("even", "odd")
@@ -141,29 +141,54 @@ class TestPassBudget:
         assert sum(size for _, size in passes) <= 240_000
 
 
-def _mirror_symmetric(rng, n):
-    # a randomized single well, so the low levels are well separated, with
-    # random bond signs in a mirror-symmetric pattern; the centre bond of an
-    # even size is then positive, which makes the ground state odd
-    x = np.linspace(-1.0, 1.0, n)
-    d = 400.0 * x * x + rng.uniform(0.0, 1.0, n)
-    if n % 2:
-        d[n // 2] += rng.uniform(-20.0, 20.0)
-    e = 100.0 + rng.uniform(0.0, 10.0, n - 1)
-    signs = rng.choice((-1.0, 1.0), n - 1)
-    return Tridiagonal(d + d[::-1], (e + e[::-1]) * signs * signs[::-1])
+def _mirror_pair(d, e):
+    """The even and odd blocks, and the dense full matrix, of the
+    mirror-symmetric tridiagonal matrix whose diagonal and bonds read d
+    and e from the centre node out."""
+    even = Tridiagonal(d, np.concatenate(([e[0] * math.sqrt(2.0)], e[1:])))
+    bonds = np.concatenate((e[::-1], e))
+    full = np.diag(np.concatenate((d[:0:-1], d))) + np.diag(bonds, 1) + np.diag(bonds, -1)
+    return (even, Tridiagonal(d[1:], e[1:])), full
+
+
+def _random_blocks(rng, n):
+    # a randomized single well of n = 2c - 1 rows, so the low levels are
+    # well separated, with a random centre spike and random bond signs in a
+    # mirror-symmetric pattern; the ground state is then even
+    c = (n + 1) // 2
+    x = np.linspace(0.0, 1.0, c)
+    d = 800.0 * x * x + rng.uniform(0.0, 2.0, c)
+    d[0] += rng.uniform(-40.0, 40.0)
+    e = (200.0 + rng.uniform(0.0, 20.0, c - 1)) * rng.choice((-1.0, 1.0), c - 1)
+    return _mirror_pair(d, e)
+
+
+def _grid_matrix(g, half_width, n_intervals):
+    """The full finite-difference matrix on the interior nodes, written out
+    from the grid formula with numpy."""
+    step = 2.0 * half_width / n_intervals
+    y = step * np.arange(1 - n_intervals // 2, n_intervals // 2)
+    d = 1.0 / step**2 + 0.5 * y * y
+    d[y.size // 2] += g / step
+    bonds = np.full(y.size - 1, -0.5 / step**2)
+    return np.diag(d) + np.diag(bonds, 1) + np.diag(bonds, -1)
 
 
 def _dense(h):
     return np.diag(h.diag) + np.diag(h.off, 1) + np.diag(h.off, -1)
 
 
-def _dense_by_parity(h):
-    """Dense eigenvalues of h, lowest first, split by the mirror parity of
-    their eigenvectors."""
-    values, vecs = np.linalg.eigh(_dense(h))
+def _dense_by_parity(full):
+    """Dense eigenvalues of a mirror-symmetric matrix, lowest first, split
+    by the mirror parity of their eigenvectors."""
+    values, vecs = np.linalg.eigh(full)
     even = np.einsum("ij,ij->j", vecs, vecs[::-1]) > 0.0
     return {"even": values[even], "odd": values[~even]}
+
+
+def _dense_by_block(blocks):
+    """Dense eigenvalues of each block, lowest first, keyed by its parity."""
+    return {parity: np.linalg.eigvalsh(_dense(h)) for parity, h in zip(("even", "odd"), blocks)}
 
 
 def _block_gaps(spec, reference):
@@ -179,92 +204,111 @@ def _block_gaps(spec, reference):
 def _double_well(a=170.0, n=201):
     # V = a (y^2 - 1)^2 on [-2.5, 2.5]: the barrier splits the lowest pair
     # by about 1e-8, far inside the level spacing above it
-    y = np.linspace(-2.5, 2.5, n)
+    y = np.linspace(0.0, 2.5, (n + 1) // 2)
     step = y[1] - y[0]
-    v = a * (y * y - 1.0) ** 2
-    return Tridiagonal(1.0 / step**2 + 0.5 * (v + v[::-1]), np.full(n - 1, -0.5 / step**2))
+    return _mirror_pair(1.0 / step**2 + a * (y * y - 1.0) ** 2, np.full(y.size - 1, -0.5 / step**2))
 
 
 class TestDenseReference:
     @pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0])
     def test_grid_hamiltonian_matches_dense(self, g):
-        h = build_hamiltonian(g, n_intervals=800)
-        spec = eigen_lowest(h, 8)
-        dense = np.linalg.eigvalsh(_dense(h))[:8]
-        assert np.max(np.abs(np.array(spec.epsilons) - dense)) <= 1e-9
+        blocks = build_hamiltonian(g, n_intervals=800)
+        spec = eigen_lowest(blocks, 8)
+        assert max(_block_gaps(spec, _dense_by_block(blocks)).values()) <= 1e-9
 
     def test_near_degenerate_pair_is_resolved(self):
-        h = _double_well()
-        dense = np.linalg.eigvalsh(_dense(h))[:3]
+        blocks, full = _double_well()
+        dense = np.linalg.eigvalsh(full)[:3]
         assert 1e-9 < dense[1] - dense[0] < 1e-7
         # each member of the pair comes from its own mirror block, and
-        # meets the dense level whose eigenvector has its parity
-        spec = eigen_lowest(h, 3)
+        # meets that block's dense level, and the full matrix's level whose
+        # eigenvector has its parity
+        spec = eigen_lowest(blocks, 3)
         assert spec.parities == ("even", "odd", "even")
-        assert max(_block_gaps(spec, _dense_by_parity(h)).values()) <= 1e-9
+        for reference in (_dense_by_block(blocks), _dense_by_parity(full)):
+            assert max(_block_gaps(spec, reference).values()) <= 1e-9
 
     @pytest.mark.parametrize("bond", [0.0, 1e-7])
     def test_cluster_below_the_stop_splits_by_parity(self, bond):
         # the even 3 - sqrt(4 + 2 bond^2) = 1 - bond^2/2 + ... and the odd 1
         # lie closer than the 1e-10 stop; each block brackets its own
-        h = Tridiagonal((1.0, 5.0, 1.0), (bond, bond))
-        spec = eigen_lowest(h, 3)
+        blocks, _ = _mirror_pair(np.array([5.0, 1.0]), np.array([bond]))
+        spec = eigen_lowest(blocks, 3)
         assert spec.parities == ("even", "odd", "even")
         root = math.sqrt(4.0 + 2.0 * bond * bond)
         for got, want in zip(spec.epsilons, (3.0 - root, 1.0, 3.0 + root)):
             assert got == pytest.approx(want, rel=0.0, abs=1e-10)
 
 
+class TestFullMatrixReference:
+    @pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("n_intervals", [4, 8, 400])
+    def test_blocks_hold_the_full_spectrum(self, n_intervals, g):
+        # the full matrix's eigenvalues, split by the mirror parity of their
+        # eigenvectors, are the blocks' own; at N = 4 the odd block is one
+        # row with no bond
+        blocks = build_hamiltonian(g, 8.0, n_intervals)
+        reference = _dense_by_parity(_grid_matrix(g, 8.0, n_intervals))
+        scale = max(1.0, np.max(np.abs(np.concatenate(list(reference.values())))))
+        for parity, h in zip(("even", "odd"), blocks):
+            assert h.size == reference[parity].size
+            got = np.linalg.eigvalsh(_dense(h))
+            assert np.max(np.abs(got - reference[parity])) <= 1e-12 * scale
+        k = min(8, n_intervals - 1)
+        spec = eigen_lowest(blocks, k)
+        assert spec.parities == (("even", "odd") * k)[:k]
+        assert max(_block_gaps(spec, reference).values()) <= 1e-9
+
+
 class TestMirrorBlockParity:
-    @pytest.mark.parametrize("n", [201, 200])
+    @pytest.mark.parametrize("n", [201])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_labels_match_dense_eigenvectors(self, n, seed):
-        # each block's five lowest against the dense levels whose
-        # eigenvectors have its parity; the even sizes have an odd ground
-        # state, so there the interleaved levels are out of order
-        h = _mirror_symmetric(np.random.default_rng(seed), n)
-        spec = eigen_lowest(h, 10)
-        reference = _dense_by_parity(h)
-        assert (reference["even"][0] < reference["odd"][0]) == bool(n % 2)
+        # each block's five lowest against its own dense levels, and
+        # against the full matrix's levels whose eigenvectors have its parity
+        blocks, full = _random_blocks(np.random.default_rng(seed), n)
+        spec = eigen_lowest(blocks, 10)
+        reference = _dense_by_parity(full)
+        assert reference["even"][0] < reference["odd"][0]
         assert spec.parities == ("even", "odd") * 5
-        assert max(_block_gaps(spec, reference).values()) < 1e-8
-
-    def test_asymmetric_off_diagonal_is_rejected(self):
-        d = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-        e = np.array([-1.0, -0.5, -0.5, -0.25])
-        with pytest.raises(ValueError, match="mirror-symmetric"):
-            eigen_lowest(Tridiagonal(d, e), 2)
-
-    def test_one_by_one_is_even(self):
-        assert eigen_lowest(Tridiagonal(np.array([4.0]), np.array([])), 1).parities == ("even",)
+        for ref in (reference, _dense_by_block(blocks)):
+            assert max(_block_gaps(spec, ref).values()) < 1e-8
 
     def test_degenerate_pair_gets_both_labels(self):
         # two uncoupled copies of one level: the even and the odd
         # combination share the eigenvalue, and each block reports it
-        h = Tridiagonal(np.array([1.0, 5.0, 1.0]), np.array([0.0, 0.0]))
-        spec = eigen_lowest(h, 2)
+        blocks, _ = _mirror_pair(np.array([5.0, 1.0]), np.array([0.0]))
+        spec = eigen_lowest(blocks, 2)
         assert spec.parities == ("even", "odd")
         assert spec.epsilons == pytest.approx((1.0, 1.0), rel=0.0, abs=1e-10)
 
 
 class TestHamiltonianBuild:
     def test_center_node_carries_the_coupling(self):
-        h0 = build_hamiltonian(0.0, n_intervals=400)
-        h1 = build_hamiltonian(2.0, n_intervals=400)
-        diff = np.asarray(h1.diag) - np.asarray(h0.diag)
-        center = 400 // 2 - 1
+        even0, odd0 = build_hamiltonian(0.0, n_intervals=400)
+        even1, odd1 = build_hamiltonian(2.0, n_intervals=400)
+        diff = np.asarray(even1.diag) - np.asarray(even0.diag)
         delta_y = 2.0 * 8.0 / 400
-        assert diff[center] == pytest.approx(2.0 / delta_y, rel=1e-12, abs=0.0)
-        assert np.all(diff[np.arange(diff.size) != center] == 0.0)
+        assert diff[0] == pytest.approx(2.0 / delta_y, rel=1e-12, abs=0.0)
+        assert np.all(diff[1:] == 0.0)
+        # the odd block never sees the spike
+        assert odd1.diag == odd0.diag
 
     def test_diagonal_is_mirror_symmetric(self):
-        h = build_hamiltonian(1.5, n_intervals=800)
-        assert np.array_equal(h.diag, h.diag[::-1])
+        # the odd block's nodes are the even block's past the origin, as
+        # node pairs of a mirror-symmetric diagonal
+        even, odd = build_hamiltonian(1.5, n_intervals=800)
+        assert (even.size, odd.size) == (400, 399)
+        assert odd.diag == even.diag[1:]
+        delta_y = 2.0 * 8.0 / 800
+        assert even.diag[-1] == 1.0 / delta_y**2 + 0.5 * (399 * delta_y) ** 2
 
     def test_off_diagonal_is_constant(self):
-        h = build_hamiltonian(0.0, n_intervals=100)
-        delta_y = 2.0 * 8.0 / 100
-        assert np.all(np.asarray(h.off) == -0.5 / delta_y**2)
+        # but for the origin's bond into the even block, sqrt(2) times as large
+        even, odd = build_hamiltonian(0.0, n_intervals=100)
+        bond = -0.5 / (2.0 * 8.0 / 100) ** 2
+        assert even.off[0] == bond * math.sqrt(2.0)
+        assert np.all(np.asarray(even.off[1:] + odd.off) == bond)
 
     def test_rejects_nonfinite_coupling(self):
         with pytest.raises(ValueError):
@@ -308,9 +352,13 @@ class TestHamiltonianBuild:
             Tridiagonal(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
 
     def test_eigen_count_validation(self):
-        h = Tridiagonal(np.array([1.0, 2.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            eigen_lowest(h, 3)
+        blocks = (Tridiagonal((1.0, 2.0), (0.0,)), Tridiagonal((3.0,), ()))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"need 1 <= k <= 3, got {k}"):
+                eigen_lowest(blocks, k)
+        # a 1-row even block holds one of the two even levels k = 3 asks for
+        with pytest.raises(ValueError, match="got 1 and 2 rows"):
+            eigen_lowest(blocks[::-1], 3)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
@@ -359,7 +407,7 @@ class TestAgainstAnalyticSolver:
     def test_even_block_meets_the_strong_repulsion_limit(self, g):
         # the even ground level falls onto the odd one at 1.5, up to the
         # grid's own 2.5e-6; the spike g/dy must not widen the pivot floor
-        even = oracle._mirror_blocks(build_hamiltonian(g))["even"]
+        even, _ = build_hamiltonian(g)
         assert oracle._lowest(even, 1)[0] == pytest.approx(1.5, abs=1e-5)
 
 
@@ -402,9 +450,8 @@ class TestVariationalDirection:
 
 class TestSturmSelfConsistency:
     def test_count_matches_enumeration(self, spec_g1):
-        h = build_hamiltonian(1.0)
         enumerated = sum(1 for e in spec_g1.epsilons if e < 5.0)
-        assert count_below(h, 5.0) == enumerated
+        assert sum(count_below(h, 5.0) for h in build_hamiltonian(1.0)) == enumerated
 
 
 def _reference_pass(h, x):
@@ -432,20 +479,15 @@ def _samples(rng, h, n):
     return zip(xs.tolist(), rng.integers(0, h.size + 1, n).tolist())
 
 
-def _grid_blocks():
-    for g in (-5.0, 0.0, 1.0, 1e9):
-        yield from oracle._mirror_blocks(build_hamiltonian(g)).values()
-
-
 class TestCountSemantics:
     def test_passes_on_random_points_and_limits(self):
-        # the N = 4000 blocks and random mirror-symmetric matrices; the
-        # Newton pass matches the written-out floor bit for bit, its
-        # log-derivative included, so the floored pivots are the same doubles
+        # the N = 4000 blocks and random ones; the Newton pass matches the
+        # written-out floor bit for bit, its log-derivative included, so the
+        # floored pivots are the same doubles
         rng = np.random.default_rng(4000)
-        matrices = itertools.chain(
-            _grid_blocks(),
-            (_mirror_symmetric(np.random.default_rng(seed), n) for seed in (1, 2, 3) for n in (201, 200)),
+        matrices = itertools.chain.from_iterable(
+            [build_hamiltonian(g) for g in (-5.0, 0.0, 1.0, 1e9)]
+            + [_random_blocks(np.random.default_rng(seed), n)[0] for seed in (1, 2, 3) for n in (201, 101)]
         )
         for h in matrices:
             for x, limit in _samples(rng, h, 60):
@@ -457,7 +499,7 @@ class TestCountSemantics:
                 assert ref_count == full
 
     def test_table_entries_hold_or_bound_the_full_count(self):
-        h = oracle._mirror_blocks(build_hamiltonian(1.0))["even"]
+        h, _ = build_hamiltonian(1.0)
         lo, hi = oracle._gershgorin(h)
         table = [(lo, 0, False), (hi, h.size, False)]
         for j in range(1, 6):

@@ -104,8 +104,9 @@ def test_bracket_holds_deep_bound_state():
 def test_bracket_rejects_zero_coupling():
     with pytest.raises(ValueError):
         bracket_even_roots(0.0, 1)
-    with pytest.raises(ValueError):
-        bracket_even_roots(1.0, 0)
+    for n_states in (0, 2.5):
+        with pytest.raises(ValueError, match="n_states"):
+            bracket_even_roots(1.0, n_states)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +201,9 @@ def test_odd_branch_is_exact():
 
 
 def test_odd_branch_rejects_empty_request():
-    with pytest.raises(ValueError):
-        solve_odd(0)
+    for n_states in (0, 2.5):
+        with pytest.raises(ValueError, match="n_states"):
+            solve_odd(n_states)
 
 
 @pytest.mark.parametrize("g", [-5.0, -0.25, 0.0, 1.0, 2.5])
