@@ -1,11 +1,11 @@
 """Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin.
 
-The spectrum layer (Gamma factors, eigen condition, root solves,
-origin-kink residual) and the finite-difference oracle (`oracle`) are
-plain standard-library Python and are imported eagerly.  Eigenfunction
-sampling (`wavefunction`), the one numpy-backed layer, loads on first
-access of one of its names (PEP 562), so `import deltaho` alone never
-imports numpy.
+The spectrum layer (Gamma factors, eigen condition, root solves and
+their gate) and the finite-difference oracle (`oracle`) are plain
+standard-library Python and are imported eagerly.  Eigenfunction
+sampling and the origin-kink residual (`wavefunction`), the one
+numpy-backed layer, load on first access of one of their names (PEP 562),
+so `import deltaho` alone never imports numpy.
 """
 
 import importlib
@@ -20,7 +20,6 @@ from .spectrum import (
     bound_state_asymptote,
     eigen_equation,
     full_spectrum,
-    jump_check,
     solve_even,
     solve_odd,
 )
@@ -31,6 +30,7 @@ _LAZY = {
     "GridFunction": "wavefunction",
     "eval_even": "wavefunction",
     "eval_odd": "wavefunction",
+    "jump_check": "wavefunction",
     "normalize": "wavefunction",
     "orthogonality": "wavefunction",
     "sample_state": "wavefunction",

@@ -102,30 +102,14 @@ def _stamp_comments(args):
 
 # --- solve --------------------------------------------------------------------
 
-def _certified_residual(sol, g):
-    # certify_root gates; the residual only informs, and is None (JSON null) past state ~343
-    spectrum.certify_root(sol, g)
-    try:
-        return 0.0 if sol.parity == "odd" else spectrum.jump_check(sol.nu, g)
-    except OverflowError:
-        return None
-
-
 def cmd_solve(args):
     states = spectrum.full_spectrum(args.g, spectrum.SolverConfig(n_states=args.states))
-    residuals = [_certified_residual(sol, args.g) for sol in states]
+    for sol in states:
+        spectrum.certify_root(sol, args.g)
     if args.format == "csv":
-        rows = [("index", "parity", "nu", "epsilon", "residual")]
-        for sol, res in zip(states, residuals):
-            rows.append(
-                (
-                    sol.index,
-                    sol.parity,
-                    _fmt(sol.nu, args.full_precision),
-                    _fmt(sol.epsilon, args.full_precision),
-                    "" if res is None else _fmt(res, args.full_precision),
-                )
-            )
+        rows = [("index", "parity", "nu", "epsilon")]
+        rows += [(sol.index, sol.parity, _fmt(sol.nu, args.full_precision),
+                  _fmt(sol.epsilon, args.full_precision)) for sol in states]
         _emit(_csv_text(rows, _stamp_comments(args)), args, "solve.csv")
         return 0
     config = {"version": __version__, "n_states": args.states}
@@ -138,7 +122,6 @@ def cmd_solve(args):
              "epsilon": sol.epsilon}
             for sol in states
         ],
-        "residuals": residuals,
         "config": config,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args, "solve.json")

@@ -1,8 +1,9 @@
 """Bound-state spectrum of the oscillator with a contact term at the origin.
 
-Even-parity levels solve a transcendental equation built from Gamma
-factors, taken from the standard library's math.gamma and math.lgamma,
-and each must meet the kink condition at the origin; odd-parity levels
+Even-parity levels solve the kink condition at the origin, written as a
+transcendental equation in Gamma factors from the standard library's
+math.gamma and math.lgamma; wavefunction.jump_check checks the kink
+itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
 are labeled by the real quantum number nu, with dimensionless energy
 epsilon = nu + 1/2 in oscillator units.
@@ -67,19 +68,6 @@ def gamma_ratio(y):
     return math.exp(t * (-0.125 + t * t * (1.0 / 192.0 - t * t / 640.0))) / math.sqrt(y)
 
 
-def kummer_u_half_origin(nu):
-    """Origin limits of U(-nu/2, 1/2, y^2) viewed as a function of y.
-
-    Returns (value, slope): the y -> 0+ limits of the function value,
-    sqrt(pi)/Gamma(1/2 - nu/2), and of its one-sided y-derivative,
-    nu sqrt(pi)/Gamma(1 - nu/2).  Both are finite for every real nu
-    because the reciprocal gamma is entire.
-    """
-    value = SQRT_PI * reciprocal_gamma(0.5 - 0.5 * nu)
-    slope = nu * SQRT_PI * reciprocal_gamma(1.0 - 0.5 * nu)
-    return value, slope
-
-
 class EigenSolution:
     """One stationary state: parity branch, quantum label, spectral position, root bracket."""
 
@@ -113,9 +101,7 @@ class SolverConfig:
     Domain: g must be finite.  For g < 0 the lowest level sits near -g^2,
     so |g| past about 9.48e153 (where 2 g^2 leaves the double range)
     raises BracketError.  n_states must be at least 1; the mpmath root
-    gate covers n_states up to 500.  jump_check, the residual `deltaho
-    solve` reports beside its gate certify_root, works only up to about
-    state 343, where the origin values leave the double range.
+    gate covers n_states up to 500.
     """
 
     __slots__ = ("n_states",)
@@ -153,23 +139,6 @@ def eigen_equation(nu, g):
         y = 0.5 * nu
         return (2.0 * sinpi(y) - g * cospi(y) * gamma_ratio(y)) / math.pi
     return nu - g / gamma_ratio(-0.5 * nu)
-
-
-def jump_check(nu, g):
-    """Residual of the derivative-jump condition at the origin.
-
-    The even extension gives psi'(0-) = -psi'(0+), so the condition reads
-    2 psi'(0+) = 2 g psi(0).  Both sides come from analytic origin limits;
-    finite differences across the kink would converge far too slowly.
-    Small relative to the origin values when nu solves the eigenvalue
-    equation, so it informs and certify_root gates.  Those values grow
-    like Gamma(nu/2), and past about nu = 342 they raise OverflowError.
-    """
-    value, slope = kummer_u_half_origin(nu)
-    residual = abs(2.0 * slope - 2.0 * g * value)
-    if not math.isfinite(residual):
-        raise OverflowError(f"the kink residual at nu={nu!r} is past the double range")
-    return residual
 
 
 def certify_root(sol, g):

@@ -1,13 +1,14 @@
 """Eigenfunction evaluation, sampling, normalization, and overlaps.
 
 Even states are e^(-y^2/2) U(-nu/2, 1/2, y^2) extended symmetrically, so a
-nonzero coupling leaves a kink at the origin (its residual is
-spectrum.jump_check, next to the eigen condition).  They are evaluated over
+nonzero coupling leaves a kink at the origin.  They are evaluated over
 arrays of points as parabolic cylinder functions D_nu, by one integral and
-the order recurrence.  Odd states are the plain oscillator functions
-e^(-y^2/2) H_n(y), also evaluated over arrays of points, and never feel the
-contact term.  Amplitudes are fixed by unit L2 norm with a positive value just
-right of the origin.
+the order recurrence; jump_check reads the kink condition off that same
+route, which has no Gamma ratio in common with spectrum.eigen_equation.
+Odd states are the plain oscillator functions e^(-y^2/2) H_n(y), also
+evaluated over arrays of points, and never feel the contact term.
+Amplitudes are fixed by unit L2 norm with a positive value just right of
+the origin.
 """
 
 import dataclasses
@@ -152,6 +153,24 @@ def eval_odd(n, y):
         gauss = np.array([math.exp(v) for v in (-0.5 * z).ravel().tolist()])
         out = np.where(z > _GAUSSIAN_FLOOR, 0.0, gauss.reshape(z.shape) * h)
     return out if out.ndim else float(out)
+
+
+def jump_check(nu, g):
+    """Relative residual of the kink condition psi'(0+) = g psi(0) at an even level nu.
+
+    psi(0) = eval_even(nu, 0), and psi'(0+) = -2 eval_even(nu + 1, 0) by
+    D'_nu(0) = -D_(nu+1)(0) (DLMF 12.8.2); the condition is the jump
+    psi'(0+) - psi'(0-) = 2 g psi(0) of the even extension.  Returns
+    |psi'(0+) - g psi(0)| / max(|psi'(0+)|, |g psi(0)|), or 0.0 where both
+    sides vanish.  Past about nu = 341 eval_even raises OverflowError.
+    """
+    slope = -2.0 * eval_even(nu + 1.0, 0.0)
+    value = eval_even(nu, 0.0)
+    # the ratio is the same with both sides divided by g, and g psi(0)
+    # may overflow where psi'(0+) / g cannot
+    lhs, rhs = (slope / g, value) if abs(g) > 1.0 else (slope, g * value)
+    scale = max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
 def _simpson_weights(n_points, delta_y):

@@ -89,9 +89,9 @@ def test_jump_condition_suite():
     worst = 0.0
     for g in NONZERO_COUPLINGS:
         for sol in spectrum.solve_even(g, spectrum.SolverConfig(n_states=5)):
-            worst = max(worst, spectrum.jump_check(sol.nu, g))
+            worst = max(worst, wavefunction.jump_check(sol.nu, g))
     check("kink-condition suite", worst <= 1e-8,
-          f"worst residual = {worst:.2e} over 40 even states (gate 1e-8)")
+          f"worst relative residual = {worst:.2e} over 40 even states (gate 1e-8)")
 
 
 def test_special_function_identities():

@@ -69,7 +69,7 @@ class TestSolve:
         for entry, sol in zip(report["states"], solved):
             assert entry["nu"] == sol.nu
             assert entry["epsilon"] == sol.epsilon
-        assert all(r <= 1e-8 for r in report["residuals"])
+        assert list(report) == ["g", "states", "config"]
 
     def test_csv_full_precision_round_trips(self, capsys):
         code, out = run_cli(
@@ -78,7 +78,7 @@ class TestSolve:
         )
         assert code == 0
         rows = parse_csv(out)
-        assert rows[0] == ["index", "parity", "nu", "epsilon", "residual"]
+        assert rows[0] == ["index", "parity", "nu", "epsilon"]
         solved = spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=3))
         for row, sol in zip(rows[1:], solved):
             assert float(row[2]) == sol.nu
@@ -481,19 +481,19 @@ class TestExitCodes:
     def test_solver_range_failure(self, capsys):
         assert run_cli(capsys, "solve", "--g", "-1e200")[0] == 3
 
-    def test_residuals_past_double_range_are_null(self, capsys):
-        # the roots solve and pass their gate, but from state 344 (nu ~ 344)
-        # the origin values overflow a double, so the residual has no value
+    def test_states_past_the_origin_value_range_solve(self, capsys):
+        # from state 344 (nu ~ 344) the origin values overflow a double;
+        # the roots still solve and pass their gate, and no residual is printed
         code, out = run_cli(capsys, "solve", "--g", "1", "--states", "400")
         assert code == 0
-        residuals = json.loads(out)["residuals"]
-        assert None not in residuals[:344]
-        assert residuals[344::2] == [None] * 28
+        report = json.loads(out)
+        assert len(report["states"]) == 400
+        assert "residuals" not in report
         code, out = run_cli(capsys, "solve", "--g", "1", "--states", "400", "--format", "csv")
         assert code == 0
-        rows = parse_csv(out)[1:]
-        assert [row[4] for row in rows[344::2]] == [""] * 28
-        assert all(row[4] for row in rows[:344])
+        rows = parse_csv(out)
+        assert rows[0] == ["index", "parity", "nu", "epsilon"]
+        assert len(rows) == 401
 
     def test_missed_kink_condition_is_a_solver_failure(self, capsys, monkeypatch):
         _shift_ground(monkeypatch, 1e-3)
@@ -589,15 +589,15 @@ class TestStrongCouplingSolve:
     @pytest.mark.parametrize("g", [2e8, 3e8, 1e9, 1e10, 1e12, 1e20, 1e300])
     def test_strong_repulsion_is_reported(self, capsys, g, states):
         # each even level sits just under the odd one above it, where one
-        # ulp of nu moves the kink residual by ulp(nu)/delta relative: the
-        # residual is information, the bracket is the gate
+        # ulp of nu moves the kink residual by ulp(nu)/delta relative, so
+        # the refiner's bracket is the gate
         code, out = run_cli(capsys, "solve", "--g", repr(g), "--states", str(states))
         assert code == 0
         report = json.loads(out)
         for entry in report["states"]:
             if entry["parity"] == "even":
                 assert entry["index"] < entry["nu"] < entry["index"] + 1
-        assert len(report["residuals"]) == states
+        assert len(report["states"]) == states
 
     def test_high_states_at_g100(self, capsys):
         # origin values reach 1e18 here; mpmath roots of the same

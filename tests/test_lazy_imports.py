@@ -122,11 +122,11 @@ class TestLazyExports:
         assert result.stdout.split() == ["deltaho.oracle", "deltaho.wavefunction"]
 
     def test_lazy_names_are_the_module_objects(self):
-        from deltaho import oracle, spectrum, wavefunction
+        from deltaho import oracle, wavefunction
 
         assert deltaho.sample_state is wavefunction.sample_state
         assert deltaho.build_hamiltonian is oracle.build_hamiltonian
-        assert deltaho.jump_check is spectrum.jump_check
+        assert deltaho.jump_check is wavefunction.jump_check
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -440,6 +440,18 @@ class TestOddInertness:
                 assert abs(got - ref) < 1e-6
 
 
+    @pytest.mark.parametrize("n_intervals", [400, 2000, 4000])
+    def test_odd_levels_follow_the_grid_error_closed_form(self, n_intervals):
+        # the odd block never sees g, so its levels are the second-order
+        # difference oscillator's: eps - (dy^2/16)(eps^2 + 1/4) + O(dy^4),
+        # eps = 2j + 3/2; the remainder reads at most 14.65 dy^4 (N = 400)
+        dy = 2.0 * 8.0 / n_intervals
+        _, odd = build_hamiltonian(1.0, 8.0, n_intervals)
+        for j, level in enumerate(oracle._lowest(odd, 8)):
+            eps = 2.0 * j + 1.5
+            assert abs(level - (eps - dy * dy / 16.0 * (eps * eps + 0.25))) <= 16.0 * dy**4
+
+
 class TestVariationalDirection:
     def test_positive_coupling_raises_the_ground_state(self, spec_g1):
         assert spec_g1.epsilons[0] > 0.5

@@ -2,11 +2,11 @@
 
 Reference values were frozen from a 40-digit mpmath evaluation done at
 development time.  mpmath is a test dependency (the `test` extra) but
-not a runtime one; the two tests that call it live, the Gamma-ratio gate
-and the Hermite reduction, are skipped without it.  The Tricomi function
-U(-nu/2, 1/2, z) is read through the even eigenfunction,
-U = e^(z/2) eval_even(nu, sqrt(z)), and the odd-order Hermite
-polynomials through the odd one, H_n(y) = e^(y^2/2) eval_odd(n, y).
+not a runtime one; the tests that call it live, the Gamma-ratio gate,
+the Hermite reduction and the origin limits, are skipped without it.
+The Tricomi function U(-nu/2, 1/2, z) is read through the even
+eigenfunction, U = e^(z/2) eval_even(nu, sqrt(z)), and the odd-order
+Hermite polynomials through the odd one, H_n(y) = e^(y^2/2) eval_odd(n, y).
 """
 
 import math
@@ -18,7 +18,6 @@ from deltaho.spectrum import (
     SQRT_PI,
     cospi,
     gamma_ratio,
-    kummer_u_half_origin,
     reciprocal_gamma,
     sinpi,
 )
@@ -261,20 +260,23 @@ def test_kummer_u_half_reduces_to_hermite(m):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_kummer_u_half_origin_frozen():
-    value, slope = kummer_u_half_origin(1.37)
-    assert value == pytest.approx(-0.28568219516205344, rel=1e-13, abs=0.0)
-    assert slope == pytest.approx(0.8543441170852805, rel=1e-13, abs=0.0)
-
-
-def test_kummer_u_half_origin_consistency():
-    """Closed-form origin data agrees with the evaluator nearby."""
-    for nu in [0.3927, 1.37, -0.8424, -3.5865]:
-        value, slope = kummer_u_half_origin(nu)
-        assert _u_half(nu, 0.0) == pytest.approx(value, rel=1e-13, abs=0.0)
-        h = 1e-5
-        fd = (_u_half(nu, h * h) - value) / h
-        assert fd == pytest.approx(slope, rel=1e-3, abs=1e-8)
+@pytest.mark.parametrize(
+    "nu", [0.3927, 1.37, -0.8424, -3.5865, 7.9, 20.25, 41.3, 150.7, -12.4, -60.3, -300.2, 300.6]
+)
+def test_origin_limits_match_mpmath(nu):
+    """psi(0) = sqrt(pi)/Gamma(1/2 - nu/2), psi'(0+) = nu sqrt(pi)/Gamma(1 - nu/2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(nu)
+        value = float(mpmath.sqrt(mpmath.pi) * mpmath.rgamma(0.5 - x / 2))
+        slope = float(x * mpmath.sqrt(mpmath.pi) * mpmath.rgamma(1 - x / 2))
+    # worst measured 6.3e-14, at nu = -300.2
+    assert eval_even(nu, 0.0) == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert -2.0 * eval_even(nu + 1.0, 0.0) == pytest.approx(slope, rel=1e-12, abs=0.0)
+    # and the evaluator's own one-sided slope, to O(h) (worst 1.3e-4, at nu = 7.9)
+    h = 1e-5
+    fd = (eval_even(nu, h) - eval_even(nu, 0.0)) / h
+    assert fd == pytest.approx(slope, rel=1e-3, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

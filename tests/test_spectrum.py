@@ -22,7 +22,6 @@ from deltaho.spectrum import (
     certify_root,
     eigen_equation,
     full_spectrum,
-    jump_check,
     solve_even,
     solve_odd,
 )
@@ -274,15 +273,6 @@ def test_certify_root_refuses_an_uncertified_even_state():
     _refused(EigenSolution("even", beside[0], 0, beside), 1.0)
     # odd states vanish at the origin, so they carry nothing to check
     certify_root(EigenSolution("odd", 1.0, 1), 1.0)
-
-
-def test_jump_check_past_double_range_raises():
-    # both sides are -inf at nu = 342.5, so their difference is NaN; from
-    # about nu = 344 the origin value itself overflows
-    with pytest.raises(OverflowError, match="nu=342.5"):
-        jump_check(342.5, 1.0)
-    with pytest.raises(OverflowError):
-        jump_check(400.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

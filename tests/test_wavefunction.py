@@ -8,12 +8,13 @@ import pytest
 
 from deltaho import wavefunction
 from deltaho.errors import InsufficientDomainError
-from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, jump_check, solve_even
+from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, solve_even
 from deltaho.wavefunction import (
     GridFunction,
     _simpson_weights,
     eval_even,
     eval_odd,
+    jump_check,
     normalize,
     orthogonality,
     sample_state,
@@ -246,19 +247,48 @@ def test_normalized_state_passes_rectangle_rule_check():
 # origin diagnostics
 
 
-@pytest.mark.parametrize("g", COUPLINGS)
+# the relative kink residual is at most 4.3e-14 at the six lowest even
+# roots, except at g = 1e4 (2.6e-12), where psi(0) is nearly 0
+KINK_GATE = 1e-11
+KINK_COUPLINGS = sorted(set(COUPLINGS) | {-20.0, -0.1, 0.1, 50.0, 1e4})
+
+
+@pytest.mark.parametrize("g", KINK_COUPLINGS)
 def test_jump_residual_vanishes_at_solved_roots(g):
-    for sol in solve_even(g):
-        assert jump_check(sol.nu, g) < 1e-10
+    for sol in solve_even(g, SolverConfig(n_states=6)):
+        assert jump_check(sol.nu, g) <= KINK_GATE, (g, sol.nu)
+
+
+@pytest.mark.parametrize("g", KINK_COUPLINGS)
+def test_shifted_roots_fail_the_kink_gate(g):
+    # a 1e-7 shift raises the residual to 2.5e-10 or more
+    for sol in solve_even(g, SolverConfig(n_states=6)):
+        for shift in (-1e-7, 1e-7):
+            assert jump_check(sol.nu + shift, g) > KINK_GATE, (g, sol.nu, shift)
 
 
 def test_jump_residual_away_from_roots():
-    assert jump_check(0.5, 1.0) == pytest.approx(0.46866801718515334, rel=1e-12, abs=0.0)
+    assert jump_check(0.5, 1.0) == pytest.approx(0.3240217599327157, rel=1e-12, abs=0.0)
     assert jump_check(0.5, 1.0) > 0.05
 
 
 def test_jump_residual_unperturbed_even_state():
+    # both sides vanish: psi'(0+) = -2 eval_even(3, 0) is -0.0
     assert jump_check(2.0, 0.0) == 0.0
+
+
+def test_jump_check_past_double_range_raises():
+    # eval_even(nu + 1, 0) leaves the double range from about nu = 341
+    with pytest.raises(OverflowError, match="nu=343.5"):
+        jump_check(342.5, 1.0)
+    with pytest.raises(OverflowError):
+        jump_check(400.0, 1.0)
+
+
+def test_jump_check_at_extreme_coupling_stays_finite():
+    # g psi(0) overflows at g = 1e300, psi'(0+) / g does not
+    for g in (1e300, -1e300):
+        assert jump_check(0.5, g) == 1.0
 
 
 def test_kink_jump_matches_coupling():
