@@ -243,11 +243,12 @@ def cmd_compare(args):
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too
         raise ValueError(f"--grid-n must be a multiple of 4 and at least 8, got {grid_n}")
-    # built first, so a bad grid is reported before a bad coupling
+    # the grid, then k against it, are checked before the analytic solve,
+    # so a bad one is reported before a bad coupling and costs no solve
     h_fine = oracle.build_hamiltonian(g, grid_l, grid_n)
     h_coarse = oracle.build_hamiltonian(g, grid_l, grid_n // 2)
-    analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
     fine = oracle.eigen_lowest(h_fine, k)
+    analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
     coarse = oracle.eigen_lowest(h_coarse, 1)
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     parity_match = [o == a.parity for o, a in zip(fine.parities, analytic)]

@@ -70,14 +70,8 @@ class OracleSpectrum:
     __slots__ = ("epsilons", "parities")
 
     def __init__(self, epsilons, parities):
-        eps = tuple(float(x) for x in epsilons)
-        par = tuple(parities)
-        if len(eps) != len(par):
-            raise ValueError("epsilons and parities must have equal length")
-        if any(p not in ("even", "odd") for p in par):
-            raise ValueError("parities must be 'even' or 'odd'")
-        self.epsilons = eps
-        self.parities = par
+        self.epsilons = tuple(float(x) for x in epsilons)
+        self.parities = tuple(parities)
 
 
 def build_hamiltonian(g, half_width=8.0, n_intervals=4000):

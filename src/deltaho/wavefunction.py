@@ -36,41 +36,37 @@ _SPAN = 12
 
 @dataclasses.dataclass(frozen=True)
 class GridFunction:
-    """A real function sampled on a uniform grid; values are immutable."""
+    """A real function sampled on the symmetric grid [-half_width, half_width].
 
-    y_min: float
-    y_max: float
-    n_points: int
+    values holds the samples, ends included: an odd number, at least 3,
+    so that one sits on the origin.  n_points and delta_y follow from
+    them; values are immutable.
+    """
+
+    half_width: float
     values: np.ndarray
 
     def __post_init__(self):
-        y_min, y_max = self.y_min, self.y_max
-        if not -math.inf < y_min < y_max < math.inf:
-            raise ValueError(f"need finite y_min < y_max, got y_min={y_min!r}, y_max={y_max!r}")
-        try:
-            n_points = operator.index(self.n_points)
-        except TypeError:
-            raise ValueError(f"n_points must be an integer, got {self.n_points!r}") from None
-        if n_points < 3:
-            raise ValueError("n_points must be at least 3")
-        object.__setattr__(self, "n_points", n_points)
+        if not 0.0 < 2.0 * self.half_width < math.inf:
+            raise ValueError(f"need 0 < 2 half_width < inf, got half_width={self.half_width!r}")
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.n_points,):
-            raise ValueError("values length must equal n_points")
+        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
+            raise ValueError(f"values must be 1-D with an odd size >= 3, got shape {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
+    def n_points(self):
+        return self.values.size
+
+    @property
     def delta_y(self):
-        return (self.y_max - self.y_min) / (self.n_points - 1)
+        return 2.0 * self.half_width / (self.n_points - 1)
 
     def points(self):
-        # symmetric odd grids get exactly mirrored coordinates and an exact
-        # zero at the center; generic grids use the plain affine form
-        n, step = self.n_points, self.delta_y
-        if self.y_min == -self.y_max and n % 2 == 1:
-            return (np.arange(n) - (n - 1) // 2) * step
-        return self.y_min + np.arange(n) * step
+        # exactly mirrored coordinates and an exact zero at the center
+        n = self.n_points
+        return (np.arange(n) - (n - 1) // 2) * self.delta_y
 
 
 def eval_even(nu, y):
@@ -173,13 +169,11 @@ def jump_check(nu, g):
     return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
-def _simpson_weights(n_points, delta_y):
-    if n_points % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of points")
-    w = np.ones(n_points)
+def _simpson_weights(f):
+    w = np.ones(f.n_points)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (delta_y / 3.0)
+    return w * (f.delta_y / 3.0)
 
 
 def normalize(f):
@@ -203,11 +197,11 @@ def normalize(f):
         raise InsufficientDomainError(
             f"state has not decayed at the grid edge: edge/peak = {edge / peak:.2e}"
         )
-    weights = _simpson_weights(f.n_points, f.delta_y)
+    weights = _simpson_weights(f)
     e = math.frexp(peak)[1]
     scaled = np.ldexp(f.values, -e)
     norm = math.ldexp(math.sqrt(float(weights @ (scaled * scaled))), e)
-    return GridFunction(f.y_min, f.y_max, f.n_points, f.values / norm), norm
+    return GridFunction(f.half_width, f.values / norm), norm
 
 
 def sample_state(sol, half_width=10.0, n_points=2001):
@@ -251,7 +245,7 @@ def sample_state(sol, half_width=10.0, n_points=2001):
         raw = sign * right
         values = np.concatenate((mirror * raw[:0:-1], raw))
         try:
-            return normalize(GridFunction(-half * step, half * step, 2 * half + 1, values))[0]
+            return normalize(GridFunction(half * step, values))[0]
         except InsufficientDomainError:
             half = math.ceil(1.5 * half)
             half += half % 2
@@ -262,7 +256,7 @@ def sample_state(sol, half_width=10.0, n_points=2001):
 
 def orthogonality(a, b):
     """Simpson inner product of two states sampled on the same grid."""
-    if (a.y_min, a.y_max, a.n_points) != (b.y_min, b.y_max, b.n_points):
+    if (a.half_width, a.n_points) != (b.half_width, b.n_points):
         raise ValueError("grids differ; the overlap integral is undefined")
-    weights = _simpson_weights(a.n_points, a.delta_y)
+    weights = _simpson_weights(a)
     return float(weights @ (a.values * b.values))

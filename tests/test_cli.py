@@ -255,6 +255,16 @@ class TestCompare:
         assert code == 2
         assert "need 1 <= k <= 7, got 8" in capsys.readouterr().err
 
+    def test_state_count_is_checked_before_the_analytic_solve(self, capsys, monkeypatch):
+        # at --states 2000000 the solve took 31 s and 466 MB before this refusal
+        def unreachable(g, cfg):
+            raise AssertionError("full_spectrum ran before the k check")
+
+        monkeypatch.setattr(spectrum, "full_spectrum", unreachable)
+        code = main(["compare", "--g", "1", "--states", "4000"])
+        assert code == 2
+        assert "need 1 <= k <= 3999, got 4000" in capsys.readouterr().err
+
     def test_smallest_grid_cannot_resolve_the_ground_state(self, capsys):
         # at dy = 1.5, halving dy shrinks the ground state's gap 8.03-fold
         code = main(["compare", "--g", "1", "--states", "7", "--grid-n", "8", "--grid-l", "6"])

@@ -11,7 +11,6 @@ import pytest
 
 from deltaho import oracle, spectrum
 from deltaho.oracle import (
-    OracleSpectrum,
     Tridiagonal,
     build_hamiltonian,
     count_below,
@@ -359,12 +358,6 @@ class TestHamiltonianBuild:
         # a 1-row even block holds one of the two even levels k = 3 asks for
         with pytest.raises(ValueError, match="got 1 and 2 rows"):
             eigen_lowest(blocks[::-1], 3)
-
-    def test_spectrum_validation(self):
-        with pytest.raises(ValueError):
-            OracleSpectrum((1.0, 2.0), ("even",))
-        with pytest.raises(ValueError):
-            OracleSpectrum((1.0, 2.0), ("even", "mixed"))
 
 
 class TestPlainOscillator:

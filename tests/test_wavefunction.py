@@ -114,40 +114,36 @@ def test_grid_spec_validation():
 
 
 def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(-1.0, 1.0, 5, np.zeros(4))
-    with pytest.raises(ValueError):
-        GridFunction(1.0, -1.0, 3, np.zeros(3))
-    with pytest.raises(ValueError, match="n_points"):
-        GridFunction(-1.0, 1.0, 5.0, np.zeros(5))
-    with pytest.raises(ValueError, match="y_min"):
-        GridFunction(-math.inf, math.inf, 5, np.zeros(5))
-    with pytest.raises(ValueError, match="y_max"):
-        GridFunction(-1.0, math.inf, 5, np.zeros(5))
+    for values in (np.zeros(4), np.zeros(1), np.zeros(0), np.zeros((3, 3)), 0.0):
+        with pytest.raises(ValueError, match="odd size"):
+            GridFunction(1.0, values)
+    # a span 2 half_width past the double range would give delta_y = inf
+    # and points [-inf, -inf, nan, inf, inf]
+    for half_width in (-1.0, 0.0, math.inf, math.nan, 1e308, 9e307):
+        with pytest.raises(ValueError, match="half_width"):
+            GridFunction(half_width, np.zeros(5))
+    f = GridFunction(8e307, np.zeros(5))
+    assert f.delta_y == 4e307 and np.all(np.isfinite(f.points()))
 
 
 def test_grid_function_values_are_immutable():
-    f = GridFunction(-1.0, 1.0, 5, np.ones(5))
+    f = GridFunction(1.0, np.ones(5))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
 
 
 def test_symmetric_grid_has_exact_center_and_mirror():
-    f = GridFunction(-10.0, 10.0, 2001, np.zeros(2001))
+    f = GridFunction(10.0, np.zeros(2001))
     pts = f.points()
     assert pts[1000] == 0.0
     assert np.all(pts == -pts[::-1])
 
 
 def test_simpson_is_exact_for_quadratics():
-    pts = GridFunction(-1.0, 1.0, 11, np.zeros(11)).points()
-    w = _simpson_weights(11, 0.2)
+    f = GridFunction(1.0, np.zeros(11))
+    pts = f.points()
+    w = _simpson_weights(f)
     assert float(w @ (pts * pts)) == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
-
-
-def test_simpson_rejects_even_point_count():
-    with pytest.raises(ValueError):
-        _simpson_weights(10, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +155,7 @@ def test_normalize_recovers_oscillator_ground_state():
     pts = state.points()
     closed_form = math.pi**-0.25 * np.exp(-0.5 * pts * pts)
     assert np.max(np.abs(state.values - closed_form)) < 1e-12
-    w = _simpson_weights(state.n_points, state.delta_y)
+    w = _simpson_weights(state)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -167,20 +163,20 @@ def test_normalize_returns_original_norm():
     # raw ground state has norm (integral of exp(-y^2))^(1/2) = pi^(1/4)
     n = 1601
     pts = (np.arange(n) - (n - 1) // 2) * (16.0 / (n - 1))
-    raw = GridFunction(-8.0, 8.0, n, np.exp(-0.5 * pts * pts))
+    raw = GridFunction(8.0, np.exp(-0.5 * pts * pts))
     _, norm = normalize(raw)
     assert norm == pytest.approx(math.pi**0.25, rel=1e-10, abs=0.0)
 
 
 def test_normalize_rejects_degenerate_input():
     with pytest.raises(InsufficientDomainError):
-        normalize(GridFunction(-5.0, 5.0, 11, np.zeros(11)))
+        normalize(GridFunction(5.0, np.zeros(11)))
 
 
 def test_normalize_rejects_truncated_tails():
     n = 401
     pts = (np.arange(n) - (n - 1) // 2) * (4.0 / (n - 1))
-    raw = GridFunction(-2.0, 2.0, n, np.exp(-0.5 * pts * pts))
+    raw = GridFunction(2.0, np.exp(-0.5 * pts * pts))
     with pytest.raises(InsufficientDomainError):
         normalize(raw)
 
@@ -189,7 +185,7 @@ def test_normalize_refuses_a_nan_sample():
     values = np.exp(-0.5 * np.linspace(-10.0, 10.0, 11) ** 2)
     values[3] = math.nan
     with pytest.raises(OverflowError):
-        normalize(GridFunction(-10.0, 10.0, 11, values))
+        normalize(GridFunction(10.0, values))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -224,7 +220,7 @@ def test_norm_is_stable_under_grid_halving():
     for n in (1001, 2001, 4001):
         pts = (np.arange(n) - (n - 1) // 2) * (20.0 / (n - 1))
         vals = eval_even(nu, pts)
-        norms.append(normalize(GridFunction(-10.0, 10.0, n, vals))[1])
+        norms.append(normalize(GridFunction(10.0, vals))[1])
     assert norms[1] == pytest.approx(norms[0], rel=1e-8, abs=0.0)
     assert norms[2] == pytest.approx(norms[1], rel=1e-8, abs=0.0)
     assert norms[1] == pytest.approx(1.1691971363523952, rel=1e-10, abs=0.0)
@@ -358,14 +354,27 @@ def test_sample_state_validates_grid():
         sample_state(sol, n_points=2000)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("half_width", [1e300, 1e306, 8e307, 1e308])
+def test_huge_window_returns_a_state_or_refuses_quietly(half_width, parity):
+    """Widening past the double range is refused, not overflowed with a warning."""
+    sol = EigenSolution(parity, 0.0, 0) if parity == "even" else EigenSolution(parity, 1.0, 1)
+    try:
+        state = sample_state(sol, half_width)
+    except ValueError:  # InsufficientDomainError is one
+        return
+    assert math.isfinite(state.delta_y) and np.all(np.isfinite(state.values))
+
+
 def test_sample_state_widens_for_spread_out_states():
     """A nu ~ 24 state does not fit in [-10, 10]; spacing must survive widening."""
     high = solve_even(1.0, SolverConfig(n_states=13))[12]
     state = sample_state(high)
-    assert state.y_max == pytest.approx(15.0, abs=1e-12)
+    assert state.half_width == pytest.approx(15.0, abs=1e-12)
     assert state.n_points == 3001
     assert state.delta_y == pytest.approx(0.01, rel=1e-12, abs=0.0)
-    w = _simpson_weights(state.n_points, state.delta_y)
+    w = _simpson_weights(state)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -392,10 +401,10 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
 
 def test_sample_state_contains_deep_bound_state():
     state = sample_state(solve_even(-5.0, SolverConfig(n_states=1))[0])
-    assert state.y_max == 10.0 and state.n_points == 2001
+    assert state.half_width == 10.0 and state.n_points == 2001
     center = (state.n_points - 1) // 2
     assert state.values[center] > 2.0
-    w = _simpson_weights(state.n_points, state.delta_y)
+    w = _simpson_weights(state)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -479,7 +488,7 @@ def test_states_whose_squares_leave_the_double_range(g, k):
     state = sample_state(sol)
     center = (state.n_points - 1) // 2
     assert _count_sign_changes(state.values[center:]) == k // 2
-    w = _simpson_weights(state.n_points, state.delta_y)
+    w = _simpson_weights(state)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
     assert _mpmath_shape_error(mpmath, sol, state) <= 1e-10, sol.nu
 
