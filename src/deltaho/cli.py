@@ -392,6 +392,7 @@ def _add_flags(sub, *names):
         sub.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
     # allow_abbrev=False: a prefix such as --stat would otherwise pass for
     # --states, but not where _glue_negative_values must see the full name

@@ -6,10 +6,13 @@ count as plain arguments, 8 and 4000 by default), the contact term
 entering as a single on-site spike of size g over the grid spacing.
 build_hamiltonian returns the matrix's even and odd mirror blocks, each
 built from the grid; the spike sits on the centre node, so it enters the
-even block only, as in the continuum problem.  Each block's eigenvalues
-come lowest first from its own Sturm counts, and each eigenvalue carries
-the parity of the block it came from; eigen_lowest never orders one
-block's levels against the other's.
+even block only, as in the continuum problem.  So the odd block, and
+the levels solved on it, are built once per grid and shared by every g:
+the two grids last asked for are kept until the process ends, about
+150 KB each at the default 4000 intervals, more on a finer grid.  Each
+block's eigenvalues come lowest first from its own Sturm counts, and
+each eigenvalue carries the parity of the block it came from;
+eigen_lowest never orders one block's levels against the other's.
 Every count on a block goes into one table, since it bounds all that
 block's eigenvalues; bisection on counts isolates each eigenvalue, and
 Newton steps on det(H - x) then narrow its count-certified bracket.
@@ -23,10 +26,11 @@ they pass the index sought, and enter the table as lower bounds, to be
 counted in full only if a later eigenvalue needs them.  Each block keeps
 its bond squares once, for every pass.  The Sturm recurrence is
 sequential, so the module is plain Python on tuples of floats.  It
-imports math, operator and sys, and nothing from spectrum or
+imports functools, math, operator and sys, and nothing from spectrum or
 wavefunction: agreement between the two routes is the point.
 """
 
+import functools
 import math
 import operator
 import sys
@@ -41,7 +45,7 @@ _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
 class Tridiagonal:
     """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    __slots__ = ("diag", "off", "squares", "pivmin")
+    __slots__ = ("diag", "off", "squares", "pivmin", "solved")
 
     def __init__(self, diag, off):
         diag = tuple(map(float, diag))
@@ -58,6 +62,8 @@ class Tridiagonal:
         # smaller pivots count as negative: LAPACK dstebz's floor (Demmel,
         # Dhillon & Ren, ETNA 3 (1995) 116), which no spike g/dy outgrows
         self.pivmin = sys.float_info.min * max((1.0,) + self.squares)
+        # the Sturm table and the levels solved so far (see _lowest)
+        self.solved = ((), ())
 
     @property
     def size(self):
@@ -96,17 +102,26 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
         raise ValueError(f"n_intervals must be an integer, got {n_intervals!r}") from None
     if n < 4 or n % 2 != 0:
         raise ValueError("n_intervals must be even (origin on a node) and >= 4")
-    c = n // 2
     delta = 2.0 * half_width / n
     spike = g / delta
     if not math.isfinite(spike):
         raise ValueError(f"the contact spike g/dy is not finite for g={g!r}, dy={delta!r}")
-    kinetic = 1.0 / delta**2
+    odd = _odd_block(half_width, n)
     bond = -0.5 / delta**2
-    diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(c))]
-    odd = Tridiagonal(diag[1:], (bond,) * (c - 2))
-    diag[0] += spike
-    return Tridiagonal(diag, (bond * math.sqrt(2.0),) + (bond,) * (c - 2)), odd
+    # the origin's diagonal, 1/dy^2 + 0^2/2, has the bits of 1/dy^2
+    even = Tridiagonal((1.0 / delta**2 + spike,) + odd.diag, (bond * math.sqrt(2.0),) + odd.off)
+    return even, odd
+
+
+@functools.lru_cache(maxsize=2)
+def _odd_block(half_width, n):
+    # one block, and the levels _lowest keeps on it, serves every g on the
+    # grid; two entries hold the fine and halved grids of one compare
+    c = n // 2
+    delta = 2.0 * half_width / n
+    kinetic = 1.0 / delta**2
+    diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1, c))]
+    return Tridiagonal(diag, (-0.5 / delta**2,) * (c - 2))
 
 
 def count_below(h, x, limit=math.inf):
@@ -243,13 +258,25 @@ def _eigenvalue(h, j, table):
 def _lowest(h, n):
     """The n lowest eigenvalues of h, lowest first.
 
-    All of them share one table of Sturm samples (see _eigenvalue).
+    All of them share one table of Sturm samples (see _eigenvalue), which
+    h.solved keeps with the levels solved so far, as a pair of tuples.  A
+    call solves only the levels past those, on a copy of the table, and
+    then replaces the pair in one assignment, so calls at once on a shared
+    block may solve a level twice but never see a pair half made.
+    Eigenvalue j depends only on the table that eigenvalues 1 .. j-1 left,
+    so levels solved over several calls have the bits of one call's.
     """
-    if n == 0:
-        return []  # the table's Gershgorin bounds alone scan every row
-    glo, ghi = _gershgorin(h)
-    table = [(glo, 0, False), (ghi, h.size, False)]
-    return [_eigenvalue(h, j, table) for j in range(1, n + 1)]
+    table, levels = h.solved
+    if n > len(levels):
+        if table:
+            table = list(table)
+        else:
+            # the Gershgorin bounds alone scan every row, so n = 0 takes none
+            glo, ghi = _gershgorin(h)
+            table = [(glo, 0, False), (ghi, h.size, False)]
+        levels += tuple(_eigenvalue(h, j, table) for j in range(len(levels) + 1, n + 1))
+        h.solved = (tuple(table), levels)
+    return list(levels[:n])
 
 
 def eigen_lowest(blocks, k):
@@ -257,7 +284,8 @@ def eigen_lowest(blocks, k):
 
     blocks is the (even, odd) pair of build_hamiltonian; an odd block not
     one row shorter than the even one, or as long, is a ValueError, as a
-    block could then run out of levels.  They give their (k + 1) // 2 and
+    block could then run out of levels, and so is a k that is not an
+    integer from 1 to the two blocks' rows.  They give their (k + 1) // 2 and
     k // 2 lowest eigenvalues, each bracketed by its block's own Sturm
     counts to 1e-10 absolute, or to adjacent doubles where those lie
     farther apart (see _eigenvalue), and labelled by its block.  Even,
@@ -270,6 +298,10 @@ def eigen_lowest(blocks, k):
     if not 0 <= even.size - odd.size <= 1:
         raise ValueError(f"need an odd block as long as the even one or one row shorter, "
                          f"got {even.size} and {odd.size} rows")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if not 1 <= k <= even.size + odd.size:
         raise ValueError(f"need 1 <= k <= {even.size + odd.size}, got {k}")
     levels = [None] * k

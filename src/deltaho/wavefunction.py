@@ -212,11 +212,12 @@ def sample_state(sol, half_width=10.0, n_points=2001):
     odd integer >= 3, so that a sample sits on the origin; ValueError
     names the one that is not.  When the window cannot hold the state's
     tails, it grows by half steps of the same spacing until the decay
-    check passes.  Widening keeps the half-interval count even, which
-    pins the origin to a Simpson panel boundary so the kink never sits
-    inside a panel.  The spacing never changes, so the samples of a
-    narrower window are kept and each widening evaluates only the points
-    it adds, in one array call.
+    check passes; one that would span past the double range is a
+    ValueError naming half_width and the widenings made.  Widening keeps
+    the half-interval count even, which pins the origin to a Simpson
+    panel boundary so the kink never sits inside a panel.  The spacing
+    never changes, so the samples of a narrower window are kept and each
+    widening evaluates only the points it adds, in one array call.
 
     Domain: even states with |nu| below about 342 (eval_even refuses the
     rest with OverflowError) and odd states up to n = 181 (past it the
@@ -237,7 +238,7 @@ def sample_state(sol, half_width=10.0, n_points=2001):
     step = half_width / half
     evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
     right = np.empty(0)  # raw samples at i * step; the left half mirrors them
-    for _ in range(_MAX_WIDENINGS + 1):
+    for widenings in range(_MAX_WIDENINGS + 1):
         right = np.concatenate((right, evaluate(sol.nu, np.arange(len(right), half + 1) * step)))
         # orient before normalizing: the norm is positive, so dividing by
         # it keeps every sign, and negating first is exact
@@ -245,7 +246,12 @@ def sample_state(sol, half_width=10.0, n_points=2001):
         raw = sign * right
         values = np.concatenate((mirror * raw[:0:-1], raw))
         try:
-            return normalize(GridFunction(half * step, values))[0]
+            grid = GridFunction(half * step, values)
+        except ValueError:
+            raise ValueError(f"half_width={half_width!r} spans past the double range "
+                             f"after {widenings} widenings") from None
+        try:
+            return normalize(grid)[0]
         except InsufficientDomainError:
             half = math.ceil(1.5 * half)
             half += half % 2

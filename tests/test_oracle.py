@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,9 @@ class TestPassBudget:
     @pytest.mark.parametrize("g", [-5.0, 1.0, 5.0])
     def test_sturm_passes_per_eigenvalue(self, monkeypatch, g):
         # 102-105 passes; plain bisection to 1e-10 from the Gershgorin
-        # interval needs about 55 per eigenvalue
+        # interval needs about 55 per eigenvalue.  The odd block, and the
+        # levels kept on it, are built afresh, so the count is a cold one
+        oracle._odd_block.cache_clear()
         passes = _counted_passes(monkeypatch)
         spec = eigen_lowest(build_hamiltonian(g), 8)
         assert len(spec.parities) == 8
@@ -355,6 +358,9 @@ class TestHamiltonianBuild:
         for k in (0, 4):
             with pytest.raises(ValueError, match=f"need 1 <= k <= 3, got {k}"):
                 eigen_lowest(blocks, k)
+        for k in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                eigen_lowest(blocks, k)
         # a 1-row even block holds one of the two even levels k = 3 asks for
         with pytest.raises(ValueError, match="got 1 and 2 rows"):
             eigen_lowest(blocks[::-1], 3)
@@ -425,13 +431,73 @@ class TestConvergence:
 
 class TestOddInertness:
     def test_odd_levels_ignore_the_coupling(self, spec_g0, spec_g5, spec_gm5):
-        base = [e for e, p in zip(spec_g0.epsilons, spec_g0.parities) if p == "odd"]
-        for spec in (spec_g5, spec_gm5):
+        # against an odd block written out from the grid formula apart from
+        # build_hamiltonian, and solved cold
+        step = 2.0 * 8.0 / 4000
+        y = step * np.arange(1, 2000)
+        cold = Tridiagonal(1.0 / step**2 + 0.5 * y * y, np.full(1998, -0.5 / step**2))
+        base = oracle._lowest(cold, 4)
+        for spec in (spec_g0, spec_g5, spec_gm5):
             odds = [e for e, p in zip(spec.epsilons, spec.parities) if p == "odd"]
             assert len(odds) >= 3
             for got, ref in zip(odds, base):
                 assert abs(got - ref) < 1e-6
 
+    def test_a_second_coupling_makes_no_pass_on_the_odd_block(self, monkeypatch):
+        eigen_lowest(build_hamiltonian(1.0), 8)
+        passes = _counted_passes(monkeypatch)
+        even, odd = build_hamiltonian(-2.5)
+        spec = eigen_lowest((even, odd), 8)
+        assert spec.parities == ("even", "odd") * 4
+        assert {size for _, size in passes} == {even.size}
+
+    def test_levels_solved_in_steps_keep_their_bits(self, monkeypatch):
+        # each call extends the levels kept on the block, or reads their
+        # prefix; a fresh block solved once is the reference
+        _, odd = build_hamiltonian(0.0, n_intervals=2000)
+        passes = _counted_passes(monkeypatch)
+        cold = [x.hex() for x in oracle._lowest(Tridiagonal(odd.diag, odd.off), 9)]
+        cold_passes = passes[:]
+        passes.clear()
+        stepped = Tridiagonal(odd.diag, odd.off)
+        for n in (2, 7, 4, 9):
+            assert [x.hex() for x in oracle._lowest(stepped, n)] == cold[:n]
+        # the steps carry the table on, so they make the cold solve's passes
+        assert passes == cold_passes
+
+    def test_threads_sharing_the_odd_block_read_the_cold_bits(self):
+        # the cached block is shared: calls at once may solve a level twice,
+        # but every level read has the bits of a cold solve
+        _, odd = build_hamiltonian(0.0, 8.0, 400)
+        cold = oracle._lowest(Tridiagonal(odd.diag, odd.off), 8)
+        results, errors = [], []
+
+        def work(seed, start):
+            try:
+                start.wait(timeout=10.0)
+                for k in (2 + seed % 3, 16, 5, 9):
+                    spec = eigen_lowest(build_hamiltonian(0.5 * seed, 8.0, 400), k)
+                    results.append(spec.epsilons[1::2])
+            except Exception as exc:  # reported below, as a thread cannot raise into the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                oracle._odd_block.cache_clear()
+                start = threading.Barrier(6)
+                threads = [threading.Thread(target=work, args=(seed, start)) for seed in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads) and not errors
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 240
+        for odds in results:
+            assert list(odds) == cold[: len(odds)]
 
     @pytest.mark.parametrize("n_intervals", [400, 2000, 4000])
     def test_odd_levels_follow_the_grid_error_closed_form(self, n_intervals):

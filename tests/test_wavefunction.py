@@ -1,6 +1,7 @@
 """Unit tests for eigenfunction sampling, normalization, and origin checks."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -362,7 +363,12 @@ def test_huge_window_returns_a_state_or_refuses_quietly(half_width, parity):
     sol = EigenSolution(parity, 0.0, 0) if parity == "even" else EigenSolution(parity, 1.0, 1)
     try:
         state = sample_state(sol, half_width)
-    except ValueError:  # InsufficientDomainError is one
+    except InsufficientDomainError:
+        return
+    except ValueError as exc:
+        # the refusal names the half_width passed, not a widened one
+        assert re.fullmatch(re.escape(f"half_width={half_width!r} spans past the double range ")
+                            + r"after \d+ widenings", str(exc)), exc
         return
     assert math.isfinite(state.delta_y) and np.all(np.isfinite(state.values))
 
