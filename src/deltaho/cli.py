@@ -252,14 +252,13 @@ def cmd_compare(args):
     coarse = oracle.eigen_lowest(h_coarse, 1)
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     parity_match = [o == a.parity for o, a in zip(fine.parities, analytic)]
-    gap_fine = abs(fine.epsilons[0] - analytic[0].epsilon)
     gap_coarse = abs(coarse.epsilons[0] - analytic[0].epsilon)
-    halving_ratio = gap_coarse / gap_fine if gap_fine > 0.0 else math.inf
+    halving_ratio = gap_coarse / gaps[0] if gaps[0] > 0.0 else math.inf
     low, high = _HALVING_WINDOW
-    if gap_fine > _HALVING_GAP_FLOOR and not low <= halving_ratio <= high:
+    if gaps[0] > _HALVING_GAP_FLOOR and not low <= halving_ratio <= high:
         raise InsufficientDomainError(
             f"the grid does not resolve state 0 at g={g!r}, dy={2.0 * grid_l / grid_n!r}: "
-            f"its gap {gap_fine:.3g} has halving_ratio {halving_ratio:.3g}, "
+            f"its gap {gaps[0]:.3g} has halving_ratio {halving_ratio:.3g}, "
             f"outside [{low:g}, {high:g}]"
         )
     if args.format == "csv":
@@ -394,8 +393,7 @@ def _add_flags(sub, *names):
 
 @functools.lru_cache(maxsize=1)
 def build_parser():
-    # allow_abbrev=False: a prefix such as --stat would otherwise pass for
-    # --states, but not where _glue_negative_values must see the full name
+    # allow_abbrev=False: a prefix such as --stat must not pass for --states
     parser = argparse.ArgumentParser(
         prog="deltaho",
         description="Oscillator-with-a-contact-term spectra, tables, and checks.",
@@ -437,30 +435,22 @@ def build_parser():
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    ("--g", "--states", "--grid-n", "--grid-l",
-     "--mass", "--omega", "--hbar", "--alpha", "--nu")
-)
-
-
 def _glue_negative_values(argv):
-    # argparse only recognizes plain "-12.5"-shaped tokens as numbers,
-    # so "--g -1e200" must be joined into one token before parsing
+    # argparse only recognizes plain "-12.5"-shaped tokens as numbers, so
+    # "--g -1e200" is joined into one token before parsing; a flag that
+    # takes no value, or that the command does not read, then refuses it
     glued = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+    for token in argv:
+        last = glued[-1] if glued else ""
+        if last.startswith("--") and last != "--" and "=" not in last and token.startswith("-"):
             try:
-                float(argv[i + 1])
+                float(token)
             except ValueError:
                 pass
             else:
-                glued.append(f"{token}={argv[i + 1]}")
-                i += 2
+                glued[-1] = f"{last}={token}"
                 continue
         glued.append(token)
-        i += 1
     return glued
 
 

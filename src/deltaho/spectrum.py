@@ -173,17 +173,17 @@ def _bound_lower_edge(g):
     return lo
 
 
-def bracket_even_roots(g, n_states):
+def _bracket_even_roots(g, n_states):
     """Disjoint intervals, one per even-parity root, lowest first.
 
-    For g > 0 the k-th root sits strictly inside (2k, 2k+1).  For g < 0
-    there is a single negative root, inside (-2*max(1, g^2), 0); the
-    remaining roots sit in (2k-1, 2k).
+    For g >= 0, -0.0 included, the k-th root sits in [2k, 2k+1): on 2k
+    itself where the condition is 0.0 there, as at g = 0, since sinpi is
+    exact at integers.  For g < 0 there is a single negative root, inside
+    (-2*max(1, g^2), 0); the remaining roots sit in (2k-1, 2k).  At the
+    odd levels the condition is +-2/pi, so no root sits on those ends.
+    The caller checks g and n_states.
     """
-    if not math.isfinite(g) or g == 0.0:
-        raise ValueError("bracketing needs a finite nonzero coupling")
-    n_states = _n_states(n_states)
-    if g > 0.0:
+    if g >= 0.0:
         return [(2.0 * k, 2.0 * k + 1.0) for k in range(n_states)]
     out = [(_bound_lower_edge(g), 0.0)]
     out.extend((2.0 * k - 1.0, 2.0 * k) for k in range(1, n_states))
@@ -242,17 +242,15 @@ def solve_even(g, cfg=None):
 
     Returns cfg.n_states records carrying full-spectrum indices 0, 2, 4,
     since one odd level falls between consecutive even ones, and their
-    refiners' last brackets.  g = 0 is an exact special case: the equation
-    degenerates to 0 at the unperturbed labels 0, 2, 4, ..., returned
-    without root finding, each its own bracket.
+    refiners' last brackets.  Every finite g takes the same path: at g = 0
+    (or -0.0) each bracket starts on its exact root 2k, which the refiner
+    returns with the bracket (2k, 2k).
     """
     cfg = SolverConfig() if cfg is None else cfg
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
-    if g == 0.0:
-        return [EigenSolution("even", 2.0 * k, 2 * k, (2.0 * k,) * 2) for k in range(cfg.n_states)]
     func = lambda nu: eigen_equation(nu, g)
-    roots = (_refine_root(func, lo, hi) for lo, hi in bracket_even_roots(g, cfg.n_states))
+    roots = (_refine_root(func, lo, hi) for lo, hi in _bracket_even_roots(g, cfg.n_states))
     return [EigenSolution("even", nu, 2 * k, bracket) for k, (nu, bracket) in enumerate(roots)]
 
 
@@ -264,22 +262,15 @@ def solve_odd(n_states):
 def full_spectrum(g, cfg=None):
     """Lowest cfg.n_states states of both parities, ordered by energy.
 
-    Along the merged list the parity alternates even, odd, even, ...; a
-    violation would mean an even root escaped its bracket, so the pattern
-    is checked rather than assumed.
+    The parity alternates even, odd, even, ... by construction: each even
+    root lies in its own bracket, between the odd levels around it, and
+    the refiner returns a point of that bracket.
     """
     n = (SolverConfig() if cfg is None else cfg).n_states
-    merged = solve_even(g, SolverConfig(n_states=(n + 1) // 2))
-    if n >= 2:
-        merged = merged + solve_odd(n // 2)
-    merged.sort(key=lambda s: s.epsilon)
-    for position, sol in enumerate(merged):
-        if sol.index != position:
-            raise BracketError(
-                f"state ordering broke at position {position}: expected "
-                f"index {position}, found {sol.parity} nu={sol.nu!r}"
-            )
-    return merged
+    states = [None] * n
+    states[::2] = solve_even(g, SolverConfig(n_states=(n + 1) // 2))
+    states[1::2] = solve_odd(n // 2) if n >= 2 else []
+    return states
 
 
 def bound_state_asymptote(g):

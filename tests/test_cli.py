@@ -572,6 +572,14 @@ class TestFlagScope:
         assert code == 0
         assert out.startswith("a0 = 1\n")
 
+    def test_any_value_flag_takes_a_number_shaped_value(self, capsys, monkeypatch, tmp_path):
+        # gluing keys on the token's shape, not on a list of flags that take values
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--g", "1", "--states", "1", "--out", "-1e3"]) == 0
+        assert (tmp_path / "-1e3" / "solve.json").is_file()
+        assert main(["solve", "--g", "1", "--stamp", "-1"]) == 2
+        assert "--stamp: ignored explicit argument '-1'" in capsys.readouterr().err
+
 
 class TestOutputFiles:
     def test_mode_follows_the_umask(self, capsys, tmp_path):

@@ -17,8 +17,8 @@ from deltaho.errors import BracketError, ConvergenceError
 from deltaho.spectrum import (
     EigenSolution,
     SolverConfig,
+    _bracket_even_roots,
     bound_state_asymptote,
-    bracket_even_roots,
     certify_root,
     eigen_equation,
     full_spectrum,
@@ -85,27 +85,27 @@ def test_eigen_equation_continuous_at_even_integers():
 
 
 def test_brackets_repulsive():
-    assert bracket_even_roots(1.0, 3) == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+    assert _bracket_even_roots(1.0, 3) == [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
 
 
 def test_brackets_attractive():
-    (lo, hi), second = bracket_even_roots(-1.0, 2)
+    (lo, hi), second = _bracket_even_roots(-1.0, 2)
     assert hi == 0.0
     assert lo < -0.8424
     assert second == (1.0, 2.0)
 
 
 def test_bracket_holds_deep_bound_state():
-    (lo, hi) = bracket_even_roots(-5.0, 1)[0]
+    (lo, hi) = _bracket_even_roots(-5.0, 1)[0]
     assert lo < -12.9900 < hi
 
 
 def test_bracket_rejects_zero_coupling():
-    with pytest.raises(ValueError):
-        bracket_even_roots(0.0, 1)
-    for n_states in (0, 2.5):
-        with pytest.raises(ValueError, match="n_states"):
-            bracket_even_roots(1.0, n_states)
+    # zero coupling is no special case: its brackets start on the exact roots
+    for g in (0.0, -0.0):
+        assert _bracket_even_roots(g, 2) == [(0.0, 1.0), (2.0, 3.0)]
+        assert [(s.nu, s.bracket) for s in solve_even(g, SolverConfig(n_states=2))] == [
+            (0.0, (0.0, 0.0)), (2.0, (2.0, 2.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +205,21 @@ def test_odd_branch_rejects_empty_request():
             solve_odd(n_states)
 
 
-@pytest.mark.parametrize("g", [-5.0, -0.25, 0.0, 1.0, 2.5])
+@pytest.mark.parametrize("g", [-5.0, -0.25, 0.0, 1.0, 2.5, -0.0, 5e-324, -5e-324, 1e-300,
+                               -1e-300, -9e153, -1e150, 1e300])
 def test_full_spectrum_orders_and_alternates(g):
-    sols = full_spectrum(g, SolverConfig(n_states=7))
-    assert [s.index for s in sols] == list(range(7))
-    assert [s.parity for s in sols] == ["even", "odd"] * 3 + ["even"]
-    eps = [s.epsilon for s in sols]
-    assert all(a < b for a, b in zip(eps, eps[1:]))
+    # full_spectrum interleaves the parities without sorting; this guards the order
+    for n in (1, 2, 7, 60):
+        sols = full_spectrum(g, SolverConfig(n_states=n))
+        assert [s.index for s in sols] == list(range(n))
+        assert [s.parity for s in sols] == (["even", "odd"] * n)[:n]
+        nus = [s.nu for s in sols]
+        assert all(a < b for a, b in zip(nus, nus[1:]))
+        # at g = 1e300 the ground root is 1 - 2^-53, whose epsilon rounds
+        # to odd level 1's 1.5; every other pair is strictly ordered
+        eps = [s.epsilon for s in sols]
+        ties = [j for j, (a, b) in enumerate(zip(eps, eps[1:])) if a == b]
+        assert eps == sorted(eps) and ties == ([0] if g == 1e300 and n > 1 else [])
 
 
 def test_full_spectrum_known_column():
@@ -370,7 +378,7 @@ def evaluations_per_root(monkeypatch):
 
 @pytest.mark.parametrize("g,n_states", CAP_CASES, ids=lambda v: f"{v:.3g}")
 def test_refinement_stays_far_below_step_cap(evaluations_per_root, g, n_states):
-    lo, _ = bracket_even_roots(g, 1)[0]
+    lo, _ = _bracket_even_roots(g, 1)[0]
     assert eigen_equation(lo, g) < 0.0
     # the measured worst over these cases is 12, the ground root at
     # g = -1e150 among others

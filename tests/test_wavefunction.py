@@ -1,7 +1,6 @@
 """Unit tests for eigenfunction sampling, normalization, and origin checks."""
 
 import math
-import re
 import time
 
 import numpy as np
@@ -357,20 +356,27 @@ def test_sample_state_validates_grid():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("half_width", [1e300, 1e306, 8e307, 1e308])
+@pytest.mark.parametrize("half_width", [1e300, 1e306, 8e307, 1e308, 5000.0, 5e-324])
 def test_huge_window_returns_a_state_or_refuses_quietly(half_width, parity):
-    """Widening past the double range is refused, not overflowed with a warning."""
+    """A spacing past dy*sqrt(2|nu| + 1) = 0.3, or one that underflows, is refused quietly.
+
+    With no bound the ground state came back "unit-norm" with peak 3.9e-149
+    at half_width 1e300 and 0.548 at 5000 (dy = 5), for pi^(-1/4) = 0.751.
+    """
     sol = EigenSolution(parity, 0.0, 0) if parity == "even" else EigenSolution(parity, 1.0, 1)
-    try:
-        state = sample_state(sol, half_width)
-    except InsufficientDomainError:
-        return
-    except ValueError as exc:
-        # the refusal names the half_width passed, not a widened one
-        assert re.fullmatch(re.escape(f"half_width={half_width!r} spans past the double range ")
-                            + r"after \d+ widenings", str(exc)), exc
-        return
-    assert math.isfinite(state.delta_y) and np.all(np.isfinite(state.values))
+    with pytest.raises(InsufficientDomainError, match="does not resolve"):
+        sample_state(sol, half_width)
+
+
+def test_sample_state_accepts_the_spacing_bound():
+    # dy = 0.3 exactly: the ground state's peak to 4.1e-13 relative
+    ground = EigenSolution("even", 0.0, 0)
+    state = sample_state(ground, 300.0)
+    assert state.delta_y == 0.3
+    peak = float(np.max(state.values))
+    assert peak == pytest.approx(math.pi ** -0.25, rel=1e-12, abs=0.0)
+    with pytest.raises(InsufficientDomainError, match="does not resolve"):
+        sample_state(ground, math.nextafter(300.0, math.inf))
 
 
 def test_sample_state_widens_for_spread_out_states():
