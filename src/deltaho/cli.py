@@ -31,7 +31,6 @@ from . import __version__, oracle, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
-_TABLE_COUPLINGS = (0.0, -0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _CRLF = "\r\n"
 # a second-order grid shrinks the gap about fourfold per halving; below the
 # floor the ratio drifts where the grid error changes sign (near g = -0.755,
@@ -132,16 +131,14 @@ def cmd_solve(args):
 
 def cmd_table(args):
     reference = reference_table()
-    solved = {}
-    for g in _TABLE_COUPLINGS:
-        cfg = spectrum.SolverConfig(n_states=5)
-        solved[g] = [sol.nu for sol in spectrum.solve_even(g, cfg)]
-    header = ["level"] + [f"g={g:g}" for g in _TABLE_COUPLINGS] + ["max_abs_diff"]
+    n_levels = len(reference[0.0])
+    solved = {g: [sol.nu for sol in spectrum.solve_even(g, n_levels)] for g in reference}
+    header = ["level"] + [f"g={g:g}" for g in reference] + ["max_abs_diff"]
     rows = [tuple(header)]
-    for level in range(5):
+    for level in range(n_levels):
         cells = [str(level)]
         worst = 0.0
-        for g in _TABLE_COUPLINGS:
+        for g in reference:
             value = solved[g][level]
             cells.append(f"{value:.4f}")
             worst = max(worst, abs(value - reference[g][level]))
@@ -173,10 +170,9 @@ def _figure_eq_solution(args):
 def _figure_nu_vs_g(args):
     header = ["g"] + [f"nu{k}" for k in range(5)]
     rows = [tuple(header)]
-    cfg = spectrum.SolverConfig(n_states=5)
     for i in range(101):
         g = (i - 50) / 10.0
-        sols = spectrum.solve_even(g, cfg)
+        sols = spectrum.solve_even(g, 5)
         cells = [f"{g:.1f}"] + [_fmt(s.nu, args.full_precision) for s in sols]
         rows.append(tuple(cells))
     comments = ["five lowest even levels for g in [-5, 5], step 0.1"]
@@ -197,7 +193,7 @@ def _figure_wavefunctions(args):
     for filename, couplings, odd_n in panels:
         columns = []
         for g in couplings:
-            sols = spectrum.solve_even(g, spectrum.SolverConfig(n_states=2))
+            sols = spectrum.solve_even(g, 2)
             state = wavefunction.sample_state(sols[1])
             columns.append((f"g={g:g}", state))
         odd_state = wavefunction.sample_state(

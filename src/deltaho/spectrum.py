@@ -1,8 +1,8 @@
 """Bound-state spectrum of the oscillator with a contact term at the origin.
 
 Even-parity levels solve the kink condition at the origin, written as a
-transcendental equation in Gamma factors from the standard library's
-math.gamma and math.lgamma; wavefunction.jump_check checks the kink
+transcendental equation in the Gamma ratio gamma_ratio, built on the
+standard library's math.gamma; wavefunction.jump_check checks the kink
 itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
 are labeled by the real quantum number nu, with dimensionless energy
@@ -15,8 +15,6 @@ import operator
 from .errors import BracketError, ConvergenceError
 
 _MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
-
-SQRT_PI = 1.7724538509055160273
 
 
 def sinpi(x):
@@ -35,19 +33,6 @@ def cospi(x):
     # |remainder| lies in [0, 1], where 1/2 - |remainder| is exact except
     # below 1/4; there cos(pi*x) is flat enough that the rounding is harmless
     return sinpi(0.5 - abs(math.remainder(x, 2.0)))
-
-
-def reciprocal_gamma(x):
-    """1/Gamma(x) as an entire function: exactly 0.0 at x = 0, -1, -2, ..."""
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    if -170.0 < x < 171.0:
-        return 1.0 / math.gamma(x)
-    # Past the range where Gamma(x) is a normal double, go through
-    # log|Gamma|: the result underflows to 0.0 for large x and overflows
-    # loudly near x = -200, where its true magnitude leaves the double range.
-    sign = 1.0 if x > 0.0 else sinpi(x)
-    return math.copysign(math.exp(-math.lgamma(x)), sign)
 
 
 def gamma_ratio(y):
@@ -96,13 +81,7 @@ class EigenSolution:
 
 
 class SolverConfig:
-    """How many levels to return; the coupling g is the only other input.
-
-    Domain: g must be finite.  For g < 0 the lowest level sits near -g^2,
-    so |g| past about 9.48e153 (where 2 g^2 leaves the double range)
-    raises BracketError.  n_states must be at least 1; the mpmath root
-    gate covers n_states up to 500.
-    """
+    """How many levels full_spectrum returns, checked as solve_even checks n_states."""
 
     __slots__ = ("n_states",)
 
@@ -165,7 +144,8 @@ def _bound_lower_edge(g):
     # -2M + |g| Gamma(M+1)/Gamma(M+1/2) < -2M + sqrt(M(M+1)) < 0
     lo = -2.0 * max(1.0, g * g)
     if not math.isfinite(lo):
-        # the bound level sits near -g^2, past the double range
+        # the bound level sits near -g^2/2, inside this edge, which has
+        # left the double range
         raise BracketError(
             f"bound-state search edge overflows for g={g!r}; "
             "the coupling is too strong to represent the lowest level"
@@ -237,20 +217,26 @@ def _refine_root(func, lo, hi):
     return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
-def solve_even(g, cfg=None):
-    """Lowest even-parity solutions for coupling g, ordered by energy.
+def solve_even(g, n_states=5):
+    """Lowest n_states even-parity solutions for coupling g, ordered by energy.
 
-    Returns cfg.n_states records carrying full-spectrum indices 0, 2, 4,
-    since one odd level falls between consecutive even ones, and their
-    refiners' last brackets.  Every finite g takes the same path: at g = 0
-    (or -0.0) each bracket starts on its exact root 2k, which the refiner
-    returns with the bracket (2k, 2k).
+    Returns records carrying full-spectrum indices 0, 2, 4, since one odd
+    level falls between consecutive even ones, and their refiners' last
+    brackets.  Every finite g takes the same path: at g = 0 (or -0.0) each
+    bracket starts on its exact root 2k, which the refiner returns with
+    the bracket (2k, 2k).
+
+    Domain: g must be finite.  For g < 0 the lowest level sits near
+    -g^2/2, inside the search edge -2 g^2, so |g| past about 9.48e153
+    (where 2 g^2 leaves the double range) raises BracketError.  n_states
+    must be an integer of at least 1; the mpmath root gate covers
+    n_states up to 500.
     """
-    cfg = SolverConfig() if cfg is None else cfg
+    n_states = _n_states(n_states)
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
     func = lambda nu: eigen_equation(nu, g)
-    roots = (_refine_root(func, lo, hi) for lo, hi in _bracket_even_roots(g, cfg.n_states))
+    roots = (_refine_root(func, lo, hi) for lo, hi in _bracket_even_roots(g, n_states))
     return [EigenSolution("even", nu, 2 * k, bracket) for k, (nu, bracket) in enumerate(roots)]
 
 
@@ -268,7 +254,7 @@ def full_spectrum(g, cfg=None):
     """
     n = (SolverConfig() if cfg is None else cfg).n_states
     states = [None] * n
-    states[::2] = solve_even(g, SolverConfig(n_states=(n + 1) // 2))
+    states[::2] = solve_even(g, (n + 1) // 2)
     states[1::2] = solve_odd(n // 2) if n >= 2 else []
     return states
 

@@ -12,7 +12,7 @@ import pytest
 
 from deltaho import oracle, spectrum, wavefunction
 from deltaho.cli import reference_table
-from deltaho.spectrum import SQRT_PI, reciprocal_gamma
+from deltaho.spectrum import gamma_ratio
 
 NONZERO_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 
@@ -35,7 +35,7 @@ def test_table_regression():
     reference = reference_table()
     worst = 0.0
     for g in NONZERO_COUPLINGS:
-        solved = spectrum.solve_even(g, spectrum.SolverConfig(n_states=5))
+        solved = spectrum.solve_even(g, 5)
         for sol, ref in zip(solved, reference[g]):
             worst = max(worst, abs(sol.nu - ref))
     check("table regression", worst <= 5e-4,
@@ -45,7 +45,7 @@ def test_table_regression():
 def test_weak_coupling_limit():
     worst = 0.0
     for g in (1e-6, -1e-6):
-        solved = spectrum.solve_even(g, spectrum.SolverConfig(n_states=5))
+        solved = spectrum.solve_even(g, 5)
         for k, sol in enumerate(solved):
             worst = max(worst, abs(sol.nu - 2.0 * k))
     check("weak-coupling limit", worst <= 1e-5,
@@ -88,7 +88,7 @@ def test_oracle_equivalence(oracle_runs):
 def test_jump_condition_suite():
     worst = 0.0
     for g in NONZERO_COUPLINGS:
-        for sol in spectrum.solve_even(g, spectrum.SolverConfig(n_states=5)):
+        for sol in spectrum.solve_even(g, 5):
             worst = max(worst, wavefunction.jump_check(sol.nu, g))
     check("kink-condition suite", worst <= 1e-8,
           f"worst relative residual = {worst:.2e} over 40 even states (gate 1e-8)")
@@ -107,22 +107,25 @@ def test_special_function_identities():
     # U(1/2, 1/2, z) = sqrt(pi) e^z erfc(sqrt(z)), the nu = -1 even state
     worst_e = 0.0
     for y in np.linspace(0.0, 4.5, 91):
-        ref = SQRT_PI * math.exp(0.5 * y * y) * math.erfc(y)
+        ref = math.sqrt(math.pi) * math.exp(0.5 * y * y) * math.erfc(y)
         worst_e = max(worst_e, abs(wavefunction.eval_even(-1.0, float(y)) - ref) / ref)
-    worst_r = 0.0
-    # stay 0.2 away from integers: there sin(pi x) is O(1) and the
-    # float-pi reference itself is good to a few ulps
-    for n in range(-5, 5):
-        for frac in (0.2188, 0.5, 0.8112):
-            x = n + frac
-            lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
-            ref = math.sin(math.pi * x) / math.pi
-            worst_r = max(worst_r, abs(lhs - ref) / abs(ref))
-    ok = worst_h <= 1e-9 and worst_e <= 1e-12 and worst_r <= 1e-12
+    # Q(y) Q(y + 1/2) = 1/(y + 1/2) for the ratio Q(y) = Gamma(y + 1/2)/Gamma(y + 1)
+    # that the eigen condition evaluates, by Gamma(z + 1) = z Gamma(z)
+    # (DLMF 5.5.1); y and y + 1/2 each cross Q's branch seams at 1 and 170
+    points = [0.0]
+    for seam in (0.5, 1.0, 169.5, 170.0):
+        points += [math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)]
+    points += [10.0 ** (-6.0 + 14.0 * i / 4082) for i in range(4083)]
+    worst_d = 0.0
+    for y in points:
+        ref = 1.0 / (y + 0.5)
+        worst_d = max(worst_d, abs(gamma_ratio(y) * gamma_ratio(y + 0.5) - ref) / ref)
+    ok = worst_h <= 1e-9 and worst_e <= 1e-12 and worst_d <= 1e-12
     check("special-function identities", ok,
           f"polynomial reduction {worst_h:.1e} (gate 1e-9), "
           f"erfc case {worst_e:.1e} (gate 1e-12), "
-          f"reflection {worst_r:.1e} (gate 1e-12)")
+          f"Gamma-ratio duplication {worst_d:.1e} over {len(points)} points "
+          f"y in [0, 1e8] (gate 1e-12)")
 
 
 def test_orthonormality():
@@ -170,7 +173,7 @@ def test_density_shape_substitutes():
 
     kink_ok = True
     for g in (1.0, -2.5, 5.0):
-        sol = spectrum.solve_even(g, spectrum.SolverConfig(n_states=1))[0]
+        sol = spectrum.solve_even(g, 1)[0]
         state = wavefunction.sample_state(sol)
         vals, dy = state.values, state.delta_y
         center = (vals.size - 1) // 2
@@ -187,7 +190,7 @@ def test_density_shape_substitutes():
         ref = ref_state.values**2
         series = []
         for g in (1.0, 2.5, 5.0, 10.0):
-            sols = spectrum.solve_even(sign * g, spectrum.SolverConfig(n_states=2))
+            sols = spectrum.solve_even(sign * g, 2)
             state = wavefunction.sample_state(sols[1])
             series.append(float(np.sqrt(np.mean((state.values**2 - ref) ** 2))))
         rms_ok = rms_ok and all(a > b for a, b in zip(series, series[1:]))

@@ -14,118 +14,12 @@ import random
 
 import pytest
 
-from deltaho.spectrum import (
-    SQRT_PI,
-    cospi,
-    gamma_ratio,
-    reciprocal_gamma,
-    sinpi,
-)
+from deltaho.spectrum import cospi, gamma_ratio, sinpi
 from deltaho.wavefunction import eval_even, eval_odd
 
 
-def _sinpi(x):
-    # exact argument reduction mod 2, same as the implementation uses
-    return math.sin(math.pi * math.remainder(x, 2.0))
-
-
 # ---------------------------------------------------------------------------
-# gamma family, through the reciprocal that the solver evaluates
-
-
-HALF_INTEGER_GAMMAS = [
-    (0.5, SQRT_PI),
-    (1.5, 0.5 * SQRT_PI),
-    (2.5, 0.75 * SQRT_PI),
-    (-0.5, -2.0 * SQRT_PI),
-    (-1.5, 4.0 / 3.0 * SQRT_PI),
-]
-
-
-@pytest.mark.parametrize("x, expected", HALF_INTEGER_GAMMAS)
-def test_gamma_half_integers(x, expected):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / expected, rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("n, expected", [(1, 1.0), (2, 1.0), (5, 24.0), (11, 3628800.0)])
-def test_gamma_positive_integers_exact(n, expected):
-    assert reciprocal_gamma(float(n)) == pytest.approx(1.0 / expected, rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize(
-    "x",
-    [1e-3, 0.1, 0.77, 1.0, 2.0, 3.9, 10.5, 50.2, 99.9, 140.0, 170.0, 171.0],
-)
-def test_gamma_positive_matches_math(x):
-    # 171.0 takes the log-gamma branch
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize(
-    "x",
-    [-0.5, -1.5, -2.7, -10.3, -33.8, -99.7, -140.25, -169.5],
-)
-def test_gamma_negative_matches_math(x):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12, abs=0.0)
-
-
-def test_gamma_recurrence():
-    """1/Gamma(x) = x/Gamma(x + 1) across both signs."""
-    for x in [0.123, 0.5, 3.7, 25.4, 101.1, -0.7, -4.3, -20.6, -77.77]:
-        assert reciprocal_gamma(x) == pytest.approx(x * reciprocal_gamma(x + 1.0), rel=1e-12, abs=0.0)
-
-
-def test_gamma_overflow():
-    # Gamma overflows past about 171.62; its reciprocal stays finite
-    assert reciprocal_gamma(171.0) == pytest.approx(1.0 / math.gamma(171.0), rel=1e-13, abs=0.0)
-    assert 0.0 < reciprocal_gamma(172.0) < reciprocal_gamma(171.0)
-
-
-def test_gamma_deep_negative_underflow():
-    # |Gamma| drops below the double floor near x = -180, where its
-    # reciprocal leaves the double range
-    assert reciprocal_gamma(-169.5) == pytest.approx(1.0 / 5.648220884223328e-306, rel=1e-11, abs=0.0)
-    with pytest.raises(OverflowError):
-        reciprocal_gamma(-199.5)
-
-
-def test_reciprocal_gamma_zero_at_poles():
-    for n in range(0, 60, 7):
-        assert reciprocal_gamma(-float(n)) == 0.0
-
-
-@pytest.mark.parametrize(
-    "x",
-    [0.5, 1.0, 3.25, 17.0, 120.6, -0.5, -2.5, -19.75, -99.5],
-)
-def test_reciprocal_gamma_matches_math(x):
-    assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12, abs=0.0)
-
-
-def test_reciprocal_gamma_beyond_gamma_overflow():
-    # 1/Gamma stays representable (subnormal) a little past the Gamma
-    # overflow point, then honestly underflows to zero
-    assert reciprocal_gamma(172.0) == pytest.approx(
-        math.exp(-math.lgamma(172.0)), rel=1e-9, abs=0.0
-    )
-    assert reciprocal_gamma(200.0) == 0.0
-
-
-def test_reciprocal_gamma_deep_negative_overflow():
-    # near x = -200 the true magnitude of 1/Gamma exceeds the double range
-    with pytest.raises(OverflowError):
-        reciprocal_gamma(-199.5)
-
-
-@pytest.mark.parametrize(
-    "x",
-    [0.25, 0.5, 1.3, 4.75, 9.5, 20.25, 55.5, -0.75, -3.3, -12.5, -60.25],
-)
-def test_reflection_identity(x):
-    """1/Gamma(x) * 1/Gamma(1-x) = sin(pi x) / pi for non-integer x."""
-    lhs = reciprocal_gamma(x) * reciprocal_gamma(1.0 - x)
-    rhs = _sinpi(x) / math.pi
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+# sinpi, cospi and the Gamma ratio that the eigen condition evaluates
 
 
 def test_sinpi_cospi_exact_at_special_points():

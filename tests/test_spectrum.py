@@ -104,7 +104,7 @@ def test_bracket_rejects_zero_coupling():
     # zero coupling is no special case: its brackets start on the exact roots
     for g in (0.0, -0.0):
         assert _bracket_even_roots(g, 2) == [(0.0, 1.0), (2.0, 3.0)]
-        assert [(s.nu, s.bracket) for s in solve_even(g, SolverConfig(n_states=2))] == [
+        assert [(s.nu, s.bracket) for s in solve_even(g, 2)] == [
             (0.0, (0.0, 0.0)), (2.0, (2.0, 2.0))]
 
 
@@ -148,7 +148,7 @@ def test_even_roots_increase_with_coupling():
 
 
 def test_zero_coupling_is_exact():
-    assert [s.nu for s in solve_even(0.0, SolverConfig(n_states=3))] == [0.0, 2.0, 4.0]
+    assert [s.nu for s in solve_even(0.0, 3)] == [0.0, 2.0, 4.0]
 
 
 def test_weak_coupling_continuity():
@@ -161,23 +161,23 @@ def test_weak_coupling_continuity():
 def test_perturbative_slope_of_ground_state():
     # linearizing the eigenvalue condition at nu = 0 gives nu = g/sqrt(pi)
     for g in (1e-4, -1e-4):
-        nu0 = solve_even(g, SolverConfig(n_states=1))[0].nu
+        nu0 = solve_even(g, 1)[0].nu
         assert nu0 / g == pytest.approx(INV_SQRT_PI, rel=1e-2, abs=0.0)
 
 
 def test_strong_coupling_stays_inside_brackets():
-    for sol in solve_even(50.0, SolverConfig(n_states=4)):
+    for sol in solve_even(50.0, 4):
         assert sol.index < sol.nu < sol.index + 1
-    sols = solve_even(-50.0, SolverConfig(n_states=4))
+    sols = solve_even(-50.0, 4)
     assert sols[0].nu < 0.0
     for sol in sols[1:]:
         assert sol.index - 1 < sol.nu < sol.index
 
 
 def test_deep_bound_state_frozen():
-    nu0 = solve_even(-20.0, SolverConfig(n_states=1))[0].nu
+    nu0 = solve_even(-20.0, 1)[0].nu
     assert nu0 == pytest.approx(-200.49937500683557, rel=1e-12, abs=0.0)
-    nu0 = solve_even(-50.0, SolverConfig(n_states=1))[0].nu
+    nu0 = solve_even(-50.0, 1)[0].nu
     assert nu0 == pytest.approx(-1250.499900000028, rel=1e-11, abs=0.0)
 
 
@@ -270,7 +270,7 @@ def _refused(sol, g):
 
 
 def test_certify_root_refuses_an_uncertified_even_state():
-    sol = solve_even(1.0, SolverConfig(n_states=1))[0]
+    sol = solve_even(1.0, 1)[0]
     lo, hi = sol.bracket
     _refused(EigenSolution("even", sol.nu, 0), 1.0)
     # nu outside its bracket, a bracket wider than 4 ulps, and one beside
@@ -302,7 +302,7 @@ def test_asymptote_rejects_nonnegative_coupling():
 def test_bound_state_approaches_asymptote_from_above():
     gap = math.inf
     for g in (-5.0, -10.0, -20.0, -50.0):
-        eps0 = solve_even(g, SolverConfig(n_states=1))[0].epsilon
+        eps0 = solve_even(g, 1)[0].epsilon
         rel = (eps0 - bound_state_asymptote(g)) / abs(bound_state_asymptote(g))
         assert 0.0 < rel < gap
         gap = rel
@@ -328,14 +328,17 @@ def test_solver_config_validation():
     for value in (3.0, "3"):
         with pytest.raises(ValueError, match="n_states"):
             SolverConfig(n_states=value)
+    for value in (0, 3.0, "3"):
+        with pytest.raises(ValueError, match="n_states"):
+            solve_even(1.0, value)
 
 
 def test_attractive_domain_edge():
     # the search edge -2 g^2 leaves the double range past |g| = 9.4808e153
-    (sol,) = solve_even(-9.48e153, SolverConfig(n_states=1))
+    (sol,) = solve_even(-9.48e153, 1)
     assert sol.epsilon == pytest.approx(bound_state_asymptote(-9.48e153), rel=1e-15, abs=0.0)
     with pytest.raises(BracketError):
-        solve_even(-9.49e153, SolverConfig(n_states=1))
+        solve_even(-9.49e153, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +372,7 @@ def evaluations_per_root(monkeypatch):
 
     def solve(g, n_states):
         per_root.clear()
-        solve_even(g, SolverConfig(n_states=n_states))
+        solve_even(g, n_states)
         assert len(per_root) == n_states
         return list(per_root)
 
@@ -459,13 +462,13 @@ def _changes_sign(g, left, right, digits=30):
 
 @pytest.mark.parametrize("g", GATE_COUPLINGS, ids=lambda g: f"{g:.3g}")
 def test_roots_match_mpmath(g):
-    for sol in solve_even(g, SolverConfig(n_states=6)):
+    for sol in solve_even(g, 6):
         _assert_mpmath_root(g, sol)
 
 
 @pytest.mark.parametrize("g", [-1000.0, -1.0, 1e-3, 1.0, 7.7, 1e4])
 def test_high_even_states_match_mpmath(g):
-    sols = solve_even(g, SolverConfig(n_states=500))
+    sols = solve_even(g, 500)
     assert len(sols) == 500
     for k in (0, 1, 171, 172, 499):
         _assert_mpmath_root(g, sols[k])
@@ -490,7 +493,7 @@ WEAK_COUPLINGS = [sign * 10.0 ** e for sign in (1.0, -1.0)
 def test_weak_coupling_ground_shift(g):
     # nu = g/sqrt(pi) (1 - nu ln 2 + ...), so the first order holds to
     # relative 4e-9 at |g| = 1e-8
-    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    (sol,) = solve_even(g, 1)
     assert sol.nu == pytest.approx(g * INV_SQRT_PI, rel=1e-8, abs=0.0)
 
 
@@ -499,7 +502,7 @@ def test_weak_coupling_excited_roots_to_one_ulp(g):
     # the root lies between the returned double's neighbours; at
     # |g| = 1e-300 it sits far less than an ulp from 2k, an end of its
     # bracket, so the answer is the double next to 2k inside the bracket
-    for sol in solve_even(g, SolverConfig(n_states=5))[1:]:
+    for sol in solve_even(g, 5)[1:]:
         _assert_mpmath_root(g, sol)
         below = math.nextafter(sol.nu, -math.inf)
         above = math.nextafter(sol.nu, math.inf)
@@ -509,7 +512,7 @@ def test_weak_coupling_excited_roots_to_one_ulp(g):
 def test_extreme_coupling_reaches_asymptote():
     # the level sits at -g^2/2 = -5e299, still inside the double range
     g = -1e150
-    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    (sol,) = solve_even(g, 1)
     assert sol.epsilon == pytest.approx(bound_state_asymptote(g), rel=1e-15, abs=0.0)
 
 
@@ -538,7 +541,7 @@ def test_weak_coupling_closed_form(g):
     # x = x1 (1 + g Q'(k)/(2 pi) + O(g^2)) with x1 = g Q(k)/pi; the O(g^2)
     # term is at most 0.1 g^2 here (k = 0, g = 1e-3), and 8 ulps of nu
     # cover the 4-ulp bracket plus forming x1 and the ratio
-    for k, sol in enumerate(solve_even(g, SolverConfig(n_states=5))):
+    for k, sol in enumerate(solve_even(g, 5)):
         x1 = g * _q_int(k) / math.pi
         # psi(k + 1/2) - psi(k + 1)
         dpsi = -2.0 * math.log(2.0) + sum(2.0 / (2 * j - 1) - 1.0 / j for j in range(1, k + 1))
@@ -552,7 +555,7 @@ def test_strong_repulsion_closed_form(g):
     # delta = delta1 (1 + (psi(k+1) - psi(k+3/2)) delta1/2 + O(delta1^2))
     # with delta1 = 4/(pi g Q(k + 1/2)); from g ~ 1e8 the 4 ulps of the
     # bracket, relative to delta1, outweigh the correction
-    for k, sol in enumerate(solve_even(g, SolverConfig(n_states=5))):
+    for k, sol in enumerate(solve_even(g, 5)):
         delta1 = 4.0 / (math.pi * g * _q_half(k))
         dpsi = -(2.0 - 2.0 * math.log(2.0)) - sum(2.0 / (2 * j + 1) - 1.0 / j for j in range(1, k + 1))
         deviation = (2 * k + 1 - sol.nu) / delta1 - 1.0
@@ -566,7 +569,7 @@ def test_deep_well_closed_form(g):
     # to 121/32 (a 60-digit mpmath solve gives 3.78081 at g = -20 and
     # 3.7812500 at g = -300); deep roots are good to 16 ulps, and 4 more
     # cover the series' own rounding
-    (sol,) = solve_even(g, SolverConfig(n_states=1))
+    (sol,) = solve_even(g, 1)
     series = -0.5 * g * g + 0.25 / (g * g) - 7.0 / (16.0 * g**6)
     bound = 4.0 / g**10 + 20.0 * math.ulp(sol.epsilon)
     assert abs(sol.epsilon - series) <= bound

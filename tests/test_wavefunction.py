@@ -215,7 +215,7 @@ def test_non_finite_label_is_refused(nu):
 
 
 def test_norm_is_stable_under_grid_halving():
-    nu = solve_even(1.0, SolverConfig(n_states=1))[0].nu
+    nu = solve_even(1.0, 1)[0].nu
     norms = []
     for n in (1001, 2001, 4001):
         pts = (np.arange(n) - (n - 1) // 2) * (20.0 / (n - 1))
@@ -251,14 +251,14 @@ KINK_COUPLINGS = sorted(set(COUPLINGS) | {-20.0, -0.1, 0.1, 50.0, 1e4})
 
 @pytest.mark.parametrize("g", KINK_COUPLINGS)
 def test_jump_residual_vanishes_at_solved_roots(g):
-    for sol in solve_even(g, SolverConfig(n_states=6)):
+    for sol in solve_even(g, 6):
         assert jump_check(sol.nu, g) <= KINK_GATE, (g, sol.nu)
 
 
 @pytest.mark.parametrize("g", KINK_COUPLINGS)
 def test_shifted_roots_fail_the_kink_gate(g):
     # a 1e-7 shift raises the residual to 2.5e-10 or more
-    for sol in solve_even(g, SolverConfig(n_states=6)):
+    for sol in solve_even(g, 6):
         for shift in (-1e-7, 1e-7):
             assert jump_check(sol.nu + shift, g) > KINK_GATE, (g, sol.nu, shift)
 
@@ -290,7 +290,7 @@ def test_jump_check_at_extreme_coupling_stays_finite():
 def test_kink_jump_matches_coupling():
     """The sampled one-sided slope jump reproduces 2 g psi(0) to O(dy)."""
     for g in (1.0, 2.5, 5.0):
-        state = sample_state(solve_even(g, SolverConfig(n_states=1))[0])
+        state = sample_state(solve_even(g, 1)[0])
         center = (state.n_points - 1) // 2
         target = 2.0 * g * state.values[center]
         jump = _center_jump(state)
@@ -311,9 +311,9 @@ def test_schrodinger_residual_away_from_origin():
     """-psi'' + y^2 psi = (2 nu + 1) psi off-origin, checked with a 5-point stencil."""
     cases = []
     for g in (1.0, -1.0, 2.5, -2.5, 5.0):
-        cases.extend(("even", s.nu) for s in solve_even(g, SolverConfig(n_states=3)))
+        cases.extend(("even", s.nu) for s in solve_even(g, 3))
     cases.extend(("odd", float(n)) for n in (1, 3, 5))
-    cases.append(("even", solve_even(-5.0, SolverConfig(n_states=1))[0].nu))
+    cases.append(("even", solve_even(-5.0, 1)[0].nu))
     h = 0.01
     ys = np.arange(0.5, 4.0 + h / 2, 4 * h)
     for kind, nu in cases:
@@ -334,14 +334,14 @@ def test_sample_state_parity_structure():
     assert odd.values[center] == 0.0
     assert np.all(odd.values == -odd.values[::-1])
 
-    even = sample_state(solve_even(1.0, SolverConfig(n_states=1))[0])
+    even = sample_state(solve_even(1.0, 1)[0])
     assert np.all(even.values == even.values[::-1])
 
 
 def test_sample_state_sign_convention():
     # raw H3 has negative slope at the origin; orientation must flip it
     for sol in (EigenSolution("odd", 3.0, 3),
-                solve_even(1.0, SolverConfig(n_states=1))[0]):
+                solve_even(1.0, 1)[0]):
         state = sample_state(sol)
         center = (state.n_points - 1) // 2
         first_nonzero = next(v for v in state.values[center + 1 :] if v != 0.0)
@@ -381,7 +381,7 @@ def test_sample_state_accepts_the_spacing_bound():
 
 def test_sample_state_widens_for_spread_out_states():
     """A nu ~ 24 state does not fit in [-10, 10]; spacing must survive widening."""
-    high = solve_even(1.0, SolverConfig(n_states=13))[12]
+    high = solve_even(1.0, 13)[12]
     state = sample_state(high)
     assert state.half_width == pytest.approx(15.0, abs=1e-12)
     assert state.n_points == 3001
@@ -404,7 +404,7 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
             return inner(nu, y)
 
         monkeypatch.setattr(wavefunction, name, counted)
-    for sol in (solve_even(1.0, SolverConfig(n_states=13))[12], EigenSolution("odd", 25.0, 25)):
+    for sol in (solve_even(1.0, 13)[12], EigenSolution("odd", 25.0, 25)):
         calls.clear()
         state = sample_state(sol)
         assert state.n_points == 3001
@@ -412,7 +412,7 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
 
 
 def test_sample_state_contains_deep_bound_state():
-    state = sample_state(solve_even(-5.0, SolverConfig(n_states=1))[0])
+    state = sample_state(solve_even(-5.0, 1)[0])
     assert state.half_width == 10.0 and state.n_points == 2001
     center = (state.n_points - 1) // 2
     assert state.values[center] > 2.0
@@ -507,7 +507,7 @@ def test_states_whose_squares_leave_the_double_range(g, k):
 
 def test_even_state_node_counts():
     for g in (1.0, 2.5):
-        for k, sol in enumerate(solve_even(g, SolverConfig(n_states=4))):
+        for k, sol in enumerate(solve_even(g, 4)):
             state = sample_state(sol)
             assert _count_sign_changes(state.values) == 2 * k
 
@@ -539,7 +539,7 @@ def test_orthogonality_requires_matching_grids():
 
 
 def test_opposite_parity_overlap_is_machine_zero():
-    even = sample_state(solve_even(1.0, SolverConfig(n_states=1))[0])
+    even = sample_state(solve_even(1.0, 1)[0])
     odd = sample_state(EigenSolution("odd", 1.0, 1))
     assert abs(orthogonality(even, odd)) < 1e-14
 
@@ -555,7 +555,7 @@ def test_probability_densities_converge_with_coupling():
     odd_density = sample_state(EigenSolution("odd", 3.0, 3)).values ** 2
     previous = math.inf
     for g in (1.0, 2.5, 5.0, 10.0):
-        even = sample_state(solve_even(g, SolverConfig(n_states=2))[1])
+        even = sample_state(solve_even(g, 2)[1])
         rms = math.sqrt(float(np.mean((even.values**2 - odd_density) ** 2)))
         assert rms < previous
         previous = rms
