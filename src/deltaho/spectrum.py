@@ -85,7 +85,7 @@ class SolverConfig:
 
     __slots__ = ("n_states",)
 
-    def __init__(self, n_states=5):
+    def __init__(self, n_states):
         self.n_states = _n_states(n_states)
 
 
@@ -217,7 +217,7 @@ def _refine_root(func, lo, hi):
     return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
-def solve_even(g, n_states=5):
+def solve_even(g, n_states):
     """Lowest n_states even-parity solutions for coupling g, ordered by energy.
 
     Returns records carrying full-spectrum indices 0, 2, 4, since one odd
@@ -245,14 +245,14 @@ def solve_odd(n_states):
     return [EigenSolution("odd", 2.0 * j + 1.0, 2 * j + 1) for j in range(_n_states(n_states))]
 
 
-def full_spectrum(g, cfg=None):
+def full_spectrum(g, cfg):
     """Lowest cfg.n_states states of both parities, ordered by energy.
 
     The parity alternates even, odd, even, ... by construction: each even
     root lies in its own bracket, between the odd levels around it, and
     the refiner returns a point of that bracket.
     """
-    n = (SolverConfig() if cfg is None else cfg).n_states
+    n = cfg.n_states
     states = [None] * n
     states[::2] = solve_even(g, (n + 1) // 2)
     states[1::2] = solve_odd(n // 2) if n >= 2 else []

@@ -11,9 +11,7 @@ Amplitudes are fixed by unit L2 norm with a positive value just right of
 the origin.
 """
 
-import dataclasses
 import math
-import operator
 import sys
 
 import numpy as np
@@ -26,9 +24,6 @@ _GAUSSIAN_FLOOR = 700.0
 
 _DECAY_FRACTION = 1e-12
 _MAX_WIDENINGS = 12
-# sample_state's largest spacing in units of the state's shortest length
-# 1/sqrt(2|nu| + 1); there the ground state's peak is off by 4e-13 relative
-_MAX_SCALED_SPACING = 0.3
 
 # eval_even's integral: its order is -16 or below, its nodes keep t^c down
 # to e^-60 of the peak and reach at least 12 peak widths to either side
@@ -37,26 +32,25 @@ _LEFT_TAIL = 60.0
 _SPAN = 12
 
 
-@dataclasses.dataclass(frozen=True)
 class GridFunction:
     """A real function sampled on the symmetric grid [-half_width, half_width].
 
     values holds the samples, ends included: an odd number, at least 3,
     so that one sits on the origin.  n_points and delta_y follow from
-    them; values are immutable.
+    them; values are read-only.
     """
 
-    half_width: float
-    values: np.ndarray
+    __slots__ = ("half_width", "values")
 
-    def __post_init__(self):
-        if not 0.0 < 2.0 * self.half_width < math.inf:
-            raise ValueError(f"need 0 < 2 half_width < inf, got half_width={self.half_width!r}")
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
-            raise ValueError(f"values must be 1-D with an odd size >= 3, got shape {vals.shape}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, half_width, values):
+        if not 0.0 < 2.0 * half_width < math.inf:
+            raise ValueError(f"need 0 < 2 half_width < inf, got half_width={half_width!r}")
+        values = np.array(values, dtype=float)
+        if values.ndim != 1 or values.size < 3 or values.size % 2 == 0:
+            raise ValueError(f"values must be 1-D with an odd size >= 3, got shape {values.shape}")
+        values.setflags(write=False)
+        self.half_width = half_width
+        self.values = values
 
     @property
     def n_points(self):
@@ -207,20 +201,16 @@ def normalize(f):
     return GridFunction(f.half_width, f.values / norm), norm
 
 
-def sample_state(sol, half_width=10.0, n_points=2001):
+def sample_state(sol):
     """Normalized eigenfunction samples, positive just right of the origin.
 
-    The window is [-half_width, half_width] with n_points samples, ends
-    included.  half_width must be positive and finite, and n_points an
-    odd integer >= 3, so that a sample sits on the origin; ValueError
-    names the one that is not.  The spacing dy = 2 half_width/(n_points - 1)
-    must resolve the state: dy*sqrt(2|nu| + 1) <= 0.3 (_MAX_SCALED_SPACING),
-    where 1/sqrt(2|nu| + 1) is its shortest length, the wavelength over
-    2 pi at the origin or, for a deep state at g < 0, the decay length
-    1/|g|.  A coarser (or underflowed) spacing is InsufficientDomainError.
-    At the bound the ground state's peak is off by 4.1e-13 relative,
-    against 1.7e-5 at 0.5 and 2.9e-2 at 1.0; the default spacing 0.01
-    holds states up to |nu| ~ 449, and the g = -26 ground state reads 0.26.
+    The first window is [-10, 10] at spacing dy = 0.01: 2001 samples, ends
+    included, one on the origin.  That spacing resolves every state of the
+    domain below.  In units of the state's shortest length 1/sqrt(2|nu| + 1)
+    (the wavelength over 2 pi at the origin or, for a deep state at g < 0,
+    the decay length 1/|g|), dy*sqrt(2|nu| + 1) is at most 0.262 for an
+    even state (at |nu| = 342.25) and 0.19 for an odd one (at n = 181).
+    At 0.3 the ground state's peak would be off by 4.1e-13 relative.
 
     When the window cannot hold the state's tails, it grows by half steps
     of the same spacing until the decay check passes.  Widening keeps the
@@ -230,32 +220,15 @@ def sample_state(sol, half_width=10.0, n_points=2001):
     widening evaluates only the points it adds, in one array call.
 
     Domain: even states with |nu| below about 342 (eval_even refuses the
-    rest with OverflowError, before the spacing check) and odd states up
-    to n = 181 (past it the Hermite factor overflows and normalize
-    refuses with OverflowError).
+    rest with OverflowError) and odd states up to n = 181 (past it the
+    Hermite factor overflows and normalize refuses with OverflowError).
     """
-    if not 0.0 < half_width < math.inf:
-        raise ValueError(f"half_width must be positive and finite, got {half_width!r}")
-    try:
-        n = operator.index(n_points)
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n_points must be an odd integer >= 3, got {n}")
-    half = (n - 1) // 2
-    step = half_width / half
-    scaled = step * math.sqrt(2.0 * abs(sol.nu) + 1.0)
+    half = 1000
+    step = 10.0 / half
     evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
     right = np.empty(0)  # raw samples at i * step; the left half mirrors them
-    for widenings in range(_MAX_WIDENINGS + 1):
+    for _ in range(_MAX_WIDENINGS + 1):
         right = np.concatenate((right, evaluate(sol.nu, np.arange(len(right), half + 1) * step)))
-        # after the first samples, so that eval_even's OverflowError for a
-        # state past the double range comes first; the spacing never changes
-        if widenings == 0 and not 0.0 < scaled <= _MAX_SCALED_SPACING:
-            raise InsufficientDomainError(
-                f"spacing {step!r} does not resolve state nu={sol.nu!r}: dy*sqrt(2|nu| + 1) = "
-                f"{scaled!r}, outside (0, {_MAX_SCALED_SPACING}]"
-            )
         # orient before normalizing: the norm is positive, so dividing by
         # it keeps every sign, and negating first is exact
         sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)

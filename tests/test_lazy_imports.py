@@ -95,6 +95,17 @@ class TestStdlibFootprint:
         assert result.stdout.split() == ["[]"]
         assert (tmp_path / "solve.json").is_file()
 
+    def test_wavefunction_needs_no_dataclasses(self, tmp_path):
+        # GridFunction is a __slots__ record, as the other records are;
+        # numpy itself loads no dataclasses
+        code = """
+            import sys, deltaho.wavefunction
+            print("dataclasses" in sys.modules)
+        """
+        result = _fresh_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
+
 
 class TestLazyExports:
     def test_every_exported_name_resolves(self):

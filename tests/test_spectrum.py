@@ -114,7 +114,7 @@ def test_bracket_rejects_zero_coupling():
 
 @pytest.mark.parametrize("g", COUPLING_GRID)
 def test_even_roots_frozen(g):
-    sols = solve_even(g)
+    sols = solve_even(g, 5)
     assert [s.parity for s in sols] == ["even"] * 5
     assert [s.index for s in sols] == [0, 2, 4, 6, 8]
     for sol, ref in zip(sols, EVEN_ROOTS[g]):
@@ -123,13 +123,13 @@ def test_even_roots_frozen(g):
 
 @pytest.mark.parametrize("g", COUPLING_GRID)
 def test_even_root_residuals(g):
-    for sol in solve_even(g):
+    for sol in solve_even(g, 5):
         assert abs(eigen_equation(sol.nu, g)) <= 1e-8 * (1.0 + abs(sol.nu))
 
 
 @pytest.mark.parametrize("g", COUPLING_GRID)
 def test_even_root_interlacing(g):
-    sols = solve_even(g)
+    sols = solve_even(g, 5)
     if g > 0:
         for k, sol in enumerate(sols):
             assert 2 * k < sol.nu < 2 * k + 1
@@ -141,7 +141,7 @@ def test_even_root_interlacing(g):
 
 def test_even_roots_increase_with_coupling():
     grid = [-5.0, -2.5, -1.0, -0.25, 0.0, 0.25, 1.0, 2.5, 5.0]
-    columns = [solve_even(g) for g in grid]
+    columns = [solve_even(g, 5) for g in grid]
     for k in range(5):
         track = [col[k].nu for col in columns]
         assert all(a < b for a, b in zip(track, track[1:]))
@@ -154,7 +154,7 @@ def test_zero_coupling_is_exact():
 def test_weak_coupling_continuity():
     """nu drifts from the unperturbed labels linearly in g near zero."""
     for g in (1e-6, -1e-6):
-        for k, sol in enumerate(solve_even(g)):
+        for k, sol in enumerate(solve_even(g, 5)):
             assert abs(sol.nu - 2.0 * k) < 1e-5
 
 
@@ -183,9 +183,9 @@ def test_deep_bound_state_frozen():
 
 def test_solve_even_rejects_nonfinite_coupling():
     with pytest.raises(ValueError):
-        solve_even(math.inf)
+        solve_even(math.inf, 5)
     with pytest.raises(ValueError):
-        solve_even(math.nan)
+        solve_even(math.nan, 5)
 
 
 # ---------------------------------------------------------------------------
