@@ -88,7 +88,8 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     1/dy^2 + y^2/2, plus g/dy on the origin, and each bond -1/(2 dy^2).
     Returns (even, odd) over nodes 0 .. c-1 and 1 .. c-1 from the origin
     out, c = n_intervals/2; the origin joins the even block through
-    sqrt(2) times its bond, and the odd combinations vanish on it.  The
+    sqrt(2) times its bond, and the odd combinations vanish on it; the
+    even block's Sturm table starts from its Gershgorin interval.  The
     grid is checked first; the spike must be finite, |g| < 1.79e308 dy.
     """
     # the potential y^2/2 reaches half_width^2/2 at the walls
@@ -106,22 +107,34 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     spike = g / delta
     if not math.isfinite(spike):
         raise ValueError(f"the contact spike g/dy is not finite for g={g!r}, dy={delta!r}")
-    odd = _odd_block(half_width, n)
-    bond = -0.5 / delta**2
+    odd, (tail_lo, tail_hi) = _odd_block(half_width, n)
+    link = -0.5 / delta**2 * math.sqrt(2.0)
     # the origin's diagonal, 1/dy^2 + 0^2/2, has the bits of 1/dy^2
-    even = Tridiagonal((1.0 / delta**2 + spike,) + odd.diag, (bond * math.sqrt(2.0),) + odd.off)
+    even = Tridiagonal((1.0 / delta**2 + spike,) + odd.diag, (link,) + odd.off)
+    # even rows 2.. are odd rows 1.., bonds included, so _gershgorin(even)
+    # is the extreme of those rows', the origin's and its neighbour's
+    # d -+ pad, the same doubles; _lowest starts from it as it would
+    origin, near = even.diag[0], odd.diag[0]
+    pad = abs(link)
+    near_pad = pad + (abs(odd.off[0]) if odd.off else 0.0)
+    lo = min(origin - pad, near - near_pad, tail_lo)
+    hi = max(origin + pad, near + near_pad, tail_hi)
+    even.solved = (((lo, 0, False), (hi, even.size, False)), ())
     return even, odd
 
 
 @functools.lru_cache(maxsize=2)
 def _odd_block(half_width, n):
     # one block, and the levels _lowest keeps on it, serves every g on the
-    # grid; two entries hold the fine and halved grids of one compare
+    # grid; two entries hold the fine and halved grids of one compare.  The
+    # Gershgorin extremes over its rows 1.. go with it: the even block has
+    # those rows too
     c = n // 2
     delta = 2.0 * half_width / n
     kinetic = 1.0 / delta**2
     diag = [kinetic + 0.5 * y * y for y in (i * delta for i in range(1, c))]
-    return Tridiagonal(diag, (-0.5 / delta**2,) * (c - 2))
+    odd = Tridiagonal(diag, (-0.5 / delta**2,) * (c - 2))
+    return odd, _gershgorin(odd, 1)
 
 
 def count_below(h, x, limit=math.inf):
@@ -148,12 +161,14 @@ def count_below(h, x, limit=math.inf):
     return count
 
 
-def _gershgorin(h):
+def _gershgorin(h, first=0):
+    """Lowest d - pad and highest d + pad over rows first.. of h; (inf, -inf) if none."""
     radius = [abs(x) for x in h.off]
-    pad = [a + b for a, b in zip([0.0] + radius, radius + [0.0])]
+    pad = [a + b for a, b in zip([0.0] + radius, radius + [0.0])][first:]
+    diag = h.diag[first:]
     return (
-        min(d - p for d, p in zip(h.diag, pad)),
-        max(d + p for d, p in zip(h.diag, pad)),
+        min(map(operator.sub, diag, pad), default=math.inf),
+        max(map(operator.add, diag, pad), default=-math.inf),
     )
 
 

@@ -1,7 +1,8 @@
 """Bound-state spectrum of the oscillator with a contact term at the origin.
 
 Even-parity levels solve the kink condition at the origin, written as a
-transcendental equation in the Gamma ratio gamma_ratio, built on the
+transcendental equation in sincospi, one exact argument reduction for
+sin(pi x) and cos(pi x), and the Gamma ratio gamma_ratio, built on the
 standard library's math.gamma; wavefunction.jump_check checks the kink
 itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
@@ -17,22 +18,21 @@ from .errors import BracketError, ConvergenceError
 _MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
 
 
-def sinpi(x):
-    """sin(pi*x) with exact argument reduction, safe for large |x|."""
-    y = math.remainder(x, 2.0)
-    a = abs(y)
+def sincospi(x):
+    """(sin(pi*x), cos(pi*x)) from one exact argument reduction, safe for large |x|.
+
+    Both are exact at integers and half-integers: 0.0 and +-1.0.
+    """
+    r = math.remainder(x, 2.0)
+    a = abs(r)
+    # |1/2 - a| <= 1/2 needs no second reduction; 1/2 - a is exact except
+    # for a below 1/4, where cos(pi*x) is flat enough that the rounding is harmless
+    c = math.sin(math.pi * (0.5 - a))
     if a == 0.0 or a == 1.0:
-        return 0.0
+        return 0.0, c
     if a <= 0.5:
-        return math.sin(math.pi * y)
-    return math.copysign(math.sin(math.pi * (1.0 - a)), y)
-
-
-def cospi(x):
-    """cos(pi*x) with the same exact argument reduction as sinpi."""
-    # |remainder| lies in [0, 1], where 1/2 - |remainder| is exact except
-    # below 1/4; there cos(pi*x) is flat enough that the rounding is harmless
-    return sinpi(0.5 - abs(math.remainder(x, 2.0)))
+        return math.sin(math.pi * r), c
+    return math.copysign(math.sin(math.pi * (1.0 - a)), r), c
 
 
 def gamma_ratio(y):
@@ -116,7 +116,8 @@ def eigen_equation(nu, g):
     """
     if nu > 0.0:
         y = 0.5 * nu
-        return (2.0 * sinpi(y) - g * cospi(y) * gamma_ratio(y)) / math.pi
+        s, c = sincospi(y)
+        return (2.0 * s - g * c * gamma_ratio(y)) / math.pi
     return nu - g / gamma_ratio(-0.5 * nu)
 
 
@@ -157,7 +158,7 @@ def _bracket_even_roots(g, n_states):
     """Disjoint intervals, one per even-parity root, lowest first.
 
     For g >= 0, -0.0 included, the k-th root sits in [2k, 2k+1): on 2k
-    itself where the condition is 0.0 there, as at g = 0, since sinpi is
+    itself where the condition is 0.0 there, as at g = 0, since sincospi is
     exact at integers.  For g < 0 there is a single negative root, inside
     (-2*max(1, g^2), 0); the remaining roots sit in (2k-1, 2k).  At the
     odd levels the condition is +-2/pi, so no root sits on those ends.
@@ -181,7 +182,9 @@ def _refine_root(func, lo, hi):
     nearer zero, is relative to the root even at 1e-300.  Returns the end
     with the smaller |func| among those inside (lo, hi) and the last
     bracket, where func changes sign or is 0; ConvergenceError after
-    _MAX_STEPS steps.
+    _MAX_STEPS steps.  The step is ITP's arithmetic with conditionals in
+    place of min, max and abs, each picking the operand the builtin picks,
+    so it evaluates func at the same doubles, only without the calls.
     """
     f_lo = func(lo)
     f_hi = func(hi)
@@ -191,19 +194,32 @@ def _refine_root(func, lo, hi):
         return hi, (hi, hi)
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
+    ulp, nextafter, copysign = math.ulp, math.nextafter, math.copysign
     a, f_a, b, f_b = lo, f_lo, hi, f_hi
-    budget = 2.0 * (hi - lo)  # ITP's n0 = 1: one step of slack
+    span = hi - lo
+    budget = 2.0 * span  # ITP's n0 = 1: one step of slack
     for _ in range(_MAX_STEPS):
         w = b - a
-        if w <= 4.0 * math.ulp(min(abs(a), abs(b))):
+        abs_a = -a if a < 0.0 else a
+        abs_b = -b if b < 0.0 else b
+        if w <= 4.0 * ulp(abs_b if abs_b < abs_a else abs_a):
             break
         mid = 0.5 * a + 0.5 * b
-        near_a = abs(f_a) <= abs(f_b)  # a step from the farther end can round onto the nearer
+        # a step from the farther end can round onto the nearer
+        near_a = (-f_a if f_a < 0.0 else f_a) <= (-f_b if f_b < 0.0 else f_b)
         x = a + w * (f_a / (f_a - f_b)) if near_a else b - w * (f_b / (f_b - f_a))
         toward = mid - x
-        x += math.copysign(min(0.2 * (w / (hi - lo)) * w, abs(toward)), toward)
-        radius = max(0.5 * (budget - w), 0.0)
-        x = min(max(x, mid - radius, math.nextafter(a, b)), mid + radius, math.nextafter(b, a))
+        shift = 0.2 * (w / span) * w
+        dist = -toward if toward < 0.0 else toward
+        x += copysign(dist if dist < shift else shift, toward)
+        radius = 0.5 * (budget - w)
+        radius = 0.0 if 0.0 > radius else radius
+        # max(x, mid - radius, nextafter(a, b)), then min with mid + radius
+        # and nextafter(b, a)
+        x = edge if (edge := mid - radius) > x else x
+        x = edge if (edge := nextafter(a, b)) > x else x
+        x = edge if (edge := mid + radius) < x else x
+        x = edge if (edge := nextafter(b, a)) < x else x
         budget *= 0.5
         f_x = func(x)
         if f_x == 0.0:

@@ -312,6 +312,32 @@ class TestHamiltonianBuild:
         assert even.off[0] == bond * math.sqrt(2.0)
         assert np.all(np.asarray(even.off[1:] + odd.off) == bond)
 
+    @pytest.mark.parametrize(
+        "g, half_width, n",
+        [
+            (-5.0, 8.0, 4000),
+            (0.0, 8.0, 4000),
+            (1e9, 8.0, 4000),
+            (-1e300, 8.0, 4000),
+            (0.0, 1e3, 400),
+            (-1e3, 6.0, 8),
+            (1.0, 8.0, 8),
+            # the odd block has one row, and no bond
+            (1.0, 8.0, 4),
+            (1e3, 8.0, 4),
+            # the origin's diagonal 1/dy^2 + g/dy is 0.0
+            (-0.25, 8.0, 4),
+        ],
+    )
+    def test_even_block_starts_from_its_gershgorin_interval(self, g, half_width, n):
+        # build_hamiltonian seeds the even block's Sturm table from the odd
+        # block's rows and the two rows about the origin: the same doubles
+        even, _ = build_hamiltonian(g, half_width, n)
+        (lo, c_lo, b_lo), (hi, c_hi, b_hi) = even.solved[0]
+        assert (lo.hex(), hi.hex()) == tuple(x.hex() for x in oracle._gershgorin(even))
+        assert (c_lo, b_lo, c_hi, b_hi) == (0, False, even.size, False)
+        assert even.solved[1] == ()
+
     def test_rejects_nonfinite_coupling(self):
         with pytest.raises(ValueError):
             build_hamiltonian(math.nan)

@@ -14,29 +14,38 @@ import random
 
 import pytest
 
-from deltaho.spectrum import cospi, gamma_ratio, sinpi
+from deltaho.spectrum import gamma_ratio, sincospi
 from deltaho.wavefunction import eval_even, eval_odd
 
 
 # ---------------------------------------------------------------------------
-# sinpi, cospi and the Gamma ratio that the eigen condition evaluates
+# sincospi and the Gamma ratio that the eigen condition evaluates
 
 
-def test_sinpi_cospi_exact_at_special_points():
+def test_sincospi_exact_at_special_points():
     for n in range(-6, 7):
-        assert sinpi(float(n)) == 0.0
-        assert cospi(n + 0.5) == 0.0
-        assert cospi(float(n)) == (-1.0) ** n
+        assert sincospi(float(n)) == (0.0, (-1.0) ** n)
+        assert sincospi(n + 0.5)[1] == 0.0
+        assert sincospi(n + 0.5)[0] == (-1.0) ** n
     # exact reduction: an even integer offset changes nothing, even where
     # pi*x itself is far past the resolution of a double
     for d in (0.25, 0.5, 0.75, 1.25, 3.75):
-        assert cospi(2.0**50 + d) == cospi(d)
-        assert sinpi(2.0**50 + d) == sinpi(d)
+        assert sincospi(2.0**50 + d) == sincospi(d)
 
 
-@pytest.mark.parametrize("x", [-3.3, -0.75, 0.0, 0.1, 0.25, 0.6, 1.0, 2.4, 1e5 + 0.3])
+MATH_POINTS = [-3.3, -0.75, 0.0, 0.1, 0.25, 0.6, 1.0, 2.4, 1e5 + 0.3]
+
+
+@pytest.mark.parametrize("x", MATH_POINTS)
 def test_cospi_matches_math(x):
-    assert cospi(x) == pytest.approx(math.cos(math.pi * x), rel=1e-10, abs=1e-15)
+    # the cosine half of sincospi
+    assert sincospi(x)[1] == pytest.approx(math.cos(math.pi * x), rel=1e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("x", MATH_POINTS)
+def test_sinpi_matches_math(x):
+    # pi*x rounds before math.sin reduces it: 1e-11 absolute at 1e5 + 0.3
+    assert sincospi(x)[0] == pytest.approx(math.sin(math.pi * x), rel=1e-10, abs=1e-10)
 
 
 def test_gamma_ratio_matches_mpmath():

@@ -399,6 +399,10 @@ def test_median_evaluations_per_root(evaluations_per_root):
     assert statistics.median(counts) <= 12
 
 
+def _tenth_step(x):
+    return -1.0 if x < 0.1 else 1e-200
+
+
 def test_refinement_keeps_the_bisection_worst_case():
     # regula falsi stalls beside the end whose value is tiny; the shrinking
     # radius about the midpoint keeps ITP within one step of bisection's
@@ -407,12 +411,137 @@ def test_refinement_keeps_the_bisection_worst_case():
 
     def step(x):
         calls.append(x)
-        return -1.0 if x < 0.1 else 1e-200
+        return _tenth_step(x)
 
     root, (lo, hi) = spectrum._refine_root(step, 0.0, 1.0)
     assert lo <= root <= hi
     assert lo < 0.1 <= hi <= lo + 4.0 * math.ulp(lo)
     assert len(calls) <= 2 + 55 + 1
+
+
+# ---------------------------------------------------------------------------
+# same bits: the condition and the refiner against their builtin-call forms
+#
+# sincospi reduces its argument once, and the refiner's step picks operands
+# with conditionals, where the forms below call sinpi and cospi (a second
+# reduction), min, max and abs.  Both sides run on the same libm, so equal
+# hex pins the one to the other on every machine.
+
+
+def _sinpi(x):
+    y = math.remainder(x, 2.0)
+    a = abs(y)
+    if a == 0.0 or a == 1.0:
+        return 0.0
+    if a <= 0.5:
+        return math.sin(math.pi * y)
+    return math.copysign(math.sin(math.pi * (1.0 - a)), y)
+
+
+def _cospi(x):
+    return _sinpi(0.5 - abs(math.remainder(x, 2.0)))
+
+
+def _reference_equation(nu, g):
+    if nu > 0.0:
+        y = 0.5 * nu
+        return (2.0 * _sinpi(y) - g * _cospi(y) * spectrum.gamma_ratio(y)) / math.pi
+    return nu - g / spectrum.gamma_ratio(-0.5 * nu)
+
+
+def _reference_refine(func, lo, hi):
+    f_lo = func(lo)
+    f_hi = func(hi)
+    if f_lo == 0.0:
+        return lo, (lo, lo)
+    if f_hi == 0.0:
+        return hi, (hi, hi)
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    budget = 2.0 * (hi - lo)
+    for _ in range(spectrum._MAX_STEPS):
+        w = b - a
+        if w <= 4.0 * math.ulp(min(abs(a), abs(b))):
+            break
+        mid = 0.5 * a + 0.5 * b
+        near_a = abs(f_a) <= abs(f_b)
+        x = a + w * (f_a / (f_a - f_b)) if near_a else b - w * (f_b / (f_b - f_a))
+        toward = mid - x
+        x += math.copysign(min(0.2 * (w / (hi - lo)) * w, abs(toward)), toward)
+        radius = max(0.5 * (budget - w), 0.0)
+        x = min(max(x, mid - radius, math.nextafter(a, b)), mid + radius, math.nextafter(b, a))
+        budget *= 0.5
+        f_x = func(x)
+        if f_x == 0.0:
+            return x, (x, x)
+        if (f_x > 0.0) == (f_a > 0.0):
+            a, f_a = x, f_x
+        else:
+            b, f_b = x, f_x
+    else:
+        raise ConvergenceError("step cap")
+    return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
+
+
+def _refined_hex(refine, func, lo, hi):
+    """The hex of refine's root and bracket, and of every point it evaluated."""
+    points = []
+
+    def traced(x):
+        points.append(x.hex())
+        return func(x)
+
+    root, (a, b) = refine(traced, lo, hi)
+    return root.hex(), a.hex(), b.hex(), points
+
+
+def _assert_roots_keep_their_bits(g, n_states):
+    for lo, hi in _bracket_even_roots(g, n_states):
+        got = _refined_hex(spectrum._refine_root, lambda nu: eigen_equation(nu, g), lo, hi)
+        assert got == _refined_hex(_reference_refine, lambda nu: _reference_equation(nu, g), lo, hi)
+
+
+def test_eigen_equation_keeps_its_bits():
+    rng = random.Random(280)
+    nus = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]
+    nus += [0.5 * k for k in range(-120, 121)]  # integers and half-integers
+    # y = |nu|/2 on either side of gamma_ratio's seams at 1 and 170
+    for seam in (2.0, 340.0):
+        for x in (math.nextafter(seam, 0.0), seam, math.nextafter(seam, math.inf)):
+            nus += [x, -x]
+    nus += [sign * 10.0 ** rng.uniform(-300.0, 300.0) for sign in (1.0, -1.0) for _ in range(150)]
+    nus += [rng.uniform(-400.0, 400.0) for _ in range(300)]
+    nus += [1e300, -1e300, 2.0**52 + 1.5, 2.0**53]
+    couplings = [0.0, -0.0, 1e-300, -1e-300, 0.25, -1.0, 2.5, -5.0, 1e4, -1e4, 1e150, -1e150, 1e300]
+    for g in couplings:
+        for nu in nus:
+            assert eigen_equation(nu, g).hex() == _reference_equation(nu, g).hex(), (nu, g)
+
+
+@pytest.mark.parametrize("g,n_states", CAP_CASES, ids=lambda v: f"{v:.3g}")
+def test_roots_keep_their_bits(g, n_states):
+    _assert_roots_keep_their_bits(g, n_states)
+
+
+@pytest.mark.parametrize("g", [0.0, -0.0])
+def test_exact_roots_keep_their_bits(g):
+    _assert_roots_keep_their_bits(g, 40)
+
+
+def test_random_couplings_keep_their_bits():
+    rng = random.Random(20201005)
+    for _ in range(100):
+        g = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        _assert_roots_keep_their_bits(g, rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("step", [_tenth_step, lambda x: -1.0 if x < 0.1 else 1.0],
+                         ids=["tiny-end", "equal-ends"])
+def test_step_function_keeps_its_bits(step):
+    # "equal-ends" ties |func| at the two ends on every step
+    got = _refined_hex(spectrum._refine_root, step, 0.0, 1.0)
+    assert got == _refined_hex(_reference_refine, step, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
