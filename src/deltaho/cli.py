@@ -409,8 +409,10 @@ def build_parser():
     figures = add_command("figures", help="write figure-ready CSV grids")
     figures.add_argument("which",
                          choices=("eq-solution", "nu-vs-g", "wavefunctions"))
-    _add_flags(figures, "out", "full_precision", "stamp")
-    figures.set_defaults(func=cmd_figures, out=".")
+    figures.add_argument("--out", default=".",
+                         help="output directory (default: the current directory)")
+    _add_flags(figures, "full_precision", "stamp")
+    figures.set_defaults(func=cmd_figures)
 
     compare = add_command("compare", help="analytic vs oracle spectrum")
     _add_flags(compare, "g", "states", "format", "out", "grid_n", "grid_l",

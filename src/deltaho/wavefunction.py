@@ -30,6 +30,7 @@ _MAX_WIDENINGS = 12
 _MIN_ORDER = 16.0
 _LEFT_TAIL = 60.0
 _SPAN = 12
+_ROWS = 8  # trapezoid nodes per array block
 
 
 class GridFunction:
@@ -84,7 +85,8 @@ def eval_even(nu, y):
     s = ln t, centred on the peak t* = (sqrt(x^2 + 4c) - x)/2 with step
     half the peak width 1/sqrt(t*^2 + c); the nodes run 12 widths above
     the peak and, below it, until t^c has fallen by e^-60 (and at least
-    12 widths).  Starting at c >= 16 keeps that left tail short.
+    12 widths).  Starting at c >= 16 keeps that left tail short.  Nodes
+    are evaluated in blocks and summed in node order, row by row.
 
     Raises ValueError for a non-finite nu, and OverflowError, without
     evaluating, once the origin value (about Gamma(nu/2 + 1/2) in size,
@@ -110,11 +112,15 @@ def eval_even(nu, y):
         c_step = c * step
         sum0 = np.zeros_like(x)
         sum1 = np.zeros_like(x)
-        for j in range(-below, 2 * _SPAN + 1):
+        nodes = np.arange(-below, 2 * _SPAN + 1.0).reshape((-1,) + (1,) * x.ndim)
+        for first in range(0, len(nodes), _ROWS):
+            j = nodes[first:first + _ROWS]
             t = t_peak * np.exp(j * step)
             f = np.exp(j * c_step - t * (0.5 * t + x) + peak)
-            sum0 += f
-            sum1 += t * f
+            tf = t * f
+            for r in range(len(j)):  # in node order: a reduce may reorder
+                sum0 += f[r]
+                sum1 += tf[r]
         log_scale = c * np.log(t_peak) - peak - 0.25 * x * x
         scale = step * np.exp(log_scale - math.lgamma(c) - 0.5 * nu * math.log(2.0))
         prev, cur = scale * sum1 / c, scale * sum0  # 2^(-nu/2) D_(nu-m-1), D_(nu-m)
@@ -139,11 +145,12 @@ def eval_odd(n, y):
     # quietly: a far-out y may square to inf, and past n = 181 H_n overflows
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
-        h_prev, h = 1.0, 2.0 * y
+        two_y = 2.0 * y
+        h_prev, h = 1.0, two_y
         for k in range(1, order):
-            h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
+            h_prev, h = h, two_y * h - 2.0 * k * h_prev
         # math.exp, not np.exp, which is 1 ulp off at about 5 % of points
-        gauss = np.array([math.exp(v) for v in (-0.5 * z).ravel().tolist()])
+        gauss = np.fromiter(map(math.exp, (-0.5 * z).ravel().tolist()), float, z.size)
         out = np.where(z > _GAUSSIAN_FLOOR, 0.0, gauss.reshape(z.shape) * h)
     return out if out.ndim else float(out)
 

@@ -185,6 +185,16 @@ class TestFigures:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".part_")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("command, default", [
+        ("figures", "(default: the current directory)"),
+        ("solve", "(default: stdout)"),
+    ])
+    def test_out_help_names_where_output_goes(self, capsys, command, default):
+        # figures writes files into the working directory, solve prints
+        code, out = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert default in " ".join(out.split())
+
 
 class TestCompare:
     def test_zero_coupling_gaps(self, capsys):

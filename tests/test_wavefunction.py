@@ -1,6 +1,7 @@
 """Unit tests for eigenfunction sampling, normalization, and origin checks."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -73,20 +74,106 @@ def test_odd_evaluation_rejects_bad_order():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
-    """Same shape, the bits of the scalar Hermite loop, 0 past the Gaussian floor."""
+    """Same shape, the bits of the scalar Hermite loop, 0 past the Gaussian floor.
+
+    The second input is sample_state's first window, right half, up to
+    n = 181, the last order whose Hermite factor fits the double range.
+    """
     ys = np.array([[-27.0, -3.1, -0.4, 0.0], [0.7, 2.9, 26.4, 1e200]])
-    for n in (1, 9, 41, 151):
-        expected = []
-        for y in ys.ravel().tolist():
-            h_prev, h = 1.0, 2.0 * y
-            for k in range(1, n):
-                h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
-            expected.append(0.0 if y * y > 700.0 else math.exp(-0.5 * y * y) * h)
-        out = eval_odd(n, ys)
-        assert out.shape == ys.shape
-        assert out.tobytes() == np.array(expected).reshape(ys.shape).tobytes()
-        assert [eval_odd(n, y) for y in ys.ravel().tolist()] == out.ravel().tolist()
-        assert out[0, 0] == out[1, 3] == 0.0
+    grid = np.arange(1001) * 0.01
+    for points, orders in ((ys, (1, 9, 41, 151)), (grid, (1, 41, 181))):
+        for n in orders:
+            expected = []
+            for y in points.ravel().tolist():
+                h_prev, h = 1.0, 2.0 * y
+                for k in range(1, n):
+                    h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
+                expected.append(0.0 if y * y > 700.0 else math.exp(-0.5 * y * y) * h)
+            out = eval_odd(n, points)
+            assert out.shape == points.shape
+            assert out.tobytes() == np.array(expected).reshape(points.shape).tobytes()
+            assert [eval_odd(n, y) for y in points.ravel().tolist()] == out.ravel().tolist()
+            if points is ys:
+                assert out[0, 0] == out[1, 3] == 0.0
+
+
+def _reference_eval_even(nu, y):
+    """eval_even as a node-by-node loop, which the blocked sum must match bit for bit."""
+    if not math.isfinite(nu):
+        raise ValueError(f"even-branch order must be finite, got nu={nu!r}")
+    if math.lgamma(0.5 * abs(nu) + 0.5) > math.log(sys.float_info.max):
+        raise OverflowError(f"even state nu={nu!r}: its origin value leaves the double range")
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = y * y
+        x = np.sqrt(2.0 * np.minimum(z, 700.0))
+        m = max(0, math.ceil(nu + 16.0))
+        c = m - nu
+        t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
+        width = 1.0 / np.sqrt(t_peak * t_peak + c)
+        step = 0.5 * width
+        below = math.ceil(2.0 * float(np.max(60.0 / (c * width), initial=12)))
+        peak = t_peak * (0.5 * t_peak + x)
+        c_step = c * step
+        sum0 = np.zeros_like(x)
+        sum1 = np.zeros_like(x)
+        for j in range(-below, 2 * 12 + 1):
+            t = t_peak * np.exp(j * step)
+            f = np.exp(j * c_step - t * (0.5 * t + x) + peak)
+            sum0 += f
+            sum1 += t * f
+        log_scale = c * np.log(t_peak) - peak - 0.25 * x * x
+        scale = step * np.exp(log_scale - math.lgamma(c) - 0.5 * nu * math.log(2.0))
+        prev, cur = scale * sum1 / c, scale * sum0
+        for k in range(m, 0, -1):
+            prev, cur = cur, x * cur - (nu - k) * prev
+        out = np.where(z > 700.0, 0.0, cur)
+    return out if out.ndim else float(out)
+
+
+def _even_pin_orders():
+    sweep = np.linspace(-341.9, 341.9, 61).tolist()
+    halves = [0.5 * k for k in range(-683, 684, 19)]
+    # either side of each order where m = ceil(nu + 16) steps, at a sample of them
+    steps = [m - 16.0 for m in (1, 2, 15, 16, 17, 40, 100, 357)]
+    sides = [math.nextafter(b, d) for b in steps for d in (-math.inf, math.inf)]
+    return sweep + halves + steps + sides + [0.0, -0.0]
+
+
+_EVEN_PIN_INPUTS = [
+    0.37,
+    np.array(2.9),
+    np.array([1.3]),
+    (np.arange(7) * 1.45).reshape(7, 1),
+    np.array([30.0, 26.4, 1e200]),
+    np.arange(1001) * 0.01,
+    np.arange(1001, 1501) * 0.01,
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "y",
+    _EVEN_PIN_INPUTS,
+    ids=["float", "0-d", "1-element", "column", "far-out", "sampling-grid", "widening"],
+)
+def test_blocked_even_evaluation_keeps_the_bits_of_the_node_loop(y):
+    """Every sample and its type match the node-by-node trapezoid sum.
+
+    A reduce over the node axis (np.add.reduce, np.sum) reorders the sum
+    where the point axis has length 1, and moves samples by an ulp there.
+    """
+    orders = _even_pin_orders() if np.size(y) < 100 else _even_pin_orders()[::4]
+    for nu in orders:
+        got, want = eval_even(nu, y), _reference_eval_even(nu, y)
+        assert type(got) is type(want), nu
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), nu
+        assert np.shape(got) == np.shape(y)
+    for nu in (342.5, -1e9, math.nan, math.inf):
+        with pytest.raises((OverflowError, ValueError)) as raised:
+            _reference_eval_even(nu, y)
+        with pytest.raises(raised.type):
+            eval_even(nu, y)
 
 
 def test_far_tail_is_flushed_to_zero():
