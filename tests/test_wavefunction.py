@@ -1,5 +1,6 @@
 """Unit tests for eigenfunction sampling, normalization, and origin checks."""
 
+import functools
 import math
 import sys
 import time
@@ -98,7 +99,11 @@ def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
 
 
 def _reference_eval_even(nu, y):
-    """eval_even as a node-by-node loop, which the blocked sum must match bit for bit."""
+    """eval_even's earlier trapezoid sum: one node at a time, with fixed cuts.
+
+    The step is the same half peak width; the nodes run 12 widths above
+    the peak and, below it, the larger of 60/c and 12 widths in s = ln t.
+    """
     if not math.isfinite(nu):
         raise ValueError(f"even-branch order must be finite, got nu={nu!r}")
     if math.lgamma(0.5 * abs(nu) + 0.5) > math.log(sys.float_info.max):
@@ -151,29 +156,50 @@ _EVEN_PIN_INPUTS = [
 ]
 
 
+@functools.cache
+def _node_loop_supremum(nu):
+    return float(np.max(np.abs(_reference_eval_even(nu, np.arange(3000) * 0.01))))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "y",
     _EVEN_PIN_INPUTS,
     ids=["float", "0-d", "1-element", "column", "far-out", "sampling-grid", "widening"],
 )
-def test_blocked_even_evaluation_keeps_the_bits_of_the_node_loop(y):
-    """Every sample and its type match the node-by-node trapezoid sum.
+def test_even_evaluation_matches_the_node_loop(y):
+    """Every sample matches the node loop to 1e-13 of the order's supremum, type and shape too.
 
-    A reduce over the node axis (np.add.reduce, np.sum) reorders the sum
-    where the point axis has length 1, and moves samples by an ulp there.
+    The cuts and the summation order differ, so the bits may not; the
+    supremum is over y in [0, 30) at spacing 0.01.
     """
     orders = _even_pin_orders() if np.size(y) < 100 else _even_pin_orders()[::4]
     for nu in orders:
         got, want = eval_even(nu, y), _reference_eval_even(nu, y)
         assert type(got) is type(want), nu
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), nu
         assert np.shape(got) == np.shape(y)
+        error = float(np.max(np.abs(np.asarray(got) - np.asarray(want))))
+        assert error <= 1e-13 * _node_loop_supremum(nu), (nu, error / _node_loop_supremum(nu))
     for nu in (342.5, -1e9, math.nan, math.inf):
         with pytest.raises((OverflowError, ValueError)) as raised:
             _reference_eval_even(nu, y)
         with pytest.raises(raised.type):
             eval_even(nu, y)
+
+
+@pytest.mark.parametrize("nu", [0.0, -0.5, 1.5])
+def test_even_evaluation_is_converged_in_its_cuts_and_step(monkeypatch, nu):
+    """Cuts at e^-60 and a quarter-width step move no sample past 1e-14 of the supremum.
+
+    At c = 16, the order where the step's error estimate is worst, the
+    truncation and discretisation errors both sit below round-off.
+    """
+    y = np.arange(1001) * 0.01
+    values = eval_even(nu, y)
+    monkeypatch.setattr(wavefunction, "_TAIL", 60.0)
+    monkeypatch.setattr(wavefunction, "_STEP", 0.25)
+    tight = eval_even(nu, y)
+    assert float(np.max(np.abs(tight - values))) <= 1e-14 * float(np.max(np.abs(values)))
 
 
 def test_far_tail_is_flushed_to_zero():
@@ -493,6 +519,31 @@ def test_even_states_match_mpmath():
             error = float(np.max(np.abs(values - scale * ref))) / float(np.max(np.abs(right)))
             worst = max(worst, (error, (g, sol.index, sol.nu)), key=lambda w: w[0])
     assert worst[0] <= 1e-10, worst
+
+
+def test_even_evaluation_matches_mpmath_over_the_domain():
+    """eval_even within 1e-12 of its supremum against mpmath, for 20 orders in [-341.5, 340.7].
+
+    Ten points per order span y in [0, 30) out to where the value falls
+    below 1e-8 of its supremum there; mpmath's far tails are slow.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.arange(3000) * 0.01
+    worst = (0.0, None)
+    for nu in np.linspace(-341.5, 340.7, 20).tolist():
+        values = eval_even(nu, grid)
+        sup = float(np.max(np.abs(values)))
+        last = int(np.nonzero(np.abs(values) > 1e-8 * sup)[0][-1])
+        picks = np.linspace(0, last, 10).round().astype(int)
+        with mpmath.workdps(40):
+            a = -mpmath.mpf(nu) / 2
+            for y, value in zip(grid[picks].tolist(), values[picks].tolist()):
+                z = mpmath.mpf(y) ** 2
+                ref = (mpmath.sqrt(mpmath.pi) * mpmath.rgamma(a + 0.5) if y == 0.0
+                       else mpmath.exp(-z / 2) * mpmath.hyperu(a, 0.5, z))
+                error = float(abs(value - ref)) / sup
+                worst = max(worst, (error, (nu, y)), key=lambda w: w[0])
+    assert worst[0] <= 1e-12, worst
 
 
 def _mpmath_shape_error(mpmath, sol, state):
