@@ -1,7 +1,7 @@
 """Shared exception types.
 
-Kept in one tiny module so the analytic solver and the finite-difference
-oracle can report comparable failures without importing each other.
+The analytic solver and the sampler raise them, and the CLI exits 3 on each;
+the finite-difference oracle imports none of them and raises only ValueError.
 """
 
 

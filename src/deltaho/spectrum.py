@@ -65,10 +65,10 @@ class EigenSolution:
             raise ValueError("index must be nonnegative")
         if not math.isfinite(nu):
             raise ValueError(f"nu must be finite, got nu={nu!r}")
-        if parity == "odd":
-            n = int(nu)
-            if nu != n or n < 1 or n % 2 == 0:
-                raise ValueError("odd-parity nu must be a positive odd integer")
+        if index % 2 != (parity == "odd"):
+            raise ValueError(f"an {parity} state needs an {parity} index, got index={index!r}")
+        if parity == "odd" and nu != index:
+            raise ValueError(f"odd-parity nu must equal its index {index!r}, got nu={nu!r}")
         self.parity = parity
         self.nu = nu
         self.index = index

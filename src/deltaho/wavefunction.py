@@ -18,12 +18,14 @@ import numpy as np
 
 from .errors import InsufficientDomainError
 
-# exp(-y^2/2) is unrepresentable long before this; states return 0 past
-# it, whatever a huge-order Hermite factor does out there
-_GAUSSIAN_FLOOR = 700.0
+# eval_even returns 0 past y^2 = _EVEN_FLOOR, where exp(-y^2/2) underflows and
+# |nu| < 342 states are below e^-200 of their peak; eval_odd past _ODD_FLOOR,
+# before H_n can overflow and past y = 23.1, where n <= 189 states are below 1e-12
+_EVEN_FLOOR = 1490.0
+_ODD_FLOOR = 700.0
 
 _DECAY_FRACTION = 1e-12
-_MAX_WIDENINGS = 12
+_REACH = 0.4 - math.log(_DECAY_FRACTION)  # sample_state's L = 28, margin included
 
 # eval_even's integral: order -16 or below, nodes _STEP peak widths apart
 # in blocks of _ROWS, cut where the integrand is below e^-_TAIL of its peak
@@ -109,7 +111,7 @@ def eval_even(nu, y):
     # nu the recurrence may overflow, which normalize then refuses
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
-        x = np.sqrt(2.0 * np.minimum(z, _GAUSSIAN_FLOOR))
+        x = np.sqrt(2.0 * np.minimum(z, _EVEN_FLOOR))
         m = max(0, math.ceil(nu + _MIN_ORDER))
         c = m - nu
         t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
@@ -141,7 +143,7 @@ def eval_even(nu, y):
             prev *= nu - k
             np.subtract(x * cur, prev, out=prev)
             prev, cur = cur, prev
-        out = np.where(z > _GAUSSIAN_FLOOR, 0.0, cur)
+        out = np.where(z > _EVEN_FLOOR, 0.0, cur)
     return out if out.ndim else float(out)
 
 
@@ -151,7 +153,8 @@ def eval_odd(n, y):
     y is a float or an array of points; the result has its shape.  H_n
     comes from the three-term recurrence over the whole array, the same
     IEEE operations per point as a scalar loop.  Past n = 181 it leaves
-    the double range where y^2 <= 700, and the samples turn NaN.
+    the double range somewhere in y^2 <= 700, and the samples there turn
+    NaN; up to n = 189 it fits inside sample_state's window.
     """
     order = int(n)
     if n != order or order < 1 or order % 2 == 0:
@@ -166,7 +169,7 @@ def eval_odd(n, y):
             h_prev, h = h, two_y * h - 2.0 * k * h_prev
         # math.exp, not np.exp, which is 1 ulp off at about 5 % of points
         gauss = np.fromiter(map(math.exp, (-0.5 * z).ravel().tolist()), float, z.size)
-        out = np.where(z > _GAUSSIAN_FLOOR, 0.0, gauss.reshape(z.shape) * h)
+        out = np.where(z > _ODD_FLOOR, 0.0, gauss.reshape(z.shape) * h)
     return out if out.ndim else float(out)
 
 
@@ -226,44 +229,40 @@ def normalize(f):
 def sample_state(sol):
     """Normalized eigenfunction samples, positive just right of the origin.
 
-    The first window is [-10, 10] at spacing dy = 0.01: 2001 samples, ends
-    included, one on the origin.  That spacing resolves every state of the
-    domain below.  In units of the state's shortest length 1/sqrt(2|nu| + 1)
-    (the wavelength over 2 pi at the origin or, for a deep state at g < 0,
-    the decay length 1/|g|), dy*sqrt(2|nu| + 1) is at most 0.262 for an
-    even state (at |nu| = 342.25) and 0.19 for an odd one (at n = 181).
-    At 0.3 the ground state's peak would be off by 4.1e-13 relative.
+    One array call evaluates the right half of [-w, w] at spacing dy = 0.01,
+    the origin included.  dy sqrt(2|nu| + 1), dy over the state's shortest
+    length (the wavelength over 2 pi, or a deep state's decay length 1/|g|),
+    is at most 0.262 (even, |nu| = 342.25) and 0.195 (odd, n = 189); at 0.3
+    the ground state's peak would be off by 4.1e-13 relative.
 
-    When the window cannot hold the state's tails, it grows by half steps
-    of the same spacing until the decay check passes.  Widening keeps the
-    half-interval count even, which pins the origin to a Simpson panel
-    boundary so the kink never sits inside a panel.  The spacing never
-    changes, so the samples of a narrower window are kept and each
-    widening evaluates only the points it adds, in one array call.
+    w comes from nu.  For y > 0, psi'' = (y^2 - y0^2) psi, y0 = sqrt(max(2 nu + 1, 0)),
+    and past y0 -psi'/psi >= sqrt(y^2 - y0^2) (Riccati comparison; Olver,
+    Asymptotics and Special Functions, ch. 6), so |psi(y0 + d)| <= peak e^-I with
+    I = int_y0^(y0+d) sqrt(s^2 - y0^2) ds >= max(d^2/2, (2/3) sqrt(2 y0) d^1.5).
+    I >= L = 28 (-ln 1e-12 plus a margin for a sampled peak at most 1 % low) once
+    d = min(sqrt(2 L), (3 L / (2 sqrt(2 y0)))^(2/3)).  w = max(10, y0 + d), so
+    low states share [-10, 10], rounded up to an even interval count: the
+    origin sits on a Simpson panel boundary.  normalize still checks the decay.
 
-    Domain: even states with |nu| below about 342 (eval_even refuses the
-    rest with OverflowError) and odd states up to n = 181 (past it the
-    Hermite factor overflows and normalize refuses with OverflowError).
+    Domain: even |nu| below about 342 (eval_even refuses the rest with
+    OverflowError) and odd n up to 189 (past it H_n overflows inside the
+    window, and normalize refuses with OverflowError).
     """
-    half = 1000
-    step = 10.0 / half
+    step = 0.01
+    y0 = math.sqrt(max(2.0 * sol.nu + 1.0, 0.0))
+    d = math.sqrt(2.0 * _REACH)
+    if y0 > 0.0:
+        d = min(d, (1.5 * _REACH / math.sqrt(2.0 * y0)) ** (2.0 / 3.0))
+    # past the even floor every sample is 0, so an absurd nu asks for no more
+    half = 2 * max(500, math.ceil(min(y0 + d, math.sqrt(_EVEN_FLOOR)) / (2.0 * step)))
     evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
-    right = np.empty(0)  # raw samples at i * step; the left half mirrors them
-    for _ in range(_MAX_WIDENINGS + 1):
-        right = np.concatenate((right, evaluate(sol.nu, np.arange(len(right), half + 1) * step)))
-        # orient before normalizing: the norm is positive, so dividing by
-        # it keeps every sign, and negating first is exact
-        sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)
-        raw = sign * right
-        values = np.concatenate((mirror * raw[:0:-1], raw))
-        try:
-            return normalize(GridFunction(half * step, values))[0]
-        except InsufficientDomainError:
-            half = math.ceil(1.5 * half)
-            half += half % 2
-    raise InsufficientDomainError(
-        f"state nu={sol.nu!r} still not contained after {_MAX_WIDENINGS} widenings"
-    )
+    right = evaluate(sol.nu, np.arange(half + 1) * step)  # the left half mirrors it
+    # orient before normalizing: the norm is positive, so dividing by it
+    # keeps every sign, and negating first is exact
+    sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)
+    raw = sign * right
+    values = np.concatenate((mirror * raw[:0:-1], raw))
+    return normalize(GridFunction(half * step, values))[0]
 
 
 def orthogonality(a, b):

@@ -213,6 +213,29 @@ class TestCompare:
         # spacing-halving of a second-order scheme shrinks the gap ~4x
         assert 2.5 <= result["halving_ratio"] <= 6.0
 
+    @pytest.mark.parametrize("precision", [[], ["--full-precision"]], ids=["6g", "17g"])
+    def test_csv_report_matches_the_json_one(self, capsys, precision):
+        argv = ["compare", "--g", "-2.5", "--states", "5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        code, text = run_cli(capsys, *argv, "--format", "csv", *precision)
+        assert code == 0
+        assert [ln for ln in text.splitlines() if ln.startswith("#")] == [
+            "# oracle grid: L=8, N=4000",
+            f"# max_gap={report['max_gap']:.3e}",
+            f"# halving_ratio={report['halving_ratio']:.2f}",
+        ]
+        rows = parse_csv(text)
+        assert rows[0] == ["index", "parity_analytic", "parity_oracle",
+                           "epsilon_analytic", "epsilon_oracle", "abs_gap"]
+        cell = "{:.17g}" if precision else "{:.6g}"
+        assert len(rows) == 1 + report["k"] == 6
+        for k, row in enumerate(rows[1:]):
+            parity = ("even", "odd")[k % 2]
+            assert row == [str(k), parity, parity, cell.format(report["analytic"][k]),
+                           cell.format(report["oracle"][k]), cell.format(report["gaps"][k])]
+
     def test_deep_state_both_routes(self, capsys):
         code, out = run_cli(capsys, "compare", "--g", "-5", "--states", "1")
         assert code == 0

@@ -320,6 +320,14 @@ def test_eigen_solution_validation():
         EigenSolution("odd", 2.0, 2)
     with pytest.raises(ValueError):
         EigenSolution("even", 1.0, -1)
+    # the index's parity is the state's, and an odd state's nu is its index
+    with pytest.raises(ValueError, match="even index"):
+        EigenSolution("even", 1.0, 1)
+    with pytest.raises(ValueError, match="odd index"):
+        EigenSolution("odd", 3.0, 4)
+    with pytest.raises(ValueError, match="equal its index"):
+        EigenSolution("odd", 3.0, 5)
+    assert EigenSolution("odd", 5.0, 5).nu == 5.0
 
 
 def test_solver_config_validation():

@@ -77,8 +77,8 @@ def test_odd_evaluation_rejects_bad_order():
 def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
     """Same shape, the bits of the scalar Hermite loop, 0 past the Gaussian floor.
 
-    The second input is sample_state's first window, right half, up to
-    n = 181, the last order whose Hermite factor fits the double range.
+    The second input is [0, 10] at sample_state's spacing, up to n = 181,
+    the last order whose Hermite factor fits the double range for y^2 <= 700.
     """
     ys = np.array([[-27.0, -3.1, -0.4, 0.0], [0.7, 2.9, 26.4, 1e200]])
     grid = np.arange(1001) * 0.01
@@ -203,7 +203,9 @@ def test_even_evaluation_is_converged_in_its_cuts_and_step(monkeypatch, nu):
 
 
 def test_far_tail_is_flushed_to_zero():
-    assert eval_even(0.39274404530895262, 27.0) == 0.0
+    # past y^2 = 1490, where exp(-y^2/2) underflows
+    assert eval_even(0.39274404530895262, 39.0) == 0.0
+    assert eval_even(0.39274404530895262, 1e200) == 0.0
     assert eval_odd(3, -27.0) == 0.0
     # the floor must cut in before the polynomial factor can overflow
     assert eval_odd(9, 1e60) == 0.0
@@ -289,16 +291,17 @@ def test_normalize_refuses_a_nan_sample():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", [183, 201, 301, 451, 501])
+@pytest.mark.parametrize("n", [191, 201, 301, 451, 501])
 def test_sample_state_refuses_an_overflowing_odd_state(n):
-    # past n = 181 the Hermite factor overflows and the samples are NaN, so
-    # every larger n is an OverflowError; the refusal may not warn on the way
+    # past n = 189 the Hermite factor overflows inside the window and the
+    # samples are NaN, so every larger n is an OverflowError; the refusal
+    # may not warn on the way
     with pytest.raises(OverflowError):
         sample_state(EigenSolution("odd", float(n), n))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("nu", [700.0, 1e4, 1e9, -700.0, -1e9])
+@pytest.mark.parametrize("nu", [700.0, 1e4, 1e9, 1e300, -700.0, -1e9])
 def test_even_state_past_the_double_range_is_refused_at_once(nu):
     start = time.perf_counter()
     with pytest.raises(OverflowError, match="nu="):
@@ -448,22 +451,23 @@ def test_sample_state_sign_convention():
         assert first_nonzero > 0.0
 
 
-def test_sample_state_widens_for_spread_out_states():
-    """A nu ~ 24 state does not fit in [-10, 10]; spacing must survive widening."""
+def test_sample_state_window_reaches_past_the_turning_point():
+    """A nu ~ 24 state turns at y0 = 7.01 and decays within 5.01 more; spacing stays 0.01.
+
+    Its window is y0 + (3 L / (2 sqrt(2 y0)))^(2/3) = 12.03 with L = 28,
+    rounded up to an even count of intervals: 12.04.
+    """
     high = solve_even(1.0, 13)[12]
     state = sample_state(high)
-    assert state.half_width == pytest.approx(15.0, abs=1e-12)
-    assert state.n_points == 3001
+    assert state.half_width == pytest.approx(12.04, abs=1e-12)
+    assert state.n_points == 2409
     assert state.delta_y == pytest.approx(0.01, rel=1e-12, abs=0.0)
     w = _simpson_weights(state)
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sample_state_evaluates_each_point_once(monkeypatch):
-    """Widening from 1001 to 1501 right-half points evaluates only the new 500.
-
-    Each window is one array call, for either parity.
-    """
+def test_sample_state_makes_one_evaluator_call_per_state(monkeypatch):
+    """Every state is one array call over the right half, the origin included."""
     calls = []
     for name in ("eval_even", "eval_odd"):
         inner = getattr(wavefunction, name)
@@ -473,11 +477,13 @@ def test_sample_state_evaluates_each_point_once(monkeypatch):
             return inner(nu, y)
 
         monkeypatch.setattr(wavefunction, name, counted)
-    for sol in (solve_even(1.0, 13)[12], EigenSolution("odd", 25.0, 25)):
+    sols = [sol for g in (-10.0, -1.0, 0.0, 1.0, 10.0)
+            for sol in full_spectrum(g, SolverConfig(n_states=41))]
+    sols += [EigenSolution("odd", float(n), n) for n in range(41, 190, 4)]
+    for sol in sols:
         calls.clear()
         state = sample_state(sol)
-        assert state.n_points == 3001
-        assert calls == [1001, 500]
+        assert calls == [(state.n_points + 1) // 2], (sol.parity, sol.nu)
 
 
 def test_sample_state_contains_deep_bound_state():
@@ -546,6 +552,24 @@ def test_even_evaluation_matches_mpmath_over_the_domain():
     assert worst[0] <= 1e-12, worst
 
 
+@pytest.mark.parametrize("nu", [300.3, 340.3])
+def test_even_tail_past_y_26_matches_mpmath(nu):
+    """eval_even on y in [26, 30] within 1e-12 of its supremum against mpmath.
+
+    At nu = 340.3 the state is still 0.14 of its peak at y = 26.5, and at
+    300.3 it is 6.5e-7 there, so a flush at y^2 = 700 would cut it off.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    sup = float(np.max(np.abs(eval_even(nu, np.arange(3000) * 0.01))))
+    ys = np.linspace(26.0, 30.0, 9)
+    with mpmath.workdps(40):
+        a = -mpmath.mpf(nu) / 2
+        for y, value in zip(ys.tolist(), eval_even(nu, ys).tolist()):
+            z = mpmath.mpf(y) ** 2
+            ref = mpmath.exp(-z / 2) * mpmath.hyperu(a, 0.5, z)
+            assert float(abs(value - ref)) <= 1e-12 * sup, (y, value, float(ref))
+
+
 def _mpmath_shape_error(mpmath, sol, state):
     """Best-multiple error of 12 right-half samples against mpmath, over the supremum.
 
@@ -578,14 +602,17 @@ def _mpmath_shape_error(mpmath, sol, state):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "g, k",
-    [(0.0, 151), (0.0, 181), (1.0, 200), (1.0, 300), (-20.2, 0), (-24.5, 0), (-26.0, 0)],
-    ids=["odd-151", "odd-181", "even-200", "even-300", "g-20.2", "g-24.5", "g-26"],
+    [(0.0, 151), (0.0, 181), (0.0, 183), (0.0, 185), (0.0, 187), (0.0, 189),
+     (1.0, 200), (1.0, 300), (-20.2, 0), (-24.5, 0), (-26.0, 0)],
+    ids=["odd-151", "odd-181", "odd-183", "odd-185", "odd-187", "odd-189",
+         "even-200", "even-300", "g-20.2", "g-24.5", "g-26"],
 )
 def test_states_whose_squares_leave_the_double_range(g, k):
-    """Samples up to 1e160 or down to 1e-304 still give a unit-norm state of the right shape.
+    """Samples up to 1e203 or down to 1e-304 still give a unit-norm state of the right shape.
 
-    The odd states and the even k = 200 and 300 at g = 1 (nu ~ 200 and
-    300) have squares past the double range; the ground states at
+    The odd states, up to the last one whose Hermite factor fits the
+    double range inside its window (n = 189), and the even k = 200 and 300
+    at g = 1 (nu ~ 200 and 300) have squares past it; the ground states at
     g = -20.2, -24.5 and -26 (nu ~ -205, -301 and -338) have squares
     below it.
     """
@@ -626,10 +653,10 @@ def test_zero_coupling_even_state_matches_hermite_form():
 
 
 def test_orthogonality_requires_matching_grids():
-    # the widened nu ~ 24 state has 3001 points, the ground state 2001
+    # the nu ~ 24 state reaches 12.04 and has 2409 points, the ground state 2001
     a = sample_state(solve_even(1.0, 13)[12])
     b = sample_state(solve_even(1.0, 1)[0])
-    assert (a.n_points, b.n_points) == (3001, 2001)
+    assert (a.n_points, b.n_points) == (2409, 2001)
     with pytest.raises(ValueError):
         orthogonality(a, b)
 
