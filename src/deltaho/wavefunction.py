@@ -98,9 +98,11 @@ def eval_even(nu, y):
     Nodes go in blocks of eight, one exp per node and point, and each
     block is summed over its nodes.
 
-    Raises ValueError for a non-finite nu, and OverflowError, without
-    evaluating, once the origin value (about Gamma(nu/2 + 1/2) in size,
-    or its reciprocal for nu < 0) leaves the double range, past |nu| ~ 342.
+    Raises ValueError for a non-finite nu, and OverflowError without
+    evaluating once the origin value (about Gamma(nu/2 + 1/2), or its
+    reciprocal for nu < 0) leaves the double range, past |nu| = 342.25,
+    and after evaluating if a sample is not finite (from nu = 341.85,
+    where the peak near the turning point leaves it first).
     """
     if not math.isfinite(nu):
         raise ValueError(f"even-branch order must be finite, got nu={nu!r}")
@@ -108,7 +110,7 @@ def eval_even(nu, y):
         raise OverflowError(f"even state nu={nu!r}: its origin value leaves the double range")
     y = np.asarray(y, dtype=float)
     # quietly: a far-out y may square to inf (it returns 0), and for large
-    # nu the recurrence may overflow, which normalize then refuses
+    # nu the recurrence may overflow, which is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
         x = np.sqrt(2.0 * np.minimum(z, _EVEN_FLOOR))
@@ -144,6 +146,8 @@ def eval_even(nu, y):
             np.subtract(x * cur, prev, out=prev)
             prev, cur = cur, prev
         out = np.where(z > _EVEN_FLOOR, 0.0, cur)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"even state nu={nu!r}: a sample leaves the double range")
     return out if out.ndim else float(out)
 
 
@@ -152,24 +156,24 @@ def eval_odd(n, y):
 
     y is a float or an array of points; the result has its shape.  H_n
     comes from the three-term recurrence over the whole array, the same
-    IEEE operations per point as a scalar loop.  Past n = 181 it leaves
-    the double range somewhere in y^2 <= 700, and the samples there turn
-    NaN; up to n = 189 it fits inside sample_state's window.
+    IEEE operations per point as a scalar loop, times numpy's exp.  Past
+    n = 181 it overflows somewhere in y^2 <= 700, where a non-finite sample
+    raises OverflowError; up to n = 189 it fits inside sample_state's window.
     """
     order = int(n)
     if n != order or order < 1 or order % 2 == 0:
         raise ValueError("odd-branch order must be a positive odd integer")
     y = np.asarray(y, dtype=float)
-    # quietly: a far-out y may square to inf, and past n = 181 H_n overflows
+    # quietly: a far-out y may square to inf, and H_n may overflow (refused below)
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
         two_y = 2.0 * y
         h_prev, h = 1.0, two_y
         for k in range(1, order):
             h_prev, h = h, two_y * h - 2.0 * k * h_prev
-        # math.exp, not np.exp, which is 1 ulp off at about 5 % of points
-        gauss = np.fromiter(map(math.exp, (-0.5 * z).ravel().tolist()), float, z.size)
-        out = np.where(z > _ODD_FLOOR, 0.0, gauss.reshape(z.shape) * h)
+        out = np.where(z > _ODD_FLOOR, 0.0, np.exp(-0.5 * z) * h)
+    if not np.all(np.isfinite(out) | np.isnan(y)):
+        raise OverflowError(f"odd state n={order}: H_n leaves the double range at a sample")
     return out if out.ndim else float(out)
 
 
@@ -180,7 +184,7 @@ def jump_check(nu, g):
     D'_nu(0) = -D_(nu+1)(0) (DLMF 12.8.2); the condition is the jump
     psi'(0+) - psi'(0-) = 2 g psi(0) of the even extension.  Returns
     |psi'(0+) - g psi(0)| / max(|psi'(0+)|, |g psi(0)|), or 0.0 where both
-    sides vanish.  Past about nu = 341 eval_even raises OverflowError.
+    sides vanish.  Past nu = 341.25 (nu + 1 = 342.25) eval_even raises OverflowError.
     """
     slope = -2.0 * eval_even(nu + 1.0, 0.0)
     value = eval_even(nu, 0.0)
@@ -222,7 +226,10 @@ def normalize(f):
     weights = _simpson_weights(f)
     e = math.frexp(peak)[1]
     scaled = np.ldexp(f.values, -e)
-    norm = math.ldexp(math.sqrt(float(weights @ (scaled * scaled))), e)
+    root = math.sqrt(float(weights @ (scaled * scaled)))
+    if math.frexp(root)[1] + e > sys.float_info.max_exp:
+        raise OverflowError(f"state norm {root!r} * 2**{e} leaves the double range")
+    norm = math.ldexp(root, e)
     return GridFunction(f.half_width, f.values / norm), norm
 
 
@@ -244,9 +251,9 @@ def sample_state(sol):
     low states share [-10, 10], rounded up to an even interval count: the
     origin sits on a Simpson panel boundary.  normalize still checks the decay.
 
-    Domain: even |nu| below about 342 (eval_even refuses the rest with
-    OverflowError) and odd n up to 189 (past it H_n overflows inside the
-    window, and normalize refuses with OverflowError).
+    Domain: even nu in (-342.25, 341.74) and odd n up to 189.  Past them the
+    norm or a sample leaves the double range, and normalize, eval_even or
+    eval_odd raises OverflowError.
     """
     step = 0.01
     y0 = math.sqrt(max(2.0 * sol.nu + 1.0, 0.0))

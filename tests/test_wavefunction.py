@@ -75,7 +75,9 @@ def test_odd_evaluation_rejects_bad_order():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
-    """Same shape, the bits of the scalar Hermite loop, 0 past the Gaussian floor.
+    """Same shape, the bits of the scalar Hermite loop times numpy's exp, 0 past the floor.
+
+    numpy's exp is within 1 ulp of math.exp at every point.
 
     The second input is [0, 10] at sample_state's spacing, up to n = 181,
     the last order whose Hermite factor fits the double range for y^2 <= 700.
@@ -83,13 +85,17 @@ def test_odd_evaluation_on_an_array_matches_the_scalar_recurrence():
     ys = np.array([[-27.0, -3.1, -0.4, 0.0], [0.7, 2.9, 26.4, 1e200]])
     grid = np.arange(1001) * 0.01
     for points, orders in ((ys, (1, 9, 41, 151)), (grid, (1, 41, 181))):
+        with np.errstate(over="ignore"):
+            gauss = np.exp(-0.5 * (points * points)).ravel().tolist()
+        for y, factor in zip(points.ravel().tolist(), gauss):
+            assert abs(factor - math.exp(-0.5 * y * y)) <= math.ulp(factor)
         for n in orders:
             expected = []
-            for y in points.ravel().tolist():
+            for y, factor in zip(points.ravel().tolist(), gauss):
                 h_prev, h = 1.0, 2.0 * y
                 for k in range(1, n):
                     h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
-                expected.append(0.0 if y * y > 700.0 else math.exp(-0.5 * y * y) * h)
+                expected.append(0.0 if y * y > 700.0 else factor * h)
             out = eval_odd(n, points)
             assert out.shape == points.shape
             assert out.tobytes() == np.array(expected).reshape(points.shape).tobytes()
@@ -200,6 +206,37 @@ def test_even_evaluation_is_converged_in_its_cuts_and_step(monkeypatch, nu):
     monkeypatch.setattr(wavefunction, "_STEP", 0.25)
     tight = eval_even(nu, y)
     assert float(np.max(np.abs(tight - values))) <= 1e-14 * float(np.max(np.abs(values)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu", [341.85, 341.9, 342.2])
+def test_even_evaluation_refuses_a_sample_past_the_double_range(nu):
+    # the origin value fits, but the peak near the turning point (y ~ 26)
+    # does not: 6, 27 and 273 of these samples would be inf or NaN
+    with pytest.raises(OverflowError, match=f"nu={nu!r}: a sample"):
+        eval_even(nu, np.arange(3001) * 0.01)
+    assert np.all(np.isfinite(eval_even(341.84, np.arange(3001) * 0.01)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_odd_evaluation_refuses_a_sample_past_the_double_range():
+    # y^2 = 697 is inside the floor, and H_189 overflows there
+    with pytest.raises(OverflowError, match="n=189"):
+        eval_odd(189, 26.4)
+    with pytest.raises(OverflowError, match="n=191"):
+        sample_state(EigenSolution("odd", 191.0, 191))
+    # a NaN point is no overflow: it stays NaN
+    out = eval_odd(189, np.array([1.0, math.nan]))
+    assert math.isfinite(out[0]) and math.isnan(out[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu", [341.75, 341.8])
+def test_even_state_whose_norm_leaves_the_double_range_is_refused_by_name(nu):
+    # every sample fits, but the norm passes 2^1024
+    with pytest.raises(OverflowError, match="state norm .* leaves the double range"):
+        sample_state(EigenSolution("even", nu, 0))
+    sample_state(EigenSolution("even", 341.74, 0))  # just inside the edge
 
 
 def test_far_tail_is_flushed_to_zero():
