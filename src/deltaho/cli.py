@@ -27,16 +27,11 @@ import math
 import os
 import sys
 
-from . import __version__, oracle, spectrum
+from . import __version__, crosscheck, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
 _CRLF = "\r\n"
-# a second-order grid shrinks the gap about fourfold per halving; below the
-# floor the ratio drifts where the grid error changes sign (near g = -0.755,
-# 0.93 and 1.55 at N = 4000)
-_HALVING_WINDOW = (3.5, 4.5)
-_HALVING_GAP_FLOOR = 1e-7
 
 
 @functools.lru_cache(maxsize=1)
@@ -229,48 +224,18 @@ def cmd_figures(args):
 # --- compare ---------------------------------------------------------------------
 
 def cmd_compare(args):
-    """Analytic levels against the oracle's, each matched within its parity.
-
-    A ground-state gap above _HALVING_GAP_FLOOR whose halving_ratio leaves
-    _HALVING_WINDOW raises InsufficientDomainError.  That guards state 0
-    only, and by ratio only: g = -60 passes with a ground gap of 25 at 3.70.
-    """
+    """crosscheck.compare on the flags' grid, formatted."""
     g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
     if grid_n < 8 or grid_n % 4:
         # the halving run uses grid_n / 2 intervals, which must be even too
         raise ValueError(f"--grid-n must be a multiple of 4 and at least 8, got {grid_n}")
-    # the grid, then k against it, are checked before the analytic solve,
-    # so a bad one is reported before a bad coupling and costs no solve
-    h_fine = oracle.build_hamiltonian(g, grid_l, grid_n)
-    h_coarse = oracle.build_hamiltonian(g, grid_l, grid_n // 2)
-    fine = oracle.eigen_lowest(h_fine, k)
-    analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
-    coarse = oracle.eigen_lowest(h_coarse, 1)
-    gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
-    parity_match = [o == a.parity for o, a in zip(fine.parities, analytic)]
-    gap_coarse = abs(coarse.epsilons[0] - analytic[0].epsilon)
-    halving_ratio = gap_coarse / gaps[0] if gaps[0] > 0.0 else math.inf
-    low, high = _HALVING_WINDOW
-    if gaps[0] > _HALVING_GAP_FLOOR and not low <= halving_ratio <= high:
-        raise InsufficientDomainError(
-            f"the grid does not resolve state 0 at g={g!r}, dy={2.0 * grid_l / grid_n!r}: "
-            f"its gap {gaps[0]:.3g} has halving_ratio {halving_ratio:.3g}, "
-            f"outside [{low:g}, {high:g}]"
-        )
+    analytic, fine, gaps, halving_ratio = crosscheck.compare(g, k, grid_l, grid_n)
     if args.format == "csv":
         rows = [("index", "parity_analytic", "parity_oracle",
                  "epsilon_analytic", "epsilon_oracle", "abs_gap")]
-        for sol, o_eps, o_par in zip(analytic, fine.epsilons, fine.parities):
-            rows.append(
-                (
-                    sol.index,
-                    sol.parity,
-                    o_par,
-                    _fmt(sol.epsilon, args.full_precision),
-                    _fmt(o_eps, args.full_precision),
-                    _fmt(abs(o_eps - sol.epsilon), args.full_precision),
-                )
-            )
+        for sol, o_eps, o_par, gap in zip(analytic, fine.epsilons, fine.parities, gaps):
+            cells = (_fmt(value, args.full_precision) for value in (sol.epsilon, o_eps, gap))
+            rows.append((sol.index, sol.parity, o_par, *cells))
         comments = [
             f"oracle grid: L={grid_l:g}, N={grid_n}",
             f"max_gap={max(gaps):.3e}",
@@ -287,7 +252,7 @@ def cmd_compare(args):
             "analytic": [s.epsilon for s in analytic],
             "oracle": list(fine.epsilons),
             "gaps": gaps,
-            "parity_match": parity_match,
+            "parity_match": [o == a.parity for o, a in zip(fine.parities, analytic)],
             "max_gap": max(gaps),
             "halving_ratio": halving_ratio,
             "config": config,

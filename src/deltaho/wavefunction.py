@@ -20,9 +20,10 @@ from .errors import InsufficientDomainError
 
 # eval_even returns 0 past y^2 = _EVEN_FLOOR, where exp(-y^2/2) underflows and
 # |nu| < 342 states are below e^-200 of their peak; eval_odd past _ODD_FLOOR,
-# before H_n can overflow and past y = 23.1, where n <= 189 states are below 1e-12
+# before H_n can overflow and past y = 23.1, where n <= _ODD_MAX states are below 1e-12
 _EVEN_FLOOR = 1490.0
 _ODD_FLOOR = 700.0
+_ODD_MAX = 189
 
 _DECAY_FRACTION = 1e-12
 _REACH = 0.4 - math.log(_DECAY_FRACTION)  # sample_state's L = 28, margin included
@@ -98,11 +99,11 @@ def eval_even(nu, y):
     Nodes go in blocks of eight, one exp per node and point, and each
     block is summed over its nodes.
 
-    Raises ValueError for a non-finite nu, and OverflowError without
-    evaluating once the origin value (about Gamma(nu/2 + 1/2), or its
-    reciprocal for nu < 0) leaves the double range, past |nu| = 342.25,
-    and after evaluating if a sample is not finite (from nu = 341.85,
-    where the peak near the turning point leaves it first).
+    A NaN point gives NaN.  Raises ValueError for a non-finite nu, and
+    OverflowError without evaluating once the origin value (about
+    Gamma(nu/2 + 1/2), or its reciprocal for nu < 0) leaves the double range,
+    past |nu| = 342.25, and after evaluating if another sample is not finite
+    (from nu = 341.85, where the peak near the turning point leaves it first).
     """
     if not math.isfinite(nu):
         raise ValueError(f"even-branch order must be finite, got nu={nu!r}")
@@ -119,7 +120,7 @@ def eval_even(nu, y):
         t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
         step = _STEP / np.sqrt(t_peak * t_peak + c)
         peak = t_peak * (0.5 * t_peak + x)  # t^2/2 + x t at the peak
-        below = math.ceil(float(np.max((_TAIL + peak) / (c * step), initial=0.0)))
+        below = math.ceil(np.fmax.reduce((_TAIL + peak) / (c * step), axis=None, initial=0.0))
         above = math.ceil(math.sqrt(2.0 * _TAIL) / _STEP)
         c_step = c * step
         # node j = first + k: t = t_peak e^(j h), exponent j c h + peak - t (t/2 + x)
@@ -146,7 +147,7 @@ def eval_even(nu, y):
             np.subtract(x * cur, prev, out=prev)
             prev, cur = cur, prev
         out = np.where(z > _EVEN_FLOOR, 0.0, cur)
-    if not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out) | np.isnan(y)):
         raise OverflowError(f"even state nu={nu!r}: a sample leaves the double range")
     return out if out.ndim else float(out)
 
@@ -252,9 +253,11 @@ def sample_state(sol):
     origin sits on a Simpson panel boundary.  normalize still checks the decay.
 
     Domain: even nu in (-342.25, 341.74) and odd n up to 189.  Past them the
-    norm or a sample leaves the double range, and normalize, eval_even or
-    eval_odd raises OverflowError.
+    norm or a sample leaves the double range, and normalize or eval_even
+    raises OverflowError; an odd n past 189 is refused before evaluating.
     """
+    if sol.parity == "odd" and sol.index > _ODD_MAX:
+        raise OverflowError(f"odd state n={sol.index} > {_ODD_MAX}: H_n leaves the double range")
     step = 0.01
     y0 = math.sqrt(max(2.0 * sol.nu + 1.0, 0.0))
     d = math.sqrt(2.0 * _REACH)

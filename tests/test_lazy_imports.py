@@ -45,6 +45,9 @@ class TestNumpyFreePath:
     def test_import_cli(self, tmp_path):
         _assert_numpy_free("import sys, deltaho.cli", tmp_path)
 
+    def test_import_crosscheck(self, tmp_path):
+        _assert_numpy_free("import sys, deltaho.crosscheck", tmp_path)
+
     @pytest.mark.parametrize(
         "argv",
         [

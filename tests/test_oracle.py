@@ -406,18 +406,6 @@ class TestPlainOscillator:
 
 
 class TestAgainstAnalyticSolver:
-    # bound fixed by the spacing-halving study: worst gap 7.8e-5 at
-    # N=4000 (the g=-2.5 bound state), order 2.0 throughout
-    GAP_BOUND = 1e-3
-
-    @pytest.mark.parametrize("g", [1.0, -1.0, 2.5, -2.5])
-    def test_six_lowest_match(self, g):
-        analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=6))
-        spec = eigen_lowest(build_hamiltonian(g), 6)
-        for got, ref in zip(spec.epsilons, analytic):
-            assert got == pytest.approx(ref.epsilon, abs=self.GAP_BOUND)
-        assert spec.parities == tuple(s.parity for s in analytic)
-
     def test_repulsive_ground_state(self, spec_g1):
         assert spec_g1.epsilons[0] == pytest.approx(0.8927, abs=1e-2)
 

@@ -231,6 +231,20 @@ def test_odd_evaluation_refuses_a_sample_past_the_double_range():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("nu", [-3.7, 0.0, 1.0, 40.3, 300.3])
+def test_even_evaluation_gives_nan_at_a_nan_point(nu):
+    # as eval_odd does; the cut is taken over the other points, so each
+    # finite sample keeps its bits
+    y = np.arange(1001) * 0.01
+    out = eval_even(nu, np.append(y, math.nan))
+    assert out[:-1].tobytes() == eval_even(nu, y).tobytes() and math.isnan(out[-1])
+    out = eval_even(nu, np.array([1.0, math.nan]))
+    assert out[0] == eval_even(nu, np.array([1.0, 1.0]))[0] and math.isnan(out[1])
+    assert math.isnan(eval_even(nu, math.nan))
+    assert np.isnan(eval_even(nu, np.full((2, 3), math.nan))).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nu", [341.75, 341.8])
 def test_even_state_whose_norm_leaves_the_double_range_is_refused_by_name(nu):
     # every sample fits, but the norm passes 2^1024
@@ -330,11 +344,24 @@ def test_normalize_refuses_a_nan_sample():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [191, 201, 301, 451, 501])
 def test_sample_state_refuses_an_overflowing_odd_state(n):
-    # past n = 189 the Hermite factor overflows inside the window and the
-    # samples are NaN, so every larger n is an OverflowError; the refusal
-    # may not warn on the way
+    # past n = 189 the Hermite factor overflows inside the window, so every
+    # larger n is an OverflowError; the refusal may not warn on the way
     with pytest.raises(OverflowError):
         sample_state(EigenSolution("odd", float(n), n))
+
+
+@pytest.mark.parametrize("n", [191, 16001, 10**9 + 1])
+def test_odd_state_past_n_189_is_refused_before_evaluating(monkeypatch, n):
+    # the Hermite recurrence runs n steps before it overflows, 0.15 s at
+    # n = 16,001 and growing linearly in n, so the refusal comes first
+    def unreachable(order, y):
+        raise AssertionError(f"eval_odd ran for n={order}")
+
+    monkeypatch.setattr(wavefunction, "eval_odd", unreachable)
+    with pytest.raises(OverflowError, match=f"n={n} > 189"):
+        sample_state(EigenSolution("odd", float(n), n))
+    with pytest.raises(AssertionError, match="n=189"):
+        sample_state(EigenSolution("odd", 189.0, 189))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
