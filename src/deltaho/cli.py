@@ -52,14 +52,6 @@ def _fmt(value, full_precision):
     return f"{value:.17g}" if full_precision else f"{value:.6g}"
 
 
-def _csv_text(rows, comments=()):
-    out = io.StringIO()
-    for line in comments:
-        out.write(f"# {line}{_CRLF}")
-    csv.writer(out, lineterminator=_CRLF).writerows(rows)
-    return out.getvalue()
-
-
 def _write_atomic(path, text):
     # a new file beside the target, created 0o666 so that the umask sets
     # its mode as for a plain open(); os.replace swaps it in whole
@@ -88,10 +80,22 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _stamp_comments(args):
-    if not args.stamp:
-        return []
-    return [f"generated {_timestamp()} by deltaho {__version__}"]
+def _write_csv(args, filename, rows, comments=()):
+    # --stamp adds one comment line, after the command's own
+    if args.stamp:
+        comments = [*comments, f"generated {_timestamp()} by deltaho {__version__}"]
+    out = io.StringIO()
+    for line in comments:
+        out.write(f"# {line}{_CRLF}")
+    csv.writer(out, lineterminator=_CRLF).writerows(rows)
+    _emit(out.getvalue(), args, filename)
+
+
+def _write_json(args, filename, payload):
+    # --stamp adds the last key of payload["config"]
+    if args.stamp:
+        payload["config"]["timestamp"] = _timestamp()
+    _emit(json.dumps(payload, indent=2) + "\n", args, filename)
 
 
 # --- solve --------------------------------------------------------------------
@@ -104,21 +108,17 @@ def cmd_solve(args):
         rows = [("index", "parity", "nu", "epsilon")]
         rows += [(sol.index, sol.parity, _fmt(sol.nu, args.full_precision),
                   _fmt(sol.epsilon, args.full_precision)) for sol in states]
-        _emit(_csv_text(rows, _stamp_comments(args)), args, "solve.csv")
+        _write_csv(args, "solve.csv", rows)
         return 0
-    config = {"version": __version__, "n_states": args.states}
-    if args.stamp:
-        config["timestamp"] = _timestamp()
-    payload = {
+    _write_json(args, "solve.json", {
         "g": args.g,
         "states": [
             {"index": sol.index, "parity": sol.parity, "nu": sol.nu,
              "epsilon": sol.epsilon}
             for sol in states
         ],
-        "config": config,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args, "solve.json")
+        "config": {"version": __version__, "n_states": args.states},
+    })
     return 0
 
 
@@ -139,7 +139,7 @@ def cmd_table(args):
             worst = max(worst, abs(value - reference[g][level]))
         cells.append(f"{worst:.1e}")
         rows.append(tuple(cells))
-    _emit(_csv_text(rows, _stamp_comments(args)), args, "table.csv")
+    _write_csv(args, "table.csv", rows)
     return 0
 
 
@@ -157,9 +157,8 @@ def _figure_eq_solution(args):
         for g in _FIGURE_COUPLINGS:
             cells.append(_fmt(spectrum.eigen_equation(nu, g), args.full_precision))
         rows.append(tuple(cells))
-    comments = ["scaled eigenvalue function on nu in [-15, 9], step 0.01"]
-    comments += _stamp_comments(args)
-    _emit(_csv_text(rows, comments), args, "eq_solution.csv")
+    _write_csv(args, "eq_solution.csv", rows,
+               ["scaled eigenvalue function on nu in [-15, 9], step 0.01"])
 
 
 def _figure_nu_vs_g(args):
@@ -170,9 +169,7 @@ def _figure_nu_vs_g(args):
         sols = spectrum.solve_even(g, 5)
         cells = [f"{g:.1f}"] + [_fmt(s.nu, args.full_precision) for s in sols]
         rows.append(tuple(cells))
-    comments = ["five lowest even levels for g in [-5, 5], step 0.1"]
-    comments += _stamp_comments(args)
-    _emit(_csv_text(rows, comments), args, "nu_vs_g.csv")
+    _write_csv(args, "nu_vs_g.csv", rows, ["five lowest even levels for g in [-5, 5], step 0.1"])
 
 
 def _figure_wavefunctions(args):
@@ -203,32 +200,29 @@ def _figure_wavefunctions(args):
             for _, state in columns:
                 cells.append(_fmt(state.values[i] ** 2, args.full_precision))
             rows.append(tuple(cells))
-        comments = [
+        _write_csv(args, filename, rows, [
             f"densities of the second even level at g in {{{', '.join(f'{g:g}' for g in couplings)}}}"
             f" and of the odd n={odd_n} neighbor",
-        ]
-        comments += _stamp_comments(args)
-        _emit(_csv_text(rows, comments), args, filename)
+        ])
+
+
+_FIGURES = {
+    "eq-solution": _figure_eq_solution,
+    "nu-vs-g": _figure_nu_vs_g,
+    "wavefunctions": _figure_wavefunctions,
+}
 
 
 def cmd_figures(args):
-    if args.which == "eq-solution":
-        _figure_eq_solution(args)
-    elif args.which == "nu-vs-g":
-        _figure_nu_vs_g(args)
-    else:
-        _figure_wavefunctions(args)
+    _FIGURES[args.which](args)
     return 0
 
 
 # --- compare ---------------------------------------------------------------------
 
 def cmd_compare(args):
-    """crosscheck.compare on the flags' grid, formatted."""
+    """crosscheck.compare on the flags' grid, formatted; it checks --grid-n as n_intervals."""
     g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
-    if grid_n < 8 or grid_n % 4:
-        # the halving run uses grid_n / 2 intervals, which must be even too
-        raise ValueError(f"--grid-n must be a multiple of 4 and at least 8, got {grid_n}")
     analytic, fine, gaps, halving_ratio = crosscheck.compare(g, k, grid_l, grid_n)
     if args.format == "csv":
         rows = [("index", "parity_analytic", "parity_oracle",
@@ -236,17 +230,13 @@ def cmd_compare(args):
         for sol, o_eps, o_par, gap in zip(analytic, fine.epsilons, fine.parities, gaps):
             cells = (_fmt(value, args.full_precision) for value in (sol.epsilon, o_eps, gap))
             rows.append((sol.index, sol.parity, o_par, *cells))
-        comments = [
+        _write_csv(args, "compare.csv", rows, [
             f"oracle grid: L={grid_l:g}, N={grid_n}",
             f"max_gap={max(gaps):.3e}",
             f"halving_ratio={halving_ratio:.2f}",
-        ] + _stamp_comments(args)
-        _emit(_csv_text(rows, comments), args, "compare.csv")
+        ])
     else:
-        config = {"half_width": grid_l, "n_intervals": grid_n, "version": __version__}
-        if args.stamp:
-            config["timestamp"] = _timestamp()
-        payload = {
+        _write_json(args, "compare.json", {
             "g": g,
             "k": k,
             "analytic": [s.epsilon for s in analytic],
@@ -255,9 +245,8 @@ def cmd_compare(args):
             "parity_match": [o == a.parity for o, a in zip(fine.parities, analytic)],
             "max_gap": max(gaps),
             "halving_ratio": halving_ratio,
-            "config": config,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args, "compare.json")
+            "config": {"half_width": grid_l, "n_intervals": grid_n, "version": __version__},
+        })
     return 0
 
 
@@ -372,8 +361,7 @@ def build_parser():
     table.set_defaults(func=cmd_table)
 
     figures = add_command("figures", help="write figure-ready CSV grids")
-    figures.add_argument("which",
-                         choices=("eq-solution", "nu-vs-g", "wavefunctions"))
+    figures.add_argument("which", choices=_FIGURES)
     figures.add_argument("--out", default=".",
                          help="output directory (default: the current directory)")
     _add_flags(figures, "full_precision", "stamp")

@@ -1,6 +1,7 @@
 """Analytic levels against the oracle's: the one module importing both routes, stdlib only."""
 
 import math
+import numbers
 
 from . import oracle, spectrum
 from .errors import InsufficientDomainError
@@ -17,13 +18,17 @@ def compare(g, k, half_width=8.0, n_intervals=4000):
 
     Returns (analytic, fine, gaps, halving_ratio): full_spectrum's states,
     the oracle's OracleSpectrum, each |oracle - analytic|, and the ground
-    state's gap on the half-size grid over its gap on this one.  The grid,
-    then k against it, are checked before the analytic solve, so a bad one
-    is reported before a bad coupling and costs no solve.  A ground gap
+    state's gap on the half-size grid over its gap on this one.  n_intervals
+    must be a multiple of 4 and at least 8, so that the half-size grid keeps
+    a node at the origin; that is checked before either grid is built, then
+    the grid, then k against it, all before the analytic solve, so a bad
+    one is reported before a bad coupling and costs no solve.  A ground gap
     above _HALVING_GAP_FLOOR whose halving_ratio leaves _HALVING_WINDOW
     raises InsufficientDomainError.  That guards state 0 only, and by ratio
     only: g = -60 passes with a ground gap of 25 at 3.70.
     """
+    if isinstance(n_intervals, numbers.Integral) and (n_intervals < 8 or n_intervals % 4):
+        raise ValueError(f"n_intervals must be a multiple of 4 and at least 8, got {n_intervals!r}")
     h_fine = oracle.build_hamiltonian(g, half_width, n_intervals)
     h_coarse = oracle.build_hamiltonian(g, half_width, n_intervals // 2)
     fine = oracle.eigen_lowest(h_fine, k)

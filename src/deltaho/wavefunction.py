@@ -97,7 +97,9 @@ def eval_even(nu, y):
     c = 16 and x = 0, gives e^-36 at h = w/2, but e^-25 at 0.65 widths
     and 1e-10 at 0.7.  Starting at c >= 16 keeps the left tail short.
     Nodes go in blocks of eight, one exp per node and point, and each
-    block is summed over its nodes.
+    block is summed over its nodes.  The lower cut and numpy's summation
+    order depend on the whole call, so a sample's last bits (a few 1e-15)
+    do too: a scalar call and an array call can differ at the same y.
 
     A NaN point gives NaN.  Raises ValueError for a non-finite nu, and
     OverflowError without evaluating once the origin value (about

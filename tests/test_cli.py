@@ -1,11 +1,13 @@
 """CLI behavior: output formats, determinism, exit codes, flag scope, file modes."""
 
 import csv
+import datetime
 import io
 import json
 import math
 import os
 import random
+import re
 import stat
 import sys
 
@@ -36,6 +38,19 @@ def _shift_ground(monkeypatch, shift):
         return [ground] + states[1:]
 
     monkeypatch.setattr(spectrum, "full_spectrum", ground_off)
+
+
+# each command that takes --stamp, by every format it writes
+STAMPED = {
+    "solve-json": ["solve", "--g", "1"],
+    "solve-csv": ["solve", "--g", "1", "--format", "csv"],
+    "table": ["table"],
+    "eq-solution": ["figures", "eq-solution"],
+    "nu-vs-g": ["figures", "nu-vs-g"],
+    "wavefunctions": ["figures", "wavefunctions"],
+    "compare-json": ["compare", "--g", "1", "--states", "2", "--grid-n", "400"],
+    "compare-csv": ["compare", "--g", "1", "--states", "2", "--grid-n", "400", "--format", "csv"],
+}
 
 
 class TestSolve:
@@ -100,12 +115,6 @@ class TestSolve:
         _, second = run_cli(capsys, "solve", "--g", "1.0", "--format", "csv")
         assert first == second
         assert "# generated" not in first
-
-    def test_stamp_adds_metadata(self, capsys):
-        _, out = run_cli(capsys, "solve", "--g", "1.0", "--format", "csv", "--stamp")
-        assert out.startswith("# generated")
-        _, jout = run_cli(capsys, "solve", "--g", "1.0", "--stamp")
-        assert "timestamp" in json.loads(jout)["config"]
 
     def test_json_config_names_only_the_state_count(self, capsys):
         _, out = run_cli(capsys, "solve", "--g", "1.0", "--states", "3")
@@ -324,21 +333,14 @@ class TestCompare:
         assert result["gaps"][0] <= 1e-10
         assert not 3.5 <= result["halving_ratio"] <= 4.5
 
-    def test_json_stamp_adds_only_the_timestamp(self, capsys):
-        argv = ("compare", "--g", "1", "--states", "2", "--grid-n", "400")
-        _, plain = run_cli(capsys, *argv)
-        _, stamped = run_cli(capsys, *argv, "--stamp")
-        assert "timestamp" not in json.loads(plain)["config"]
-        report = json.loads(stamped)
-        del report["config"]["timestamp"]
-        assert json.dumps(report, indent=2) + "\n" == plain
-
     @pytest.mark.parametrize("grid_n", ["4002", "6", "4"])
     def test_grid_n_must_allow_halving(self, capsys, grid_n):
-        # the halving run uses grid_n / 2 intervals, which must be even too
+        # crosscheck.compare checks the grid it halves and names its own
+        # parameter, as build_hamiltonian names half_width for --grid-l
         code = main(["compare", "--g", "1", "--states", "1", "--grid-n", grid_n])
         assert code == 2
-        assert "--grid-n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: n_intervals must be a multiple of 4 and at least 8, got {grid_n}\n"
 
     @pytest.mark.parametrize("grid_l", ["inf", "nan"])
     def test_nonfinite_grid_l_is_a_usage_error(self, capsys, grid_l):
@@ -410,6 +412,14 @@ class TestUnits:
         code, out = run_cli(capsys, "units", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)[name] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+    def test_rejects_nonfinite_alpha(self, capsys, alpha):
+        code = main(["units", "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be finite\n"
 
     @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
     def test_rejects_nonfinite_nu(self, capsys, nu):
@@ -613,6 +623,16 @@ class TestFlagScope:
         assert main(["solve", "--g", "1", "--stamp", "-1"]) == 2
         assert "--stamp: ignored explicit argument '-1'" in capsys.readouterr().err
 
+    def test_dash_token_that_is_not_a_number_is_not_a_value(self, capsys, monkeypatch, tmp_path):
+        # "-x" is not glued to --out, so --out has no value
+        monkeypatch.chdir(tmp_path)
+        code = main(["solve", "--g", "1", "--out", "-x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--out: expected one argument" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputFiles:
     def test_mode_follows_the_umask(self, capsys, tmp_path):
@@ -625,6 +645,45 @@ class TestOutputFiles:
         assert code == 0
         mode = (tmp_path / "table.csv").stat().st_mode
         assert stat.S_IMODE(mode) == 0o666 & ~umask
+
+    def test_failed_swap_is_an_io_failure_and_leaves_no_part_file(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device", src)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        code = main(["solve", "--g", "1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 28] No space left on device")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", list(STAMPED.values()), ids=list(STAMPED))
+    def test_stamp_adds_only_the_timestamp(self, capsys, tmp_path, argv):
+        written = {}
+        for name, stamp in (("plain", []), ("stamped", ["--stamp"])):
+            assert main([*argv, *stamp, "--out", str(tmp_path / name)]) == 0
+            written[name] = {p.name: p.read_bytes().decode() for p in (tmp_path / name).iterdir()}
+        assert capsys.readouterr().out == ""
+        assert written["stamped"].keys() == written["plain"].keys()
+        for filename, plain in written["plain"].items():
+            stamped = written["stamped"][filename]
+            if filename.endswith(".json"):
+                report = json.loads(stamped)
+                assert list(report["config"])[-1] == "timestamp"
+                stamp = report["config"].pop("timestamp")
+                assert json.dumps(report, indent=2) + "\n" == plain
+            else:
+                # one line after the command's own comments
+                lines = stamped.split("\r\n")
+                own = sum(line.startswith("#") for line in plain.split("\r\n"))
+                line = re.fullmatch(rf"# generated (\S+) by deltaho {re.escape(__version__)}",
+                                    lines.pop(own))
+                assert line, stamped
+                stamp = line[1]
+                assert "\r\n".join(lines) == plain
+            assert datetime.datetime.fromisoformat(stamp).utcoffset() == datetime.timedelta(0)
 
     def test_solve_creates_its_out_directory(self, capsys, tmp_path):
         target = tmp_path / "made" / "here"

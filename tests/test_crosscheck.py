@@ -46,6 +46,25 @@ def test_unresolved_ground_state_is_refused(capsys, g, k, half_width, n_interval
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n_intervals", [402, 6, 4])
+def test_grid_that_cannot_be_halved_is_refused_before_either_grid_is_built(monkeypatch,
+                                                                          n_intervals):
+    # 402 is even, but the half-size grid's 201 intervals are not
+    def unreachable(*args):
+        raise AssertionError("a grid was built before the n_intervals check")
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", unreachable)
+    with pytest.raises(ValueError) as raised:
+        crosscheck.compare(1.0, 2, 8.0, n_intervals)
+    assert str(raised.value) == f"n_intervals must be a multiple of 4 and at least 8, got {n_intervals}"
+
+
+@pytest.mark.parametrize("n_intervals", [402.0, 4000.0, "4000"])
+def test_non_integer_grid_is_refused_by_name(n_intervals):
+    with pytest.raises(ValueError, match="n_intervals must be an integer"):
+        crosscheck.compare(1.0, 2, 8.0, n_intervals)
+
+
 def test_defaults_are_the_oracle_grid():
     own = inspect.signature(crosscheck.compare).parameters
     grid = inspect.signature(oracle.build_hamiltonian).parameters

@@ -379,6 +379,10 @@ class TestHamiltonianBuild:
         with pytest.raises(ValueError):
             Tridiagonal(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
 
+    def test_tridiagonal_refuses_an_empty_diagonal(self):
+        with pytest.raises(ValueError, match="diag must be a nonempty vector"):
+            Tridiagonal((), ())
+
     def test_eigen_count_validation(self):
         blocks = (Tridiagonal((1.0, 2.0), (0.0,)), Tridiagonal((3.0,), ()))
         for k in (0, 4):

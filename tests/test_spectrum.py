@@ -411,6 +411,12 @@ def _tenth_step(x):
     return -1.0 if x < 0.1 else 1e-200
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_refinement_refuses_a_bracket_without_a_sign_change(sign):
+    with pytest.raises(BracketError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
+        spectrum._refine_root(lambda x: sign * (1.0 + x), 0.0, 1.0)
+
+
 def test_refinement_keeps_the_bisection_worst_case():
     # regula falsi stalls beside the end whose value is tiny; the shrinking
     # radius about the midpoint keeps ITP within one step of bisection's
