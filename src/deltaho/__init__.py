@@ -1,11 +1,12 @@
 """Spectrum and eigenfunctions of a harmonic oscillator with a delta spike at the origin.
 
 The spectrum layer (Gamma factors, eigen condition, root solves and
-their gate) and the finite-difference oracle (`oracle`) are plain
-standard-library Python and are imported eagerly.  Eigenfunction
-sampling and the origin-kink residual (`wavefunction`), the one
-numpy-backed layer, load on first access of one of their names (PEP 562),
-so `import deltaho` alone never imports numpy.
+their gate) is plain standard-library Python and is imported eagerly.
+The finite-difference oracle (`oracle`), which only the cross-check
+needs, and eigenfunction sampling and the origin-kink residual
+(`wavefunction`), the one numpy-backed layer, load on first access of
+one of their names (PEP 562), so `import deltaho` alone never imports
+numpy or the oracle.
 """
 
 import importlib
@@ -13,7 +14,6 @@ import importlib
 __version__ = "0.1.0"
 
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
-from .oracle import OracleSpectrum, Tridiagonal, build_hamiltonian, eigen_lowest
 from .spectrum import (
     EigenSolution,
     SolverConfig,
@@ -26,6 +26,11 @@ from .spectrum import (
 
 # public name -> submodule that defines it, imported on first access
 _LAZY = {
+    "oracle": "oracle",
+    "OracleSpectrum": "oracle",
+    "Tridiagonal": "oracle",
+    "build_hamiltonian": "oracle",
+    "eigen_lowest": "oracle",
     "wavefunction": "wavefunction",
     "GridFunction": "wavefunction",
     "eval_even": "wavefunction",

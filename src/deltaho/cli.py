@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from . import __version__, crosscheck, spectrum
+from . import __version__, spectrum
 from .errors import BracketError, ConvergenceError, InsufficientDomainError
 
 _FIGURE_COUPLINGS = (-0.25, 0.25, -1.0, 1.0, -2.5, 2.5, -5.0, 5.0)
@@ -222,6 +222,9 @@ def cmd_figures(args):
 
 def cmd_compare(args):
     """crosscheck.compare on the flags' grid, formatted; it checks --grid-n as n_intervals."""
+    # the cross-check and its oracle load here, so no other command pays for them
+    from . import crosscheck
+
     g, k, grid_n, grid_l = args.g, args.states, args.grid_n, args.grid_l
     analytic, fine, gaps, halving_ratio = crosscheck.compare(g, k, grid_l, grid_n)
     if args.format == "csv":

@@ -23,14 +23,22 @@ would not do: eigenvectors vanish like e^-32 at the walls, so each zero
 of q_n sits next to a pole, closer than a double resolves, and q_n keeps
 its sign across the eigenvalue.  Bisection and closing counts stop once
 they pass the index sought, and enter the table as lower bounds, to be
-counted in full only if a later eigenvalue needs them.  Each block keeps
-its bond squares once, for every pass.  The Sturm recurrence is
-sequential, so the module is plain Python on tuples of floats.  It
-imports functools, math, operator and sys, and nothing from spectrum or
-wavefunction: agreement between the two routes is the point.
+counted in full only if a later eigenvalue needs them.  A count also
+stops a few rows past the classical turning point of x, where d - x
+passes 2|e|: once a pivot reaches |e| there, the rounded recurrence
+q' = d - x - e^2/q, monotone in q and d, keeps every later one there
+(see _wall).  The Newton steps sum every row.  Each block keeps its bond
+squares, and the row where its plain bonds and growing diagonal begin,
+once for every pass; the even block takes both from the odd one.  The
+Sturm recurrence is sequential, so the module is plain Python on tuples
+of floats.  It imports bisect, functools, itertools, math, operator and
+sys, and nothing from spectrum or wavefunction: agreement between the
+two routes is the point.
 """
 
+import bisect
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -45,7 +53,7 @@ _CLOSE_OFFSET = 0.4 * _WIDTH_TOL
 class Tridiagonal:
     """Symmetric tridiagonal operator, held as tuples of floats."""
 
-    __slots__ = ("diag", "off", "squares", "pivmin", "solved")
+    __slots__ = ("diag", "off", "squares", "pivmin", "tail", "solved")
 
     def __init__(self, diag, off):
         diag = tuple(map(float, diag))
@@ -54,20 +62,38 @@ class Tridiagonal:
             raise ValueError("diag must be a nonempty vector")
         if len(off) != len(diag) - 1:
             raise ValueError("off must be one element shorter than diag")
+        self._set_rows(diag, off, (0.0,) + tuple(e * e for e in off), len(diag))
+
+    def _set_rows(self, diag, off, squares, known_tail):
+        # squares are the bond squares the pivot recurrence reads, one per
+        # row: the first row has no bond ahead of it.  Rows known_tail..
+        # are in the monotone tail (see _tail)
         self.diag = diag
         self.off = off
-        # the bond squares the pivot recurrence reads, one per row: the
-        # first row has no bond ahead of it
-        self.squares = (0.0,) + tuple(e * e for e in off)
+        self.squares = squares
         # smaller pivots count as negative: LAPACK dstebz's floor (Demmel,
         # Dhillon & Ren, ETNA 3 (1995) 116), which no spike g/dy outgrows
-        self.pivmin = sys.float_info.min * max((1.0,) + self.squares)
+        self.pivmin = sys.float_info.min * max((1.0,) + squares)
+        self.tail = _tail(diag, squares, known_tail)
         # the Sturm table and the levels solved so far (see _lowest)
         self.solved = ((), ())
 
     @property
     def size(self):
         return len(self.diag)
+
+
+def _tail(diag, squares, start):
+    """First row of the monotone tail, given that it holds rows start..
+
+    A row is in the tail when, from it to the last row, the diagonal does
+    not fall and every bond square is the last row's, and nonzero; the first
+    row, with no bond, never is.  len(diag) when no row is.
+    """
+    t = start
+    while 0.0 < squares[t - 1] == squares[-1] and (t == len(diag) or diag[t - 1] <= diag[t]):
+        t -= 1
+    return t
 
 
 class OracleSpectrum:
@@ -107,18 +133,25 @@ def build_hamiltonian(g, half_width=8.0, n_intervals=4000):
     spike = g / delta
     if not math.isfinite(spike):
         raise ValueError(f"the contact spike g/dy is not finite for g={g!r}, dy={delta!r}")
-    odd, (tail_lo, tail_hi) = _odd_block(half_width, n)
+    odd, (rest_lo, rest_hi) = _odd_block(half_width, n)
     link = -0.5 / delta**2 * math.sqrt(2.0)
-    # the origin's diagonal, 1/dy^2 + 0^2/2, has the bits of 1/dy^2
-    even = Tridiagonal((1.0 / delta**2 + spike,) + odd.diag, (link,) + odd.off)
+    # the origin's diagonal, 1/dy^2 + 0^2/2, has the bits of 1/dy^2; the
+    # odd rows, squares and tail are reused, with no pass over them
+    even = Tridiagonal.__new__(Tridiagonal)
+    even._set_rows(
+        (float(1.0 / delta**2 + spike),) + odd.diag,
+        (link,) + odd.off,
+        (0.0, link * link) + odd.squares[1:],
+        odd.tail + 1,
+    )
     # even rows 2.. are odd rows 1.., bonds included, so _gershgorin(even)
     # is the extreme of those rows', the origin's and its neighbour's
     # d -+ pad, the same doubles; _lowest starts from it as it would
     origin, near = even.diag[0], odd.diag[0]
     pad = abs(link)
     near_pad = pad + (abs(odd.off[0]) if odd.off else 0.0)
-    lo = min(origin - pad, near - near_pad, tail_lo)
-    hi = max(origin + pad, near + near_pad, tail_hi)
+    lo = min(origin - pad, near - near_pad, rest_lo)
+    hi = max(origin + pad, near + near_pad, rest_hi)
     even.solved = (((lo, 0, False), (hi, even.size, False)), ())
     return even, odd
 
@@ -142,23 +175,51 @@ def count_below(h, x, limit=math.inf):
 
     With a limit, the walk stops where the count passes it and returns
     min(count, limit + 1); far above the limit-th eigenvalue, within a few rows.
+    From the row _wall gives on, it also stops at the first pivot of at
+    least the tail's bond, since no later pivot can count: for x below the
+    top of the diagonal that is a few rows past x's classical turning point.
     """
     pivmin = h.pivmin
     count = 0
+    wall, bond = _wall(h, x)
+    rows = zip(h.diag, h.squares)
     # a zero bond ahead of the first pivot makes it d_0 - x exactly
     q = 1.0
-    for di, e2 in zip(h.diag, h.squares):
-        q = di - x - e2 / q
-        # a pivot inside the pivmin band counts as negative and is floored
-        # at -pivmin (the standard convention: it keeps the count monotone
-        # in x); -pivmin itself, and NaN, are left as they are
-        if q < pivmin:
-            count += 1
-            if count > limit:
+    for segment, stop in ((itertools.islice(rows, wall), math.inf), (rows, bond)):
+        for di, e2 in segment:
+            q = di - x - e2 / q
+            # a pivot inside the pivmin band counts as negative and is floored
+            # at -pivmin (the standard convention: it keeps the count monotone
+            # in x); -pivmin itself, and NaN, are left as they are
+            if q < pivmin:
+                count += 1
+                if count > limit:
+                    return count
+                if q > -pivmin:
+                    q = -pivmin
+            elif q >= stop:
                 return count
-            if q > -pivmin:
-                q = -pivmin
     return count
+
+
+def _wall(h, x):
+    """(row, bond): from that row on, a pivot >= bond ends a count below x.
+
+    bond is |e|, the bond of h's monotone tail, and the wall is a row w of
+    the tail where fl(fl(d_w - x) - fl(e^2/|e|)) >= |e|; row is w - 1.  A
+    pivot q >= |e| at row w - 1 or later keeps every later one >= |e|: the
+    step q' = d - x - e^2/q, rounded operation by operation, does not fall
+    as q or d grows, and the tail's d only grow.  As |e| >= pivmin, none of
+    those pivots counts or is floored.  w comes from bisection on the
+    diagonal at x + 2|e|, then the check; (size, inf) when it fails, as for
+    x NaN or above the diagonal.
+    """
+    if h.tail < h.size:
+        bond = abs(h.off[-1])
+        w = bisect.bisect_left(h.diag, x + 2.0 * bond, h.tail)
+        if w < h.size and bond >= h.pivmin and h.diag[w] - x - h.squares[-1] / bond >= bond:
+            return w - 1, bond
+    return h.size, math.inf
 
 
 def _gershgorin(h, first=0):

@@ -2,9 +2,9 @@
 
 `import deltaho` and the commands that sample no eigenfunction (solve,
 table, units, compare and the two cheap figures) never touch numpy;
-eigenfunction sampling loads it on first use.  Each numpy check runs in
-a fresh interpreter, since the test process itself has numpy loaded long
-before.
+eigenfunction sampling loads it on first use.  The oracle loads only for
+compare.  Each check runs in a fresh interpreter, since the test process
+itself has numpy and the oracle loaded long before.
 """
 
 import os
@@ -68,6 +68,31 @@ class TestNumpyFreePath:
             assert cli.main({argv!r}) == 0
         """
         _assert_numpy_free(textwrap.dedent(code), tmp_path)
+
+
+class TestOracleOnDemand:
+    # the oracle, and the cross-check that imports it, load for compare only
+    BOTH = ["deltaho.crosscheck", "deltaho.oracle"]
+
+    @pytest.mark.parametrize(
+        "code, loaded",
+        [
+            ("import deltaho", []),
+            ("from deltaho import cli; assert cli.main(['solve', '--g', '1']) == 0", []),
+            ("from deltaho import cli; assert cli.main(['table']) == 0", []),
+            ("from deltaho import cli; assert cli.main(['units', '--alpha', '-2', '--nu', '3']) == 0", []),
+            ("from deltaho import cli; assert cli.main(['figures', 'eq-solution', '--out', 'f']) == 0", []),
+            ("from deltaho import cli; assert cli.main(['figures', 'nu-vs-g', '--out', 'f']) == 0", []),
+            ("from deltaho import cli; assert cli.main(['compare', '--g', '1', '--grid-n', '400']) == 0", BOTH),
+            ("import deltaho; deltaho.eigen_lowest", ["deltaho.oracle"]),
+        ],
+        ids=["import", "solve", "table", "units", "eq-solution", "nu-vs-g", "compare", "name-access"],
+    )
+    def test_oracle_loads_for_compare_only(self, tmp_path, code, loaded):
+        probe = f"import sys\n{code}\nprint(sorted(set({self.BOTH!r}) & set(sys.modules)))\n"
+        result = _fresh_python(probe, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == repr(loaded)
 
 
 class TestStdlibFootprint:

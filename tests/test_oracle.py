@@ -138,8 +138,10 @@ class TestPassBudget:
         # mirror block, where passes over the full matrix walked 368k-404k.
         # The sum counts every pass as a full one, though a bisection or
         # closing count stops once it passes j: within a handful of rows at
-        # the Gershgorin top, a few hundred near the low levels (161k-168k
-        # rows walked in all, against 204k-210k when every count ran full)
+        # the Gershgorin top, a few hundred near the low levels; and a count
+        # stops past the turning point once a pivot passes the bond (130k-137k
+        # rows walked in all, 161k-168k before that stop, 204k-210k when
+        # every count ran full; see TestWallStop)
         assert sum(size for _, size in passes) <= 240_000
 
 
@@ -337,6 +339,28 @@ class TestHamiltonianBuild:
         assert (lo.hex(), hi.hex()) == tuple(x.hex() for x in oracle._gershgorin(even))
         assert (c_lo, b_lo, c_hi, b_hi) == (0, False, even.size, False)
         assert even.solved[1] == ()
+
+    @pytest.mark.parametrize(
+        "g, half_width, n",
+        [
+            (-5.0, 8.0, 4000),
+            (1.0, 8.0, 4000),
+            (1e300, 8.0, 4000),
+            (np.float64(-60.0), 1e4, 400),
+            (1.0, 6.0, 8),
+            (1.0, 8.0, 4),
+        ],
+    )
+    def test_even_block_reuses_the_odd_rows(self, g, half_width, n):
+        # the even block is assembled from the cached odd block's squares
+        # and tail; a fresh block over the same rows has the same doubles
+        even, odd = build_hamiltonian(g, half_width, n)
+        fresh = Tridiagonal(even.diag, even.off)
+        assert (even.squares, even.pivmin, even.tail) == (fresh.squares, fresh.pivmin, fresh.tail)
+        assert type(even.diag[0]) is float
+        # every row with the plain bond: all but the odd block's first,
+        # which has none, and the even block's origin and its link
+        assert (odd.tail, even.tail) == ((1, 2) if n > 4 else (1, 1))
 
     def test_rejects_nonfinite_coupling(self):
         with pytest.raises(ValueError):
@@ -599,6 +623,126 @@ class TestCountSemantics:
         for x, c, bound in table:
             full = count_below(h, x)
             assert c <= full if bound else c == full
+
+
+def _full_walk(h, x, limit=math.inf):
+    """count_below with no stop but the limit's: every row walked."""
+    count, q = 0, 1.0
+    for di, ei in zip(h.diag, (0.0,) + h.off):
+        q = di - x - ei * ei / q
+        if q < h.pivmin:
+            count += 1
+            if count > limit:
+                return count
+            if q > -h.pivmin:
+                q = -h.pivmin
+    return count
+
+
+class _CountedRows(tuple):
+    """A diagonal that counts the rows a Sturm pass walks through it."""
+
+    walked = 0
+
+    def __iter__(self):
+        for value in super().__iter__():
+            _CountedRows.walked += 1
+            yield value
+
+
+def _walked(h, x):
+    h.diag = _CountedRows(h.diag)
+    _CountedRows.walked = 0
+    count_below(h, x)
+    return _CountedRows.walked
+
+
+class TestWallStop:
+    SPECIAL = (math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 400, 2000, 4000])
+    @pytest.mark.parametrize("half_width", [6.0, 8.0, 1e4])
+    def test_count_equals_the_full_walk_on_grids(self, n, half_width):
+        # each low level and points just either side of it, where the
+        # walk runs farthest, and points over the Gershgorin interval
+        rng = np.random.default_rng(n)
+        for g in (-1e3, -5.0, 1.0, 1e300):
+            blocks = build_hamiltonian(g, half_width, n)
+            levels = eigen_lowest(blocks, min(4, n - 1)).epsilons
+            for h in blocks:
+                xs = list(self.SPECIAL) + [v + d for v in levels for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)]
+                xs += [x for x, _ in _samples(rng, h, 10)]
+                for x in xs:
+                    for limit in (math.inf, 0, 2):
+                        assert count_below(h, x, limit) == _full_walk(h, x, limit), (g, x, limit)
+
+    def test_count_equals_the_full_walk_on_random_blocks(self):
+        # plain bonds with a diagonal that falls, or a bond that grows,
+        # inside what would otherwise be the tail: rows before the break
+        # may not stop
+        rng = np.random.default_rng(36)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            d = np.sort(rng.uniform(-10.0, 10.0, n))
+            e = np.full(n - 1, rng.uniform(0.5, 3.0)) * rng.choice((-1.0, 1.0), n - 1)
+            kind = trial % 4
+            brk = int(rng.integers(1, n))
+            if kind == 1:
+                d[brk] = d[brk - 1] - rng.uniform(0.1, 5.0)
+            elif kind == 2:
+                e[brk - 1] *= 1.5
+            elif kind == 3:
+                e = rng.uniform(-3.0, 3.0, n - 1)
+            h = Tridiagonal(d, e)
+            # the tail starts past the fall, and past a grown bond that is
+            # not the last
+            if kind == 1 or kind == 2 and brk + 1 < n:
+                assert h.tail >= brk + (kind == 2)
+            xs = list(self.SPECIAL) + rng.uniform(-20.0, 20.0, 10).tolist() + d.tolist()
+            for x in xs:
+                for limit in (math.inf, 0, int(rng.integers(0, n + 1))):
+                    assert count_below(h, x, limit) == _full_walk(h, x, limit), (trial, x, limit)
+
+    def test_the_bisected_row_must_pass_the_check(self):
+        # fl(0.3 + 2) - 0.3 is 1.9999999999999998: the row found at x + 2|e|
+        # falls one rounding short of the wall, so no stop is offered
+        h = Tridiagonal((0.0, 0.3 + 2.0), (1.0,))
+        assert oracle._wall(h, 0.3) == (2, math.inf)
+        assert oracle._wall(h, 0.2) == (0, 1.0)
+
+    def test_a_bond_below_the_pivot_floor_offers_no_stop(self):
+        # the 1e150 bond lifts pivmin to 2.2e-8, past the tail's bond 1e-9:
+        # the pivots near 1e-8 past the wall are positive, yet they count
+        h = Tridiagonal((0.0, 0.0, 1.0, 1.0), (1e150, 1e-9, 1e-9))
+        x = 1.0 - 1e-8
+        assert oracle._wall(h, x) == (4, math.inf)
+        assert count_below(h, x) == _full_walk(h, x) == 3
+
+    def test_counts_stop_past_the_turning_point(self):
+        # at g = 1 on the N = 4000 grid a mid-gap count walks 478 of the
+        # even block's 2,000 rows and a closing count at the ground level
+        # +-4e-11 walks 1,297-1,322: a walk that ran to the last row, as
+        # before the stop, would walk 2,000 each
+        even, odd = build_hamiltonian(1.0)
+        levels = eigen_lowest((even, odd), 3).epsilons
+        assert _walked(even, 0.5 * (levels[0] + levels[2])) <= 500
+        for x in (levels[0] - 4e-11, levels[0] + 4e-11):
+            assert _walked(even, x) <= 1_350
+
+    @pytest.mark.parametrize("g", [-5.0, -2.5, 0.0, 1.0, 5.0])
+    def test_cold_solve_walks_fewer_rows(self, g):
+        # a cold 8-level solve walks 130k-141.5k rows, against 161k-172k
+        # when every count ran to the end or to its limit
+        oracle._odd_block.cache_clear()
+        try:
+            even, odd = build_hamiltonian(g)
+            odd.diag = _CountedRows(odd.diag)
+            even.diag = _CountedRows(even.diag)
+            _CountedRows.walked = 0
+            eigen_lowest((even, odd), 8)
+            assert _CountedRows.walked <= 142_000
+        finally:
+            oracle._odd_block.cache_clear()
 
 
 class TestPivotFloor:
