@@ -28,12 +28,12 @@ _ODD_MAX = 189
 _DECAY_FRACTION = 1e-12
 _REACH = 0.4 - math.log(_DECAY_FRACTION)  # sample_state's L = 28, margin included
 
-# eval_even's integral: order -16 or below, nodes _STEP peak widths apart
-# in blocks of _ROWS, cut where the integrand is below e^-_TAIL of its peak
+# eval_even's integral: order -16 or below, nodes _STEP of the narrowest peak width
+# apart, cut below e^-_TAIL of each point's peak, summed _CHUNK points at a time
 _MIN_ORDER = 16.0
 _TAIL = 37.0
 _STEP = 0.5
-_ROWS = 8
+_CHUNK = 256
 
 
 class GridFunction:
@@ -85,21 +85,20 @@ def eval_even(nu, y):
         D_(-c)(x) = e^(-x^2/4)/Gamma(c) * int_0^inf t^(c-1) e^(-t^2/2 - x t) dt
 
     and the same with one more factor t.  Both share one trapezoid rule in
-    s = ln t over the log-integrand phi(s) = c s - e^(2s)/2 - x e^s, with
-    step h half the width w = 1/sqrt(t*^2 + c) of its peak at
-    t* = (sqrt(x^2 + 4c) - x)/2.  The nodes stop once phi has fallen by 37
-    (e^-37 ~ 1e-16): above the peak phi'' <= -1/w^2, so after w sqrt(74)
-    ~ 8.6 widths; below it the subtracted terms give back at most
-    peak = t*^2/2 + x t*, so after (37 + peak)/c, the widest over the
-    points.  The rule's error, for an integrand analytic in a strip of
-    half-width d, is about cos(2d)^(-c/2) e^(-2 pi d/h) minimised over d
-    (Trefethen & Weideman, SIAM Review 56 (2014) 385).  Its worst case,
-    c = 16 and x = 0, gives e^-36 at h = w/2, but e^-25 at 0.65 widths
-    and 1e-10 at 0.7.  Starting at c >= 16 keeps the left tail short.
-    Nodes go in blocks of eight, one exp per node and point, and each
-    block is summed over its nodes.  The lower cut and numpy's summation
-    order depend on the whole call, so a sample's last bits (a few 1e-15)
-    do too: a scalar call and an array call can differ at the same y.
+    s = ln t over phi(s) = c s - e^(2s)/2 - x e^s, whose peak
+    t* = (sqrt(x^2 + 4c) - x)/2 has width w = 1/sqrt(t*^2 + c).  The nodes
+    s = ln t_0 + j h depend on nu alone: t_0 = sqrt(c), the peak at x = 0,
+    puts y = 0 on a node, and h is half the width there, the narrowest.  A
+    point's cut keeps phi within 37 of its peak (e^-37 ~ 1e-16): above it
+    phi'' <= -1/w^2, so sqrt(74) ~ 8.6 widths; below it the subtracted terms
+    give back at most peak = t*^2/2 + x t*, so (37 + peak)/c.  For an
+    integrand analytic in a strip of half-width d the rule's error is about
+    cos(2d)^(-c/2) e^(-2 pi d/h) minimised over d (Trefethen & Weideman,
+    SIAM Review 56 (2014) 385): e^-36 at c = 16, x = 0 and h = w/2, the
+    worst case, and no more at any point, where h <= w/2.  Points go 256 at
+    a time over the union of their cuts, one exp per node and point of phi
+    less the point's peak value (e^phi overflows past c = 301), so a sample's
+    last bits (a few 1e-15) depend on the other points of its chunk.
 
     A NaN point gives NaN.  Raises ValueError for a non-finite nu, and
     OverflowError without evaluating once the origin value (about
@@ -112,43 +111,44 @@ def eval_even(nu, y):
     if math.lgamma(0.5 * abs(nu) + 0.5) > math.log(sys.float_info.max):
         raise OverflowError(f"even state nu={nu!r}: its origin value leaves the double range")
     y = np.asarray(y, dtype=float)
-    # quietly: a far-out y may square to inf (it returns 0), and for large
-    # nu the recurrence may overflow, which is refused below
+    # quietly: a far-out y may square to inf (it returns 0); an overflow is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
-        x = np.sqrt(2.0 * np.minimum(z, _EVEN_FLOOR))
+        x = np.sqrt(2.0 * np.minimum(z, _EVEN_FLOOR)).ravel()
         m = max(0, math.ceil(nu + _MIN_ORDER))
         c = m - nu
         t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
-        step = _STEP / np.sqrt(t_peak * t_peak + c)
         peak = t_peak * (0.5 * t_peak + x)  # t^2/2 + x t at the peak
-        below = math.ceil(np.fmax.reduce((_TAIL + peak) / (c * step), axis=None, initial=0.0))
-        above = math.ceil(math.sqrt(2.0 * _TAIL) / _STEP)
-        c_step = c * step
-        # node j = first + k: t = t_peak e^(j h), exponent j c h + peak - t (t/2 + x)
-        rows = np.arange(_ROWS).reshape((-1,) + (1,) * x.ndim)
-        grow, rise = np.exp(rows * step), rows * c_step
-        t, f, tf = np.empty((3,) + grow.shape)
-        sum0, sum1 = np.zeros_like(x), np.zeros_like(x)
-        for first in range(-below, above + 1, _ROWS):  # the last block may pass the cut
-            np.multiply(grow, t_peak * np.exp(first * step), out=t)
-            np.multiply(t, 0.5, out=f)
-            f += x
-            f *= t
-            np.subtract(rise, f, out=f)
-            f += first * c_step + peak
-            np.exp(f, out=f)
-            sum0 += f.sum(axis=0)
-            sum1 += np.multiply(t, f, out=tf).sum(axis=0)
+        t_0 = 2.0 * c / math.sqrt(4.0 * c)  # t_peak at x = 0 to the bit, so y = 0 is a node
+        step = _STEP / math.sqrt(2.0 * c)  # _STEP of the peak width there
+        rel = np.log(t_peak / t_0)
+        low = np.floor((rel - (_TAIL + peak) / c) / step)
+        high = np.ceil((rel + math.sqrt(2.0 * _TAIL) / np.sqrt(t_peak * t_peak + c)) / step)
+        rows = np.arange(np.fmin.reduce(low, initial=0.0), np.fmax.reduce(high, initial=0.0) + 1.0)
+        t = t_0 * np.exp(rows * step)
+        # node j, t = t_0 e^(j h): phi - phi(peak) = (t, 1, j c h - t^2/2).(-x, peak - c rel, 1);
+        # einsum calls no BLAS, so no thread count reorders a sum, and runs fastest on copied rows
+        lattice = np.array((t, np.ones_like(t), rows * (c * step) - 0.5 * t * t)).T
+        points = np.array((-x, peak - c * rel, np.ones_like(x)))
+        sums, work = np.zeros((2, x.size)), np.empty(rows.size * min(x.size, _CHUNK))
+        starts = range(0, x.size, _CHUNK)
+        cuts = np.fmin.reduceat(low, starts) - rows[0], np.fmax.reduceat(high, starts) - rows[0]
+        for start, lo, hi in zip(starts, *(cut.tolist() for cut in cuts)):
+            if lo <= hi:  # else every point of the chunk is NaN: its sums stay 0, its scale NaN
+                at, near = slice(start, start + _CHUNK), slice(int(lo), int(hi) + 1)
+                f = work[: (near.stop - near.start) * x[at].size].reshape(-1, x[at].size)
+                np.einsum("jk,ki->ji", lattice[near], points[:, at].copy(), out=f)
+                np.exp(f, out=f)
+                np.einsum("jk,ji->ki", lattice[near, :2], f, out=sums[:, at])  # sum t f, sum f
         log_scale = c * np.log(t_peak) - peak - 0.25 * x * x
         scale = step * np.exp(log_scale - math.lgamma(c) - 0.5 * nu * math.log(2.0))
         # 2^(-nu/2) D_(nu-m-1), D_(nu-m), climbed in place
-        prev, cur = np.asarray(scale * sum1 / c), np.asarray(scale * sum0)
+        prev, cur = scale * sums[0] / c, scale * sums[1]
         for k in range(m, 0, -1):
             prev *= nu - k
             np.subtract(x * cur, prev, out=prev)
             prev, cur = cur, prev
-        out = np.where(z > _EVEN_FLOOR, 0.0, cur)
+        out = np.where(z > _EVEN_FLOOR, 0.0, cur.reshape(z.shape))
     if not np.all(np.isfinite(out) | np.isnan(y)):
         raise OverflowError(f"even state nu={nu!r}: a sample leaves the double range")
     return out if out.ndim else float(out)

@@ -32,8 +32,16 @@ def test_values_are_the_compare_report(capsys, g, k, grid):
 
 @pytest.mark.parametrize(
     "g, k, half_width, n_intervals, dy",
-    [(1.0, 2, 1e4, 400, "dy=50.0"), (1.0, 7, 6.0, 8, "dy=1.5"), (-10000.0, 2, 8.0, 4000, "dy=0.004")],
-    ids=["dy=50", "dy=1.5", "deep-well"],
+    [
+        (1.0, 2, 1e4, 400, "dy=50.0"),
+        (1.0, 7, 6.0, 8, "dy=1.5"),
+        (-10000.0, 2, 8.0, 4000, "dy=0.004"),
+        # ground gap 2.46e3 at halving ratio 2.5: inside a window widened to (2, 8)
+        (-200.0, 1, 8.0, 4000, "dy=0.004"),
+        # ground gap 4.28e-7 at ratio 3.43: below a gap floor raised to 1e-3
+        (0.91, 1, 8.0, 400, "dy=0.04"),
+    ],
+    ids=["dy=50", "dy=1.5", "deep-well", "g=-200", "small-gap"],
 )
 def test_unresolved_ground_state_is_refused(capsys, g, k, half_width, n_intervals, dy):
     with pytest.raises(InsufficientDomainError) as raised:

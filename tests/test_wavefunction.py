@@ -230,6 +230,15 @@ def test_odd_evaluation_refuses_a_sample_past_the_double_range():
     assert math.isfinite(out[0]) and math.isnan(out[1])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=["(0,)", "(0,3)"])
+def test_evaluators_return_an_empty_array_for_no_points(shape):
+    # no point: no chunk to sum, and the result keeps the input's shape
+    for out in (eval_even(0.4, np.empty(shape)), eval_even(-338.5, np.zeros(shape)),
+                eval_odd(3, np.empty(shape))):
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nu", [-3.7, 0.0, 1.0, 40.3, 300.3])
 def test_even_evaluation_gives_nan_at_a_nan_point(nu):
