@@ -101,7 +101,7 @@ def _write_json(args, filename, payload):
 # --- solve --------------------------------------------------------------------
 
 def cmd_solve(args):
-    states = spectrum.full_spectrum(args.g, spectrum.SolverConfig(n_states=args.states))
+    states = spectrum.full_spectrum(args.g, args.states)
     for sol in states:
         spectrum.certify_root(sol, args.g)
     if args.format == "csv":
@@ -255,29 +255,20 @@ def cmd_compare(args):
 
 # --- units -----------------------------------------------------------------------
 
-def _derived(name, compute):
-    # NaN or infinity would print as invalid JSON; ldexp refuses a result
-    # past the largest double, and bound_state_asymptote a coupling that
-    # has underflowed to zero
-    try:
-        value = compute()
-    except (ValueError, OverflowError):
-        raise ValueError(f"{name} is past the double range for these scales") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} = {value!r} is not finite for these scales")
+def _derived(name, exact):
+    # the double nearest the exact value, refused where that is inf, or 0.0
+    # for a nonzero value: either would print a wrong number
+    value = float(exact)
+    if math.isinf(value) or (value == 0.0 and exact != 0):
+        raise ValueError(f"{name} = {exact:.4e} is past the double range for these scales")
     return value
-
-
-def _split(value):
-    # value = m * 2**e exactly, with e even and 0.5 <= |m| < 2: sqrt(value)
-    # is sqrt(m) * 2**(e // 2), and products and ratios of such m stay near 1
-    m, e = math.frexp(value)
-    return (2.0 * m, e - 1) if e % 2 else (m, e)
 
 
 def cmd_units(args):
     # the oscillator length a0 sets the unit of y; alpha is the contact
     # strength in energy times length
+    from decimal import Decimal, localcontext
+
     mass, omega, hbar, alpha, nu = args.mass, args.omega, args.hbar, args.alpha, args.nu
     for name, value in (("mass", mass), ("omega", omega), ("hbar", hbar)):
         if not (math.isfinite(value) and value > 0.0):
@@ -286,36 +277,26 @@ def cmd_units(args):
         raise ValueError("alpha must be finite")
     if nu is not None and not math.isfinite(nu):
         raise ValueError(f"--nu must be finite, got {nu!r}")
-    # each formula runs on mantissas, where no double on the way overflows
-    # or turns subnormal as m omega, hbar^2 or sqrt(m)/sqrt(hbar)/sqrt(omega)
-    # can, and ldexp applies the powers of two once; where the formula on
-    # the raw scales stays normal, both give the same doubles
-    (m, e_m), (w, e_w), (h, e_h), (a, e_a) = map(_split, (mass, omega, hbar, alpha))
-    root_m, root_w, root_h = math.sqrt(m), math.sqrt(w), math.sqrt(h)
-
-    def times_hbar_omega(x):
-        x, e_x = _split(x)
-        return math.ldexp(x * h * w, e_x + e_h + e_w)
-
-    a0 = _derived("a0", lambda: math.ldexp(root_h / root_m / root_w, (e_h - e_m - e_w) // 2))
-    g = _derived("g", lambda: math.ldexp(a / h * (root_m / root_h / root_w),
-                                         e_a - e_h + (e_m - e_h - e_w) // 2))
-    payload = {"a0": a0, "g": g}
-    labels = {}  # text labels that differ from the JSON keys
-    if nu is not None:
-        labels["E"] = f"E(nu={nu:g})"
-        payload["E"] = _derived(labels["E"], lambda: times_hbar_omega(nu + 0.5))
-    if alpha < 0.0:
-        ground = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0]
-        payload["E_ground_solved"] = _derived(
-            "E_ground_solved", lambda: times_hbar_omega(ground.epsilon))
-        # the isolated contact well's energy, the g -> -inf limit, that is
-        # -g^2/2 times hbar omega; g takes the factor sqrt(hbar omega)
-        # before it is squared, so g^2 cannot underflow or overflow alone
-        coupling, e_g = _split(g)
-        payload["E_deep_reference"] = _derived("E_deep_reference", lambda: (
-            spectrum.bound_state_asymptote(
-                math.ldexp(coupling * root_h * root_w, e_g + (e_h + e_w) // 2))))
+    # the scales convert to Decimal exactly, and its exponent range (+-999999)
+    # holds every product on the way; at 40 digits each value rounds once, to a double
+    with localcontext() as ctx:
+        ctx.prec = 40
+        m, w, h, a = map(Decimal, (mass, omega, hbar, alpha))
+        hbar_omega = h * w
+        a0 = (h / (m * w)).sqrt()
+        coupling = a / (hbar_omega * a0)
+        payload = {"a0": _derived("a0", a0), "g": _derived("g", coupling)}
+        labels = {}  # text labels that differ from the JSON keys
+        if nu is not None:
+            labels["E"] = f"E(nu={nu:g})"
+            payload["E"] = _derived(labels["E"], (Decimal(nu) + Decimal("0.5")) * hbar_omega)
+        if alpha < 0.0:
+            ground = spectrum.full_spectrum(payload["g"], 1)[0]
+            payload["E_ground_solved"] = _derived(
+                "E_ground_solved", Decimal(ground.epsilon) * hbar_omega)
+            # the isolated contact well's energy, the g -> -inf limit
+            payload["E_deep_reference"] = _derived(
+                "E_deep_reference", spectrum.bound_state_asymptote(coupling) * hbar_omega)
     if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args, "units.json")
     else:

@@ -32,7 +32,7 @@ def compare(g, k, half_width=8.0, n_intervals=4000):
     h_fine = oracle.build_hamiltonian(g, half_width, n_intervals)
     h_coarse = oracle.build_hamiltonian(g, half_width, n_intervals // 2)
     fine = oracle.eigen_lowest(h_fine, k)
-    analytic = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=k))
+    analytic = spectrum.full_spectrum(g, k)
     coarse = oracle.eigen_lowest(h_coarse, 1)
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     gap_coarse = abs(coarse.epsilons[0] - analytic[0].epsilon)

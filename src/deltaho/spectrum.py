@@ -80,15 +80,6 @@ class EigenSolution:
         return self.nu + 0.5
 
 
-class SolverConfig:
-    """How many levels full_spectrum returns, checked as solve_even checks n_states."""
-
-    __slots__ = ("n_states",)
-
-    def __init__(self, n_states):
-        self.n_states = _n_states(n_states)
-
-
 def _n_states(n_states):
     """n_states as an int; ValueError unless it is an integer of at least 1."""
     try:
@@ -98,6 +89,10 @@ def _n_states(n_states):
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
     return n_states
+
+
+# kept for callers that write full_spectrum(g, SolverConfig(n_states=n)): it is the checked n
+SolverConfig = _n_states
 
 
 def eigen_equation(nu, g):
@@ -261,14 +256,15 @@ def solve_odd(n_states):
     return [EigenSolution("odd", 2.0 * j + 1.0, 2 * j + 1) for j in range(_n_states(n_states))]
 
 
-def full_spectrum(g, cfg):
-    """Lowest cfg.n_states states of both parities, ordered by energy.
+def full_spectrum(g, n_states):
+    """Lowest n_states states of both parities, ordered by energy.
 
     The parity alternates even, odd, even, ... by construction: each even
     root lies in its own bracket, between the odd levels around it, and
-    the refiner returns a point of that bracket.
+    the refiner returns a point of that bracket.  n_states is checked as
+    in solve_even.
     """
-    n = cfg.n_states
+    n = _n_states(n_states)
     states = [None] * n
     states[::2] = solve_even(g, (n + 1) // 2)
     states[1::2] = solve_odd(n // 2) if n >= 2 else []
@@ -276,7 +272,10 @@ def full_spectrum(g, cfg):
 
 
 def bound_state_asymptote(g):
-    """Deep-well energy estimate epsilon = -g*g/2 for attractive coupling."""
+    """Deep-well energy estimate epsilon = -g*g/2 for attractive coupling.
+
+    For a float g that is the double -0.5 * g * g; a Decimal g stays a Decimal.
+    """
     if not g < 0.0:
         raise ValueError("the asymptote applies to attractive coupling only (g < 0)")
-    return -0.5 * g * g
+    return -(g / 2) * g

@@ -36,6 +36,11 @@ _STEP = 0.5
 _CHUNK = 256
 
 
+def _spacing(half_width, n_points):
+    # the one spacing of a grid: sample_state evaluates where points() says it sampled
+    return 2.0 * half_width / (n_points - 1)
+
+
 class GridFunction:
     """A real function sampled on the symmetric grid [-half_width, half_width].
 
@@ -62,7 +67,7 @@ class GridFunction:
 
     @property
     def delta_y(self):
-        return 2.0 * self.half_width / (self.n_points - 1)
+        return _spacing(self.half_width, self.n_points)
 
     def points(self):
         # exactly mirrored coordinates and an exact zero at the center
@@ -239,8 +244,8 @@ def normalize(f):
 def sample_state(sol):
     """Normalized eigenfunction samples, positive just right of the origin.
 
-    One array call evaluates the right half of [-w, w] at spacing dy = 0.01,
-    the origin included.  dy sqrt(2|nu| + 1), dy over the state's shortest
+    One array call evaluates the right half of points() on [-w, w], the
+    origin included, at the grid's spacing dy: 0.01 up to its last bits.  dy sqrt(2|nu| + 1), dy over the state's shortest
     length (the wavelength over 2 pi, or a deep state's decay length 1/|g|),
     is at most 0.262 (even, |nu| = 342.25) and 0.195 (odd, n = 189); at 0.3
     the ground state's peak would be off by 4.1e-13 relative.
@@ -268,7 +273,8 @@ def sample_state(sol):
     # past the even floor every sample is 0, so an absurd nu asks for no more
     half = 2 * max(500, math.ceil(min(y0 + d, math.sqrt(_EVEN_FLOOR)) / (2.0 * step)))
     evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
-    right = evaluate(sol.nu, np.arange(half + 1) * step)  # the left half mirrors it
+    # the right half of the grid's points(); the left half mirrors it
+    right = evaluate(sol.nu, np.arange(half + 1) * _spacing(half * step, 2 * half + 1))
     # orient before normalizing: the norm is positive, so dividing by it
     # keeps every sign, and negating first is exact
     sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)

@@ -53,9 +53,9 @@ def test_weak_coupling_limit():
 
 
 def test_deep_well_asymptote():
-    eps5 = spectrum.full_spectrum(-5.0, spectrum.SolverConfig(n_states=1))[0].epsilon
+    eps5 = spectrum.full_spectrum(-5.0, 1)[0].epsilon
     gap5 = abs(eps5 - (-12.5))
-    eps20 = spectrum.full_spectrum(-20.0, spectrum.SolverConfig(n_states=1))[0].epsilon
+    eps20 = spectrum.full_spectrum(-20.0, 1)[0].epsilon
     rel20 = abs(eps20 - (-200.0)) / 200.0
     ok = gap5 <= 0.011 and rel20 <= 1e-3
     check("deep-well asymptote", ok,
@@ -129,7 +129,7 @@ def test_special_function_identities():
 def test_orthonormality():
     states = [
         wavefunction.sample_state(sol)
-        for sol in spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=6))
+        for sol in spectrum.full_spectrum(1.0, 6)
     ]
     worst = 0.0
     for i, a in enumerate(states):
@@ -164,7 +164,7 @@ def test_density_shape_substitutes():
         signs = signs[signs != 0]
         return int(np.sum(signs[:-1] * signs[1:] < 0))
 
-    sols = spectrum.full_spectrum(2.5, spectrum.SolverConfig(n_states=6))
+    sols = spectrum.full_spectrum(2.5, 6)
     nodes_ok = all(
         nodes(wavefunction.sample_state(sol)) == sol.index for sol in sols
     )

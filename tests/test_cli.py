@@ -80,7 +80,7 @@ class TestSolve:
         code, out = run_cli(capsys, "solve", "--g", "2.5", "--states", "6")
         assert code == 0
         report = json.loads(out)
-        solved = spectrum.full_spectrum(2.5, spectrum.SolverConfig(n_states=6))
+        solved = spectrum.full_spectrum(2.5, 6)
         for entry, sol in zip(report["states"], solved):
             assert entry["nu"] == sol.nu
             assert entry["epsilon"] == sol.epsilon
@@ -94,7 +94,7 @@ class TestSolve:
         assert code == 0
         rows = parse_csv(out)
         assert rows[0] == ["index", "parity", "nu", "epsilon"]
-        solved = spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=3))
+        solved = spectrum.full_spectrum(1.0, 3)
         for row, sol in zip(rows[1:], solved):
             assert float(row[2]) == sol.nu
             assert float(row[3]) == sol.epsilon
@@ -397,12 +397,15 @@ class TestUnits:
         (["--alpha", "-1e200", "--hbar", "1e100"], "E_deep_reference", -5e199),
         (["--mass", "1e300", "--omega", "1e300", "--alpha", "3"], "g", 3.0),
         # sqrt(m)/sqrt(hbar)/sqrt(omega) is a subnormal 6.6e-323 in the
-        # first, which kept two digits of g, and overflows to 7.2e344 in the
-        # second; g from mpmath at 40 digits
+        # first, and overflows to 7.2e344 in the second; g is mpmath's value
+        # written to 17 digits, each 1 ulp from the correctly rounded doubles
+        # 1.676365000173279e-231 and 1.312635877652544e277
         (["--mass", "1.02e-259", "--omega", "2.52e262", "--hbar", "9.16e122",
           "--alpha", "2.31e214"], "g", 1.6763650001732791e-231),
         (["--alpha", "1.85e-233", "--mass", "2.22e274", "--omega", "4.28e-251",
           "--hbar", "1.01e-165"], "g", 1.3126358776525442e277),
+        # a subnormal value that rounds to a nonzero double is reported
+        (["--alpha", "1e-320"], "g", 1e-320),
     ])
     def test_derived_values_inside_double_range_are_reported(self, capsys, argv,
                                                             name, expected):
@@ -437,6 +440,13 @@ class TestUnits:
         # double, and E_deep_reference, 12.5 hbar omega, does not
         (["--alpha", "-7.194e307", "--hbar", "1.4388e307", "--mass", "1.4388e307"],
          "E_deep_reference"),
+        # nonzero values nearer 0 than the smallest double: 1e-450, 1e-750,
+        # 5e-601 and -5e-501
+        (["--hbar", "1e-300", "--mass", "1e300", "--omega", "1e300"], "a0"),
+        (["--alpha", "1e-300", "--hbar", "1e300"], "g"),
+        (["--hbar", "1e-300", "--omega", "1e-300", "--nu", "0"], "E(nu=0)"),
+        (["--alpha", "-1e-200", "--hbar", "1e-100", "--omega", "1e-200", "--mass", "1e-300"],
+         "E_deep_reference"),
     ])
     def test_rejects_derived_values_past_double_range(self, capsys, argv, name):
         code = main(["units", *argv, "--format", "json"])
@@ -445,81 +455,54 @@ class TestUnits:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} ")
 
-    def test_unsplit_formulas_keep_their_bits_where_they_stay_normal(self, capsys):
-        # wherever the formulas on the raw scales meet no subnormal and no
-        # overflow, the split scales give the same doubles
-        rng = random.Random(17)
-        compared = {"repulsive": 0, "attractive": 0}
-        for draw in range(400):
-            span = 150 if draw % 2 else 300
-            mass, omega, hbar = (10.0 ** rng.uniform(-span, span) for _ in range(3))
-            alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-span, span)
-            nu = rng.uniform(-0.4, 1e3)
-            expected = _unsplit_units(mass, omega, hbar, alpha, nu)
-            if expected is None:
-                continue
-            argv = _units_argv(mass, omega, hbar, alpha, nu)
-            code, out = run_cli(capsys, "units", *argv, "--format", "json")
-            assert code == 0, argv
-            assert json.loads(out) == expected, argv
-            compared["attractive" if alpha < 0.0 else "repulsive"] += 1
-        assert min(compared.values()) >= 25, compared
-
     def test_derived_values_match_mpmath_across_the_range(self, capsys):
+        # each value is the double nearest its exact formula, or, nonzero yet
+        # 0.0 or infinite as a double, it is refused
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(29)
-        checked = 0
-        with mpmath.workdps(40):
-            for _ in range(400):
+        outcomes = {"reported": 0, "refused": 0}
+        with mpmath.workdps(50):
+            for _ in range(1100):
                 mass, omega, hbar = (10.0 ** rng.uniform(-300, 300) for _ in range(3))
                 alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
                 nu = rng.uniform(0.0, 1e3)
                 m, w, h, a = map(mpmath.mpf, (mass, omega, hbar, alpha))
-                g = a / h * mpmath.sqrt(m / (h * w))
-                expected = {"a0": mpmath.sqrt(h / (m * w)), "g": g, "E": (nu + 0.5) * h * w}
-                if alpha < 0.0:
-                    expected["E_deep_reference"] = -g * g / 2 * h * w
-                # past -1e150 the ground solve refuses g
-                if not all(1e-300 < abs(v) < 1e300 for v in expected.values()) or g < -1e150:
+                a0 = mpmath.sqrt(h / (m * w))
+                g = a / (h * w * a0)
+                exact = {"a0": a0, "g": g, "E": (nu + mpmath.mpf(0.5)) * h * w}
+                if alpha < 0.0 and _double_kind(g) == "normal":
+                    if g < -1e150:
+                        continue  # past the ground solve's reach
+                    epsilon = spectrum.full_spectrum(float(g), 1)[0].epsilon
+                    exact["E_ground_solved"] = mpmath.mpf(epsilon) * h * w
+                    exact["E_deep_reference"] = -g * g / 2 * h * w
+                kinds = {_double_kind(value) for value in exact.values()}
+                if "subnormal" in kinds:
                     continue
                 argv = _units_argv(mass, omega, hbar, alpha, nu)
                 code, out = run_cli(capsys, "units", *argv, "--format", "json")
+                if "out" in kinds:
+                    assert (code, out) == (2, ""), argv
+                    outcomes["refused"] += 1
+                    continue
                 assert code == 0, argv
-                got = json.loads(out)
-                for name, ref in expected.items():
-                    assert got[name] == pytest.approx(float(ref), rel=2e-15, abs=0.0), (argv, name)
-                checked += 1
-        assert checked >= 100
+                assert json.loads(out) == {name: float(value) for name, value in exact.items()}, argv
+                outcomes["reported"] += 1
+        assert outcomes["reported"] >= 400 and outcomes["refused"] >= 50, outcomes
+
+
+def _double_kind(exact):
+    """'normal', 'subnormal', or 'out' where a nonzero value is 0.0 or infinite as a double."""
+    value = float(exact)
+    if math.isinf(value) or (value == 0.0 and exact != 0):
+        return "out"
+    return "subnormal" if abs(value) < sys.float_info.min else "normal"
+
 
 def _units_argv(mass, omega, hbar, alpha, nu):
     return [f"--{k}={v!r}" for k, v in
             (("mass", mass), ("omega", omega), ("hbar", hbar), ("alpha", alpha), ("nu", nu))]
 
-
-def _unsplit_units(mass, omega, hbar, alpha, nu):
-    """What units reports, by its formulas on the raw scales, or None when
-    a double on the way is subnormal or overflows (a nonzero alpha and nu
-    != -1/2 make every exact zero an underflow)."""
-    root_m, root_w, root_h = math.sqrt(mass), math.sqrt(omega), math.sqrt(hbar)
-    a0_first = root_h / root_m
-    g_left, g_mid = alpha / hbar, root_m / root_h
-    g_right = g_mid / root_w
-    g = g_left * g_right
-    n = nu + 0.5
-    chain = [a0_first, a0_first / root_w, g_left, g_mid, g_right, g, n, n * hbar, n * hbar * omega]
-    values = {"a0": chain[1], "g": g, "E": chain[-1]}
-    if alpha < 0.0:
-        if g < -1e150:
-            # past the ground solve's reach
-            return None
-        epsilon = spectrum.full_spectrum(g, spectrum.SolverConfig(n_states=1))[0].epsilon
-        arg = g * root_h * root_w
-        chain += [epsilon * hbar, epsilon * hbar * omega, g * root_h, arg, -0.5 * arg, -0.5 * arg * arg]
-        values["E_ground_solved"] = epsilon * hbar * omega
-        values["E_deep_reference"] = -0.5 * arg * arg
-    if all(math.isfinite(x) and abs(x) >= sys.float_info.min for x in chain):
-        return values
-    return None
 
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):

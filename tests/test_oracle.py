@@ -454,7 +454,7 @@ class TestAgainstAnalyticSolver:
 
 class TestConvergence:
     def test_halving_the_spacing_shows_second_order(self):
-        analytic = spectrum.full_spectrum(1.0, spectrum.SolverConfig(n_states=1))
+        analytic = spectrum.full_spectrum(1.0, 1)
         ref = analytic[0].epsilon
         errs = []
         for n_int in (1000, 2000, 4000):
@@ -465,7 +465,7 @@ class TestConvergence:
             assert 1.0 <= order <= 2.5
 
     def test_bound_state_converges_too(self):
-        ref = spectrum.full_spectrum(-2.5, spectrum.SolverConfig(n_states=1))[0].epsilon
+        ref = spectrum.full_spectrum(-2.5, 1)[0].epsilon
         coarse = eigen_lowest(build_hamiltonian(-2.5, n_intervals=1000), 1)
         fine = eigen_lowest(build_hamiltonian(-2.5, n_intervals=2000), 1)
         assert abs(fine.epsilons[0] - ref) < abs(coarse.epsilons[0] - ref)

@@ -210,7 +210,7 @@ def test_odd_branch_rejects_empty_request():
 def test_full_spectrum_orders_and_alternates(g):
     # full_spectrum interleaves the parities without sorting; this guards the order
     for n in (1, 2, 7, 60):
-        sols = full_spectrum(g, SolverConfig(n_states=n))
+        sols = full_spectrum(g, n)
         assert [s.index for s in sols] == list(range(n))
         assert [s.parity for s in sols] == (["even", "odd"] * n)[:n]
         nus = [s.nu for s in sols]
@@ -223,7 +223,7 @@ def test_full_spectrum_orders_and_alternates(g):
 
 
 def test_full_spectrum_known_column():
-    sols = full_spectrum(1.0, SolverConfig(n_states=4))
+    sols = full_spectrum(1.0, 4)
     assert sols[0].nu == pytest.approx(0.39274404530895262, rel=1e-12, abs=0.0)
     assert sols[1].nu == 1.0
     assert sols[2].nu == pytest.approx(2.2546415332793666, rel=1e-12, abs=0.0)
@@ -231,14 +231,14 @@ def test_full_spectrum_known_column():
 
 
 def test_full_spectrum_single_state():
-    (only,) = full_spectrum(-1.0, SolverConfig(n_states=1))
+    (only,) = full_spectrum(-1.0, 1)
     assert only.parity == "even"
     assert only.nu == pytest.approx(-0.84241894678128868, rel=1e-12, abs=0.0)
 
 
 def test_epsilon_is_exactly_nu_plus_half():
     for g in (0.0, 1.0, -2.5):
-        for sol in full_spectrum(g, SolverConfig(n_states=6)):
+        for sol in full_spectrum(g, 6):
             assert sol.epsilon == sol.nu + 0.5
 
 
@@ -250,7 +250,7 @@ def test_certify_root_rechecks_the_bracket_ends(monkeypatch):
         calls.append(nu)
         return equation(nu, g)
 
-    states = full_spectrum(2.5, SolverConfig(n_states=6))
+    states = full_spectrum(2.5, 6)
     ends = [x for sol in states if sol.parity == "even" for x in sol.bracket]
     monkeypatch.setattr(spectrum, "eigen_equation", counted)
     for sol in states:
@@ -260,7 +260,7 @@ def test_certify_root_rechecks_the_bracket_ends(monkeypatch):
 
 @pytest.mark.parametrize("g", [-1e150, -30.0, -5.0, -1e-300, 0.0, 1e-300, 2.5, 1e9, 1e300])
 def test_certify_root_passes_every_solved_state(g):
-    for sol in full_spectrum(g, SolverConfig(n_states=40)):
+    for sol in full_spectrum(g, 40):
         certify_root(sol, g)
 
 
@@ -331,14 +331,17 @@ def test_eigen_solution_validation():
 
 
 def test_solver_config_validation():
+    # SolverConfig is the checked count itself, as full_spectrum takes it
+    assert SolverConfig(n_states=4) == 4
     with pytest.raises(ValueError):
         SolverConfig(n_states=0)
     for value in (3.0, "3"):
         with pytest.raises(ValueError, match="n_states"):
             SolverConfig(n_states=value)
     for value in (0, 3.0, "3"):
-        with pytest.raises(ValueError, match="n_states"):
-            solve_even(1.0, value)
+        for solve in (solve_even, full_spectrum):
+            with pytest.raises(ValueError, match="n_states"):
+                solve(1.0, value)
 
 
 def test_attractive_domain_edge():
@@ -619,7 +622,7 @@ def test_high_even_states_match_mpmath(g):
 
 def test_root_171_with_343_states():
     # this root once came back as 342.1097..., whatever the coupling
-    sol = full_spectrum(7.7, SolverConfig(n_states=343))[342]
+    sol = full_spectrum(7.7, 343)[342]
     assert sol.index == 342
     assert sol.nu == pytest.approx(342.18210945498515, rel=1e-13, abs=0.0)
     _assert_mpmath_root(7.7, sol)

@@ -10,7 +10,7 @@ import pytest
 
 from deltaho import wavefunction
 from deltaho.errors import InsufficientDomainError
-from deltaho.spectrum import EigenSolution, SolverConfig, full_spectrum, solve_even
+from deltaho.spectrum import EigenSolution, full_spectrum, solve_even
 from deltaho.wavefunction import (
     GridFunction,
     _simpson_weights,
@@ -551,12 +551,34 @@ def test_sample_state_makes_one_evaluator_call_per_state(monkeypatch):
 
         monkeypatch.setattr(wavefunction, name, counted)
     sols = [sol for g in (-10.0, -1.0, 0.0, 1.0, 10.0)
-            for sol in full_spectrum(g, SolverConfig(n_states=41))]
+            for sol in full_spectrum(g, 41)]
     sols += [EigenSolution("odd", float(n), n) for n in range(41, 190, 4)]
     for sol in sols:
         calls.clear()
         state = sample_state(sol)
         assert calls == [(state.n_points + 1) // 2], (sol.parity, sol.nu)
+
+
+def test_sample_state_evaluates_where_points_says_it_sampled(monkeypatch):
+    """Every window sample_state can choose, half-widths 10 to 38.62, checked bit for bit.
+
+    The turning point y0 rises 0.004 a step, so the window's edge y0 + d
+    moves at most that far and no 0.02-wide step of it is skipped.
+    """
+    seen = []
+
+    def recorded(nu, y):
+        seen.append(np.array(y))
+        return np.exp(-y * y)
+
+    monkeypatch.setattr(wavefunction, "eval_even", recorded)
+    windows = {}
+    for y0 in np.arange(0.0, 40.0, 0.004):
+        state = sample_state(EigenSolution("even", 0.5 * (y0 * y0 - 1.0), 0))
+        right = state.points()[state.n_points // 2:]
+        windows[state.half_width] = right.tobytes() == seen.pop().tobytes()
+    assert len(windows) == 1432
+    assert all(windows.values()), [w for w, same in windows.items() if not same]
 
 
 def test_sample_state_contains_deep_bound_state():
@@ -578,7 +600,7 @@ def test_even_states_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     worst = (0.0, None)
     for g in (-10.0, -5.0, -2.5, 1.0, 5.0, 10.0):
-        for sol in full_spectrum(g, SolverConfig(n_states=41))[::2]:
+        for sol in full_spectrum(g, 41)[::2]:
             state = sample_state(sol)
             center = (state.n_points - 1) // 2
             right = state.values[center:]
@@ -690,7 +712,7 @@ def test_states_whose_squares_leave_the_double_range(g, k):
     below it.
     """
     mpmath = pytest.importorskip("mpmath")
-    sol = full_spectrum(g, SolverConfig(n_states=k + 1))[k]
+    sol = full_spectrum(g, k + 1)[k]
     state = sample_state(sol)
     center = (state.n_points - 1) // 2
     assert _count_sign_changes(state.values[center:]) == k // 2
@@ -741,7 +763,7 @@ def test_opposite_parity_overlap_is_machine_zero():
 
 
 def test_gram_matrix_of_six_lowest_states():
-    states = [sample_state(s) for s in full_spectrum(1.0, SolverConfig(n_states=6))]
+    states = [sample_state(s) for s in full_spectrum(1.0, 6)]
     gram = np.array([[orthogonality(a, b) for b in states] for a in states])
     assert np.max(np.abs(gram - np.eye(6))) < 1e-7
 
