@@ -7,7 +7,8 @@ standard library's math.gamma; wavefunction.jump_check checks the kink
 itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
 are labeled by the real quantum number nu, with dimensionless energy
-epsilon = nu + 1/2 in oscillator units.
+epsilon = nu + 1/2 in oscillator units.  Excited even roots are refined
+from a few-ulp bracket about a contraction estimate (see solve_even).
 """
 
 import math
@@ -16,6 +17,7 @@ import operator
 from .errors import BracketError, ConvergenceError
 
 _MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
+_ALLOWANCE = 4.0  # ulps of nu added to the estimate's radius, for rounding
 
 
 def sincospi(x):
@@ -228,14 +230,37 @@ def _refine_root(func, lo, hi):
     return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
+def _narrowed(g, k, lo, hi):
+    """(nu - r, nu + r) about excited root k's estimate nu, or (lo, hi) where that reaches an end."""
+    gap = lambda d: d - 2.0 / math.pi * math.atan(0.5 * g * gamma_ratio(k + 0.5 * d))  # G(d)
+    d0, g0 = 0.0, gap(0.0)
+    d1, g1 = -g0, gap(-g0)  # T(0), which has g's sign and so lies in the bracket
+    for _ in range(6):  # secant steps, most stopped once |G| is an ulp of nu
+        if abs(g1) <= math.ulp(2.0 * k + d1) or g1 == g0:
+            break
+        d = min(max(d1 - g1 * (d1 - d0) / (g1 - g0), lo - 2.0 * k), hi - 2.0 * k)
+        d0, g0, d1, g1 = d1, g1, d, gap(d)
+    nu = 2.0 * k + d1
+    r = abs(g1) / (1.0 - math.log(2.0) / math.pi) + _ALLOWANCE * math.ulp(nu)  # see solve_even
+    return (nu - r, nu + r) if lo < nu - r and nu + r < hi else (lo, hi)
+
+
 def solve_even(g, n_states):
     """Lowest n_states even-parity solutions for coupling g, ordered by energy.
 
     Returns records carrying full-spectrum indices 0, 2, 4, since one odd
     level falls between consecutive even ones, and their refiners' last
-    brackets.  Every finite g takes the same path: at g = 0 (or -0.0) each
-    bracket starts on its exact root 2k, which the refiner returns with
-    the bracket (2k, 2k).
+    brackets.
+
+    Excited roots (k >= 1) start from an estimate.  With nu = 2k + d, |d| < 1,
+    eigen_equation has the sign of (-1)^k G(d), G(d) = d - T(d), T(d) = (2/pi)
+    atan(g Q(y)/2), y = k + d/2; |T'| <= (psi(y + 1) - psi(y + 1/2))/(2 pi) <=
+    ln2/pi, so the root lies within |G(d)|/(1 - ln2/pi) of any d.  Secant steps
+    give d, and the refiner gets nu +- that radius plus _ALLOWANCE ulps of nu.
+    It gets the full bracket where that shows no sign change, or reaches an
+    end, whose neighbouring double a narrowed start would overshoot.  The
+    ground root keeps its full bracket: its map contracts only by about 1/2
+    for g < 0, and for g > 0 rounding spans several ulps of nu < 1.
 
     Domain: g must be finite.  For g < 0 the lowest level sits near
     -g^2/2, inside the search edge -2 g^2, so |g| past about 9.48e153
@@ -247,8 +272,14 @@ def solve_even(g, n_states):
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
     func = lambda nu: eigen_equation(nu, g)
-    roots = (_refine_root(func, lo, hi) for lo, hi in _bracket_even_roots(g, n_states))
-    return [EigenSolution("even", nu, 2 * k, bracket) for k, (nu, bracket) in enumerate(roots)]
+    states = []
+    for k, (lo, hi) in enumerate(_bracket_even_roots(g, n_states)):
+        try:
+            nu, bracket = _refine_root(func, *(_narrowed(g, k, lo, hi) if k > 0 else (lo, hi)))
+        except BracketError:  # the narrowed ends show no sign change
+            nu, bracket = _refine_root(func, lo, hi)
+        states.append(EigenSolution("even", nu, 2 * k, bracket))
+    return states
 
 
 def solve_odd(n_states):

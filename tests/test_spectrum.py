@@ -9,6 +9,7 @@ range against mpmath, and is skipped when mpmath is missing.
 import math
 import random
 import statistics
+import struct
 
 import pytest
 
@@ -363,26 +364,32 @@ CAP_CASES += [(g, 500) for g in (1e-300, -1e-300, 1e150, -1e150)]
 
 @pytest.fixture
 def evaluations_per_root(monkeypatch):
-    """solve_even(g, n_states), returning the condition evaluations per root."""
-    evals = [0]
-    per_root = []
-    equation, refine = spectrum.eigen_equation, spectrum._refine_root
+    """solve_even(g, n_states), returning the gamma_ratio calls per root.
 
-    def counted_equation(nu, coupling):
-        evals[0] += 1
-        return equation(nu, coupling)
+    They count all the work of a root: its estimate's calls and its
+    condition's, a fallback's included.  A root ends where _refine_root
+    returns; a fallback's first call raises instead.
+    """
+    calls = [0]
+    per_root = []
+    ratio, refine = spectrum.gamma_ratio, spectrum._refine_root
+
+    def counted_ratio(y):
+        calls[0] += 1
+        return ratio(y)
 
     def counted_refine(func, lo, hi):
-        before = evals[0]
         result = refine(func, lo, hi)
-        per_root.append(evals[0] - before)
+        per_root.append(calls[0])
+        calls[0] = 0
         return result
 
-    monkeypatch.setattr(spectrum, "eigen_equation", counted_equation)
+    monkeypatch.setattr(spectrum, "gamma_ratio", counted_ratio)
     monkeypatch.setattr(spectrum, "_refine_root", counted_refine)
 
     def solve(g, n_states):
         per_root.clear()
+        calls[0] = 0
         solve_even(g, n_states)
         assert len(per_root) == n_states
         return list(per_root)
@@ -395,19 +402,21 @@ def test_refinement_stays_far_below_step_cap(evaluations_per_root, g, n_states):
     lo, _ = _bracket_even_roots(g, 1)[0]
     assert eigen_equation(lo, g) < 0.0
     # the measured worst over these cases is 12, the ground root at
-    # g = -1e150 among others
+    # g = -1e150 among others; an excited root at these extremes sits
+    # within ulps of an end, so it pays for its estimate and its full bracket
     assert max(evaluations_per_root(g, n_states)) <= 15
 
 
 def test_median_evaluations_per_root(evaluations_per_root):
-    # ITP needs a median of 10 here, the two bracket ends included; the
-    # bisection/secant alternation it replaced needed 29
+    # a median of 7 here, estimate and both bracket ends included; ITP
+    # from the whole bracket needed 10, and the bisection/secant
+    # alternation before it 29
     rng = random.Random(20201005)
     counts = []
     for _ in range(100):
         g = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
         counts += evaluations_per_root(g, rng.randint(1, 12))
-    assert statistics.median(counts) <= 12
+    assert statistics.median(counts) <= 8
 
 
 def _tenth_step(x):
@@ -514,9 +523,11 @@ def _refined_hex(refine, func, lo, hi):
 
 
 def _assert_roots_keep_their_bits(g, n_states):
-    for lo, hi in _bracket_even_roots(g, n_states):
-        got = _refined_hex(spectrum._refine_root, lambda nu: eigen_equation(nu, g), lo, hi)
-        assert got == _refined_hex(_reference_refine, lambda nu: _reference_equation(nu, g), lo, hi)
+    # on the whole brackets and on the narrowed ones solve_even refines
+    for k, (lo, hi) in enumerate(_bracket_even_roots(g, n_states)):
+        for a, b in [(lo, hi)] + ([spectrum._narrowed(g, k, lo, hi)] if k > 0 else []):
+            got = _refined_hex(spectrum._refine_root, lambda nu: eigen_equation(nu, g), a, b)
+            assert got == _refined_hex(_reference_refine, lambda nu: _reference_equation(nu, g), a, b)
 
 
 def test_eigen_equation_keeps_its_bits():
@@ -559,6 +570,67 @@ def test_step_function_keeps_its_bits(step):
     # "equal-ends" ties |func| at the two ends on every step
     got = _refined_hex(spectrum._refine_root, step, 0.0, 1.0)
     assert got == _refined_hex(_reference_refine, step, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# narrowed brackets: the same roots as refinement from the whole bracket
+
+
+def _ulps_apart(a, b):
+    """The number of doubles from a to b, for finite a and b."""
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(key(a) - key(b))
+
+
+def test_narrowed_roots_match_whole_bracket_roots():
+    # half the couplings log-uniform over [1e-300, 1e150], where most
+    # excited roots sit within ulps of an integer, and half over [1e-6, 1e4],
+    # where most brackets are narrowed; up to 250 even roots (500 states)
+    rng = random.Random(20261020)
+    couplings = [0.0, -0.0, 5e-324, -5e-324, 9.4e153, -9.4e153]
+    couplings += [rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(*span)
+                  for _ in range(400) for span in ((-300.0, 150.0), (-6.0, 4.0))]
+    roots = 0
+    for g in couplings:
+        func = lambda nu: eigen_equation(nu, g)
+        for sol, (lo, hi) in zip(solve_even(g, rng.randint(1, 250)), _bracket_even_roots(g, 250)):
+            certify_root(sol, g)
+            whole, _ = spectrum._refine_root(func, lo, hi)
+            assert _ulps_apart(sol.nu, whole) <= 4, (g, sol.index, sol.nu, whole)
+            roots += 1
+    assert roots >= 100_000
+
+
+def test_a_narrowed_bracket_that_misses_falls_back_to_the_whole_one(monkeypatch):
+    # with no allowance the radius is |G|/(1 - ln2/pi) alone, mostly below
+    # half an ulp, so most narrowed ends show no sign change
+    monkeypatch.setattr(spectrum, "_ALLOWANCE", 0.0)
+    refine, missed, refined = spectrum._refine_root, [], []
+
+    def recorded(func, lo, hi):
+        try:
+            result = refine(func, lo, hi)
+        except BracketError:
+            missed.append(len(refined))
+            raise
+        refined.append((lo, hi))
+        return result
+
+    monkeypatch.setattr(spectrum, "_refine_root", recorded)
+    for g in (-2.5, 1e-3, 7.7):
+        missed.clear()
+        refined.clear()
+        sols = solve_even(g, 40)
+        assert len(missed) >= 30
+        brackets = _bracket_even_roots(g, 40)
+        for k in missed:
+            # the root that missed was refined again on its whole bracket
+            assert refined[k] == brackets[k]
+            lo, hi = brackets[k]
+            assert (sols[k].nu, sols[k].bracket) == refine(lambda nu: eigen_equation(nu, g), lo, hi)
 
 
 # ---------------------------------------------------------------------------
