@@ -7,8 +7,8 @@ standard library's math.gamma; wavefunction.jump_check checks the kink
 itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
 are labeled by the real quantum number nu, with dimensionless energy
-epsilon = nu + 1/2 in oscillator units.  Excited even roots are refined
-from a few-ulp bracket about a contraction estimate (see solve_even).
+epsilon = nu + 1/2 in oscillator units.  Excited even roots are closed by
+a 4-ulp sign walk from a contraction estimate (see solve_even).
 """
 
 import math
@@ -230,19 +230,39 @@ def _refine_root(func, lo, hi):
     return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
-def _narrowed(g, k, lo, hi):
-    """(nu - r, nu + r) about excited root k's estimate nu, or (lo, hi) where that reaches an end."""
-    gap = lambda d: d - 2.0 / math.pi * math.atan(0.5 * g * gamma_ratio(k + 0.5 * d))  # G(d)
-    d0, g0 = 0.0, gap(0.0)
-    d1, g1 = -g0, gap(-g0)  # T(0), which has g's sign and so lies in the bracket
+def _estimate(g, k, d, lo, hi):
+    """(nu, r), excited root k within r of nu (see solve_even); the secant starts at offset d."""
+    a, c, lo, hi = 0.5 * g, 2.0 / math.pi, lo - 2.0 * k, hi - 2.0 * k  # the bracket in d
+    gap = lambda d: d - c * math.atan(a * gamma_ratio(k + 0.5 * d))  # G(d)
+    d0, g0 = d, gap(d)
+    d1, g1 = d0 - g0, gap(d0 - g0)  # T(d), which has g's sign and so lies in the bracket
     for _ in range(6):  # secant steps, most stopped once |G| is an ulp of nu
-        if abs(g1) <= math.ulp(2.0 * k + d1) or g1 == g0:
+        if (g1 if g1 > 0.0 else -g1) <= math.ulp(2.0 * k + d1) or g1 == g0:
             break
-        d = min(max(d1 - g1 * (d1 - d0) / (g1 - g0), lo - 2.0 * k), hi - 2.0 * k)
+        d = lo if (d := d1 - g1 * (d1 - d0) / (g1 - g0)) < lo else hi if d > hi else d
         d0, g0, d1, g1 = d1, g1, d, gap(d)
     nu = 2.0 * k + d1
-    r = abs(g1) / (1.0 - math.log(2.0) / math.pi) + _ALLOWANCE * math.ulp(nu)  # see solve_even
-    return (nu - r, nu + r) if lo < nu - r and nu + r < hi else (lo, hi)
+    return nu, abs(g1) / (1.0 - math.log(2.0) / math.pi) + _ALLOWANCE * math.ulp(nu)
+
+
+def _walk(func, k, nu, r, lo, hi):
+    """Root and bracket of at most 4 ulps, stepping from nu toward root k; None past nu +- r."""
+    x = nu if lo < nu < hi else math.nextafter(nu, hi if nu == lo else lo)  # inside (lo, hi)
+    f = func(x)
+    up = (f > 0.0) == (k % 2 == 1)  # toward the root: (-1)^k f has the sign of G, which rises
+    step = 4.0 * math.ulp(x) if up else -4.0 * math.ulp(x)
+    end = (nu + r if nu + r < hi else hi) if up else (nu - r if nu - r > lo else lo)
+    for _ in range(_MAX_STEPS):
+        if f == 0.0:
+            return x, (x, x)
+        x1 = end if (x + step > end) == up else x + step
+        if x1 == x:
+            break
+        f1 = func(x1)
+        if f1 != 0.0 and (f1 > 0.0) != (f > 0.0):
+            return (x1 if lo < x1 < hi and abs(f1) < abs(f) else x), ((x, x1) if up else (x1, x))
+        x, f = x1, f1
+    return None
 
 
 def solve_even(g, n_states):
@@ -256,11 +276,11 @@ def solve_even(g, n_states):
     eigen_equation has the sign of (-1)^k G(d), G(d) = d - T(d), T(d) = (2/pi)
     atan(g Q(y)/2), y = k + d/2; |T'| <= (psi(y + 1) - psi(y + 1/2))/(2 pi) <=
     ln2/pi, so the root lies within |G(d)|/(1 - ln2/pi) of any d.  Secant steps
-    give d, and the refiner gets nu +- that radius plus _ALLOWANCE ulps of nu.
-    It gets the full bracket where that shows no sign change, or reaches an
-    end, whose neighbouring double a narrowed start would overshoot.  The
-    ground root keeps its full bracket: its map contracts only by about 1/2
-    for g < 0, and for g > 0 rounding spans several ulps of nu < 1.
+    from the last excited root's d (or 0) give d; _walk closes the root within
+    nu +- r, r that radius plus _ALLOWANCE ulps of nu, else ITP on the whole
+    bracket does.  The ground root keeps its whole bracket: its map contracts
+    only by about 1/2 for g < 0, and for g > 0 rounding spans several ulps of
+    nu < 1.
 
     Domain: g must be finite.  For g < 0 the lowest level sits near
     -g^2/2, inside the search edge -2 g^2, so |g| past about 9.48e153
@@ -272,12 +292,11 @@ def solve_even(g, n_states):
     if not math.isfinite(g):
         raise ValueError("coupling must be finite")
     func = lambda nu: eigen_equation(nu, g)
-    states = []
+    states, d = [], 0.0
     for k, (lo, hi) in enumerate(_bracket_even_roots(g, n_states)):
-        try:
-            nu, bracket = _refine_root(func, *(_narrowed(g, k, lo, hi) if k > 0 else (lo, hi)))
-        except BracketError:  # the narrowed ends show no sign change
-            nu, bracket = _refine_root(func, lo, hi)
+        walked = k > 0 and _walk(func, k, *_estimate(g, k, d, lo, hi), lo, hi)
+        nu, bracket = walked or _refine_root(func, lo, hi)
+        d = nu - 2.0 * k if k > 0 else 0.0
         states.append(EigenSolution("even", nu, 2 * k, bracket))
     return states
 
