@@ -7,17 +7,14 @@ standard library's math.gamma; wavefunction.jump_check checks the kink
 itself on the D_nu route, which shares none of it.  Odd-parity levels
 vanish at the origin and stay at their unperturbed positions.  States
 are labeled by the real quantum number nu, with dimensionless energy
-epsilon = nu + 1/2 in oscillator units.  Excited even roots are closed by
-a 4-ulp sign walk from a contraction estimate (see solve_even).
+epsilon = nu + 1/2 in oscillator units.  Every even root is closed by
+one sign walk from an estimate (see solve_even).
 """
 
 import math
 import operator
 
 from .errors import BracketError, ConvergenceError
-
-_MAX_STEPS = 200  # a guard: the worst root of the step-cap test takes 12 evaluations
-_ALLOWANCE = 4.0  # ulps of nu added to the estimate's radius, for rounding
 
 
 def sincospi(x):
@@ -121,7 +118,7 @@ def eigen_equation(nu, g):
 def certify_root(sol, g):
     """The gate `deltaho solve` applies to each state; ConvergenceError names a failure.
 
-    Odd states pass.  An even state passes when its refiner's bracket holds
+    Odd states pass.  An even state passes when its walk's last bracket holds
     nu, spans at most 4 ulps, and eigen_equation, deterministic and finite,
     changes sign or vanishes across it: exact, with no scale or tolerance.
     """
@@ -130,7 +127,7 @@ def certify_root(sol, g):
     if sol.bracket is not None:
         lo, hi = sol.bracket
         ends = (eigen_equation(lo, g), eigen_equation(hi, g))
-        width_ok = hi - lo <= 4.0 * math.ulp(min(abs(lo), abs(hi)))  # the refiner's stop
+        width_ok = hi - lo <= 4.0 * math.ulp(min(abs(lo), abs(hi)))  # the walk's stop
         if lo <= sol.nu <= hi and width_ok and min(ends) <= 0.0 <= max(ends):
             return
     raise ConvergenceError(f"state {sol.index} (nu={sol.nu!r}) is not a certified root: its "
@@ -168,70 +165,22 @@ def _bracket_even_roots(g, n_states):
     return out
 
 
-def _refine_root(func, lo, hi):
-    """Root of func inside (lo, hi) by ITP, to a few ulps of the root itself.
-
-    ITP (Oliveira & Takahashi, ACM TOMS 47 (2020) 5) takes the regula-falsi
-    point from the end with the smaller |func|, moves it 0.2 w^2/w0 toward
-    the midpoint (w the width, w0 = hi - lo), and keeps it within a radius
-    of the midpoint that holds the width under 2 w0 2^-j after j steps,
-    and a double inside the ends.  The stop, a width of 4 ulps of the end
-    nearer zero, is relative to the root even at 1e-300.  Returns the end
-    with the smaller |func| among those inside (lo, hi) and the last
-    bracket, where func changes sign or is 0; ConvergenceError after
-    _MAX_STEPS steps.  The step is ITP's arithmetic with conditionals in
-    place of min, max and abs, each picking the operand the builtin picks,
-    so it evaluates func at the same doubles, only without the calls.
-    """
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        return lo, (lo, lo)
-    if f_hi == 0.0:
-        return hi, (hi, hi)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
-    ulp, nextafter, copysign = math.ulp, math.nextafter, math.copysign
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi
-    span = hi - lo
-    budget = 2.0 * span  # ITP's n0 = 1: one step of slack
-    for _ in range(_MAX_STEPS):
-        w = b - a
-        abs_a = -a if a < 0.0 else a
-        abs_b = -b if b < 0.0 else b
-        if w <= 4.0 * ulp(abs_b if abs_b < abs_a else abs_a):
-            break
-        mid = 0.5 * a + 0.5 * b
-        # a step from the farther end can round onto the nearer
-        near_a = (-f_a if f_a < 0.0 else f_a) <= (-f_b if f_b < 0.0 else f_b)
-        x = a + w * (f_a / (f_a - f_b)) if near_a else b - w * (f_b / (f_b - f_a))
-        toward = mid - x
-        shift = 0.2 * (w / span) * w
-        dist = -toward if toward < 0.0 else toward
-        x += copysign(dist if dist < shift else shift, toward)
-        radius = 0.5 * (budget - w)
-        radius = 0.0 if 0.0 > radius else radius
-        # max(x, mid - radius, nextafter(a, b)), then min with mid + radius
-        # and nextafter(b, a)
-        x = edge if (edge := mid - radius) > x else x
-        x = edge if (edge := nextafter(a, b)) > x else x
-        x = edge if (edge := mid + radius) < x else x
-        x = edge if (edge := nextafter(b, a)) < x else x
-        budget *= 0.5
-        f_x = func(x)
-        if f_x == 0.0:
-            return x, (x, x)
-        if (f_x > 0.0) == (f_a > 0.0):
-            a, f_a = x, f_x
-        else:
-            b, f_b = x, f_x
-    else:
-        raise ConvergenceError(f"bracket still {b - a:.3e} wide after {_MAX_STEPS} refinement steps")
-    return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
-
-
 def _estimate(g, k, d, lo, hi):
-    """(nu, r), excited root k within r of nu (see solve_even); the secant starts at offset d."""
+    """nu near even root k (see solve_even); the secant on G starts at offset d."""
+    if k == 0 and g < 0.0:
+        b, top = -g, -0.5 * lo  # y = -nu/2 in (0, top) solves 2 y Q(y) = b
+        clamp = lambda y: 5e-324 if y < 5e-324 else top if y > top else y
+        h = lambda y: math.log(2.0 * (y / b) * gamma_ratio(y))  # rises in ln y
+        y0 = clamp(b / (2.0 * math.sqrt(math.pi)))
+        h0 = h(y0)
+        y1 = clamp(y0 * math.exp(-h0))
+        h1 = h(y1)
+        for _ in range(6):  # secant steps in ln y, each applied to y as a factor
+            if (h1 if h1 > 0.0 else -h1) <= math.ulp(y1) / y1 or h1 == h0:
+                break
+            y = clamp(y1 * math.exp(-h1 * math.log(y1 / y0) / (h1 - h0)))
+            y0, h0, y1, h1 = y1, h1, y, h(y)
+        return -2.0 * y1 * math.exp(-h1)  # g/Q(y1): one more step, and below -2 y1 at the floor
     a, c, lo, hi = 0.5 * g, 2.0 / math.pi, lo - 2.0 * k, hi - 2.0 * k  # the bracket in d
     gap = lambda d: d - c * math.atan(a * gamma_ratio(k + 0.5 * d))  # G(d)
     d0, g0 = d, gap(d)
@@ -241,46 +190,69 @@ def _estimate(g, k, d, lo, hi):
             break
         d = lo if (d := d1 - g1 * (d1 - d0) / (g1 - g0)) < lo else hi if d > hi else d
         d0, g0, d1, g1 = d1, g1, d, gap(d)
-    nu = 2.0 * k + d1
-    return nu, abs(g1) / (1.0 - math.log(2.0) / math.pi) + _ALLOWANCE * math.ulp(nu)
+    return 2.0 * k + d1
 
 
-def _walk(func, k, nu, r, lo, hi):
-    """Root and bracket of at most 4 ulps, stepping from nu toward root k; None past nu +- r."""
+def _refine_root(func, k, nu, lo, hi):
+    """Root k of func in [lo, hi] and its last bracket, by a sign walk from nu.
+
+    The walk starts at nu, moved inside (lo, hi) if it is an end where func
+    is not 0.0.  The first step is 4 ulps toward the root; each step that
+    keeps the sign doubles, held to [lo, hi], and the one that changes it
+    is halved back until the bracket spans at most 4 ulps of its end nearer
+    zero, a stop relative to the root even at 1e-300.  Returns the end
+    inside (lo, hi) with the smaller |func|, the walk's own side on a tie,
+    or a point where func is 0.0; BracketError if the walk reaches lo or hi
+    with no sign change.
+    """
     x = nu if lo < nu < hi else math.nextafter(nu, hi if nu == lo else lo)  # inside (lo, hi)
     f = func(x)
+    if f == 0.0:  # as at g = 0 on 5e-324, the double next to the ground root 0
+        x = nu if x != nu and func(nu) == 0.0 else x
+        return x, (x, x)
     up = (f > 0.0) == (k % 2 == 1)  # toward the root: (-1)^k f has the sign of G, which rises
-    step = 4.0 * math.ulp(x) if up else -4.0 * math.ulp(x)
-    end = (nu + r if nu + r < hi else hi) if up else (nu - r if nu - r > lo else lo)
-    for _ in range(_MAX_STEPS):
-        if f == 0.0:
-            return x, (x, x)
+    end, step = (hi, 4.0 * math.ulp(x)) if up else (lo, -4.0 * math.ulp(x))
+    while True:
         x1 = end if (x + step > end) == up else x + step
         if x1 == x:
-            break
+            raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
         f1 = func(x1)
-        if f1 != 0.0 and (f1 > 0.0) != (f > 0.0):
-            return (x1 if lo < x1 < hi and abs(f1) < abs(f) else x), ((x, x1) if up else (x1, x))
-        x, f = x1, f1
-    return None
+        if f1 == 0.0:
+            return x1, (x1, x1)
+        if (f1 > 0.0) != (f > 0.0):
+            break
+        x, f, step = x1, f1, 2.0 * step
+    # 4 ulps of the end nearer zero, which the bracket never straddles
+    while (x1 - x if up else x - x1) > 4.0 * math.ulp(x if (x >= 0.0) == up else x1):
+        m = x + 0.5 * (x1 - x)
+        f_m = func(m)
+        if f_m == 0.0:
+            return m, (m, m)
+        if (f_m > 0.0) == (f > 0.0):
+            x, f = m, f_m
+        else:
+            x1, f1 = m, f_m
+    return (x1 if lo < x1 < hi and abs(f1) < abs(f) else x), ((x, x1) if up else (x1, x))
 
 
 def solve_even(g, n_states):
     """Lowest n_states even-parity solutions for coupling g, ordered by energy.
 
     Returns records carrying full-spectrum indices 0, 2, 4, since one odd
-    level falls between consecutive even ones, and their refiners' last
+    level falls between consecutive even ones, and their walks' last
     brackets.
 
-    Excited roots (k >= 1) start from an estimate.  With nu = 2k + d, |d| < 1,
+    Each root starts from an estimate.  With nu = 2k + d, |d| < 1,
     eigen_equation has the sign of (-1)^k G(d), G(d) = d - T(d), T(d) = (2/pi)
-    atan(g Q(y)/2), y = k + d/2; |T'| <= (psi(y + 1) - psi(y + 1/2))/(2 pi) <=
-    ln2/pi, so the root lies within |G(d)|/(1 - ln2/pi) of any d.  Secant steps
-    from the last excited root's d (or 0) give d; _walk closes the root within
-    nu +- r, r that radius plus _ALLOWANCE ulps of nu, else ITP on the whole
-    bracket does.  The ground root keeps its whole bracket: its map contracts
-    only by about 1/2 for g < 0, and for g > 0 rounding spans several ulps of
-    nu < 1.
+    atan(g Q(y)/2), y = k + d/2; for y >= 0, |T'| <= (psi(y + 1) - psi(y +
+    1/2))/(2 pi) <= ln2/pi, so G rises and the root lies within |G(d)|/(1 -
+    ln2/pi) of any d.  Secant steps from the last excited root's d (or 0)
+    give d, for the ground root too when g >= 0 (y = d/2 >= 0).  For g < 0
+    the ground root is nu = -2y with 2y Q(y) = -g, and ln(2y Q(y)) rises in
+    ln y with slope 1 - y (psi(y + 1) - psi(y + 1/2)), in (1/2, 1]; secant
+    steps in ln y from y = -g/(2 sqrt(pi)), its root as g -> 0, give y.
+    _refine_root then walks from nu to the sign change, whose side the sign
+    at nu and the parity of k give.
 
     Domain: g must be finite.  For g < 0 the lowest level sits near
     -g^2/2, inside the search edge -2 g^2, so |g| past about 9.48e153
@@ -294,8 +266,7 @@ def solve_even(g, n_states):
     func = lambda nu: eigen_equation(nu, g)
     states, d = [], 0.0
     for k, (lo, hi) in enumerate(_bracket_even_roots(g, n_states)):
-        walked = k > 0 and _walk(func, k, *_estimate(g, k, d, lo, hi), lo, hi)
-        nu, bracket = walked or _refine_root(func, lo, hi)
+        nu, bracket = _refine_root(func, k, _estimate(g, k, d, lo, hi), lo, hi)
         d = nu - 2.0 * k if k > 0 else 0.0
         states.append(EigenSolution("even", nu, 2 * k, bracket))
     return states
@@ -311,7 +282,7 @@ def full_spectrum(g, n_states):
 
     The parity alternates even, odd, even, ... by construction: each even
     root lies in its own bracket, between the odd levels around it, and
-    the refiner returns a point of that bracket.  n_states is checked as
+    the walk returns a point of that bracket.  n_states is checked as
     in solve_even.
     """
     n = _n_states(n_states)

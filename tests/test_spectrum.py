@@ -354,7 +354,7 @@ def test_attractive_domain_edge():
 
 
 # ---------------------------------------------------------------------------
-# refinement cost: the step cap is a guard, never the stopping rule
+# refinement cost: a few evaluations per root, ground roots included
 
 _cap_rng = random.Random(20261018)
 CAP_CASES = [(sign * 10.0 ** _cap_rng.uniform(-300.0, 150.0), _cap_rng.randint(1, 500))
@@ -369,8 +369,7 @@ def evaluations_per_root(monkeypatch):
     """solve_even(g, n_states), returning the gamma_ratio calls per root.
 
     They count all the work of a root: its estimate's calls and its
-    condition's, a walk's and a fallback's included.  A root ends where
-    its EigenSolution is made.
+    walk's.  A root ends where its EigenSolution is made.
     """
     calls = [0]
     per_root = []
@@ -402,11 +401,10 @@ def evaluations_per_root(monkeypatch):
 def test_refinement_stays_far_below_step_cap(evaluations_per_root, g, n_states):
     lo, _ = _bracket_even_roots(g, 1)[0]
     assert eigen_equation(lo, g) < 0.0
-    # the measured worst over these cases is 12, each a ground root (that at
-    # g = -1e150 among them), which keeps its whole bracket; an excited
-    # root takes at most 5
+    # the measured worst over these cases is 7, the ground root at
+    # g = -8.43e54; ITP on the ground root's whole bracket took up to 12
     counts = evaluations_per_root(g, n_states)
-    assert max(counts) <= 15
+    assert max(counts) <= 8
     if g in CAP_EXTREMES:
         # an excited root here walks to the double next to its bracket's
         # end: a median of 4, where the estimate followed by ITP on the
@@ -415,48 +413,30 @@ def test_refinement_stays_far_below_step_cap(evaluations_per_root, g, n_states):
 
 
 def test_median_evaluations_per_root(evaluations_per_root):
-    # a median of 6 here, estimate and walk included; ITP on a narrowed
-    # bracket needed 7, ITP from the whole bracket 10, and the
-    # bisection/secant alternation before it 29
+    # a median of 5 here, estimate and walk included; with ITP on the
+    # ground root's whole bracket 6, ITP on a narrowed bracket 7, ITP from
+    # the whole bracket 10, and the bisection/secant alternation before it 29
     rng = random.Random(20201005)
     counts = []
     for _ in range(100):
         g = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
         counts += evaluations_per_root(g, rng.randint(1, 12))
-    assert statistics.median(counts) <= 6
-
-
-def _tenth_step(x):
-    return -1.0 if x < 0.1 else 1e-200
+    assert statistics.median(counts) <= 5
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_refinement_refuses_a_bracket_without_a_sign_change(sign):
-    with pytest.raises(BracketError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
-        spectrum._refine_root(lambda x: sign * (1.0 + x), 0.0, 1.0)
-
-
-def test_refinement_keeps_the_bisection_worst_case():
-    # regula falsi stalls beside the end whose value is tiny; the shrinking
-    # radius about the midpoint keeps ITP within one step of bisection's
-    # 55 halvings from width 1 to 4 ulps of 0.1, plus the two ends
-    calls = []
-
-    def step(x):
-        calls.append(x)
-        return _tenth_step(x)
-
-    root, (lo, hi) = spectrum._refine_root(step, 0.0, 1.0)
-    assert lo <= root <= hi
-    assert lo < 0.1 <= hi <= lo + 4.0 * math.ulp(lo)
-    assert len(calls) <= 2 + 55 + 1
+    # k's parity turns the walk toward either end, where it stops
+    for k in (0, 1):
+        with pytest.raises(BracketError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
+            spectrum._refine_root(lambda x: sign * (1.0 + x), k, 0.5, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# same bits: the condition and the refiner against their builtin-call forms
+# same bits: the condition and the walk against their builtin-call forms
 #
-# sincospi reduces its argument once, and the refiner's step picks operands
-# with conditionals, where the forms below call sinpi and cospi (a second
+# sincospi reduces its argument once, and the walk picks operands with
+# conditionals, where the forms below call sinpi and cospi (a second
 # reduction), min, max and abs.  Both sides run on the same libm, so equal
 # hex pins the one to the other on every machine.
 
@@ -483,6 +463,8 @@ def _reference_equation(nu, g):
 
 
 def _reference_refine(func, lo, hi):
+    # ITP (Oliveira & Takahashi, ACM TOMS 47 (2020) 5) on the whole
+    # bracket, to a width of 4 ulps of its end nearer zero
     f_lo = func(lo)
     f_hi = func(hi)
     if f_lo == 0.0:
@@ -493,7 +475,7 @@ def _reference_refine(func, lo, hi):
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
     a, f_a, b, f_b = lo, f_lo, hi, f_hi
     budget = 2.0 * (hi - lo)
-    for _ in range(spectrum._MAX_STEPS):
+    for _ in range(200):
         w = b - a
         if w <= 4.0 * math.ulp(min(abs(a), abs(b))):
             break
@@ -517,28 +499,39 @@ def _reference_refine(func, lo, hi):
     return (a if b == hi or (a != lo and abs(f_a) <= abs(f_b)) else b), (a, b)
 
 
-def _reference_walk(func, k, nu, r, lo, hi):
-    # solve_even's walk, each step four nextafter calls toward the limit
-    # of nu +- r and the bracket
+def _reference_walk(func, k, nu, lo, hi):
+    # solve_even's walk with min, max and abs: 4 ulps toward the root,
+    # doubling while the sign holds, then halving back to 4 ulps
     x = min(max(nu, math.nextafter(lo, hi)), math.nextafter(hi, lo))
     f = func(x)
+    if f == 0.0:
+        if x != nu and func(nu) == 0.0:
+            x = nu
+        return x, (x, x)
     # (-1)^k f has the sign of G, which rises through the root
     upward = (f > 0.0) == (k % 2 == 1)
-    limit = min(nu + r, hi) if upward else max(nu - r, lo)
-    while f != 0.0:
-        x1 = x
-        for _ in range(4):
-            x1 = x1 if x1 == limit else math.nextafter(x1, limit)
+    step = 4.0 * math.ulp(x) * (1.0 if upward else -1.0)
+    while True:
+        x1 = min(x + step, hi) if upward else max(x + step, lo)
         if x1 == x:
-            return None
+            raise BracketError(f"no sign change on [{lo!r}, {hi!r}]")
         f1 = func(x1)
         if f1 == 0.0:
             return x1, (x1, x1)
         if (f1 > 0.0) != (f > 0.0):
-            inside = [(abs(fp), p) for p, fp in ((x, f), (x1, f1)) if lo < p < hi]
-            return min(inside, key=lambda t: t[0])[1], (min(x, x1), max(x, x1))
-        x, f = x1, f1
-    return x, (x, x)
+            break
+        x, f, step = x1, f1, 2.0 * step
+    while abs(x1 - x) > 4.0 * math.ulp(min(abs(x), abs(x1))):
+        m = x + 0.5 * (x1 - x)
+        f_m = func(m)
+        if f_m == 0.0:
+            return m, (m, m)
+        if (f_m > 0.0) == (f > 0.0):
+            x, f = m, f_m
+        else:
+            x1, f1 = m, f_m
+    inside = [(abs(fp), p) for p, fp in ((x, f), (x1, f1)) if lo < p < hi]
+    return min(inside, key=lambda t: t[0])[1], (min(x, x1), max(x, x1))
 
 
 def _refined_hex(refine, func, *args):
@@ -549,29 +542,20 @@ def _refined_hex(refine, func, *args):
         points.append(x.hex())
         return func(x)
 
-    result = refine(traced, *args)
-    if result is None:  # a walk held up before the sign changed
-        return None, points
-    root, (a, b) = result
+    root, (a, b) = refine(traced, *args)
     return root.hex(), a.hex(), b.hex(), points
 
 
 def _assert_roots_keep_their_bits(g, n_states):
-    # ITP on every whole bracket, and the walk from each excited estimate
-    # solve_even makes; each root is the walk's, or ITP's where the walk is held up
+    # the walk from each estimate solve_even makes, ground root included
     func, reference = (lambda nu: eigen_equation(nu, g)), (lambda nu: _reference_equation(nu, g))
     sols, d = solve_even(g, n_states), 0.0
     for k, (lo, hi) in enumerate(_bracket_even_roots(g, n_states)):
-        whole = _refined_hex(spectrum._refine_root, func, lo, hi)
-        assert whole == _refined_hex(_reference_refine, reference, lo, hi)
-        expected = whole
-        if k > 0:
-            args = (k, *spectrum._estimate(g, k, d, lo, hi), lo, hi)
-            walked = _refined_hex(spectrum._walk, func, *args)
-            assert walked == _refined_hex(_reference_walk, reference, *args)
-            expected = whole if walked[0] is None else walked
-            d = sols[k].nu - 2.0 * k
-        assert (sols[k].nu.hex(), *(x.hex() for x in sols[k].bracket)) == expected[:3]
+        args = (k, spectrum._estimate(g, k, d, lo, hi), lo, hi)
+        walked = _refined_hex(spectrum._refine_root, func, *args)
+        assert walked == _refined_hex(_reference_walk, reference, *args)
+        assert (sols[k].nu.hex(), *(x.hex() for x in sols[k].bracket)) == walked[:3]
+        d = sols[k].nu - 2.0 * k if k > 0 else 0.0
 
 
 def test_eigen_equation_keeps_its_bits():
@@ -608,16 +592,24 @@ def test_random_couplings_keep_their_bits():
         _assert_roots_keep_their_bits(g, rng.randint(1, 12))
 
 
+def _tenth_step(x):
+    return -1.0 if x < 0.1 else 1e-200
+
+
 @pytest.mark.parametrize("step", [_tenth_step, lambda x: -1.0 if x < 0.1 else 1.0],
                          ids=["tiny-end", "equal-ends"])
 def test_step_function_keeps_its_bits(step):
-    # "equal-ends" ties |func| at the two ends on every step
-    got = _refined_hex(spectrum._refine_root, step, 0.0, 1.0)
-    assert got == _refined_hex(_reference_refine, step, 0.0, 1.0)
+    # from 0.9 the steps double down past 0.1 and halve back, some 100
+    # evaluations; "equal-ends" ties |func| at the two ends of the bracket
+    got = _refined_hex(spectrum._refine_root, step, 0, 0.9, 0.0, 1.0)
+    assert got == _refined_hex(_reference_walk, step, 0, 0.9, 0.0, 1.0)
+    root, a, b, points = got
+    # b: the smaller |func|, or on a tie the end on the walk's own side
+    assert float.fromhex(a) < 0.1 <= float.fromhex(b) and root == b and len(points) > 90
 
 
 # ---------------------------------------------------------------------------
-# narrowed brackets: the same roots as refinement from the whole bracket
+# walked roots: the same roots as refinement from the whole bracket
 
 
 def _ulps_apart(a, b):
@@ -629,10 +621,18 @@ def _ulps_apart(a, b):
     return abs(key(a) - key(b))
 
 
+# the most ulps a walked root may lie from ITP's on the whole bracket, for
+# a ground root and an excited one.  A deep ground root sits where the
+# condition's sign is noisy over several ulps (see the mpmath ground gate),
+# and the two closers may stop on different doubles of that band: up to 10
+# apart over some 6,000 ground roots swept
+_WHOLE_ULPS = (10, 4)
+
+
 def test_narrowed_roots_match_whole_bracket_roots():
     # half the couplings log-uniform over [1e-300, 1e150], where most
-    # excited roots sit within ulps of an integer, and half over [1e-6, 1e4],
-    # where most brackets are narrowed; up to 250 even roots (500 states)
+    # excited roots sit within ulps of an integer, and half over [1e-6, 1e4];
+    # up to 250 even roots (500 states)
     rng = random.Random(20261020)
     couplings = [0.0, -0.0, 5e-324, -5e-324, 9.4e153, -9.4e153]
     couplings += [rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(*span)
@@ -642,41 +642,40 @@ def test_narrowed_roots_match_whole_bracket_roots():
         func = lambda nu: eigen_equation(nu, g)
         for sol, (lo, hi) in zip(solve_even(g, rng.randint(1, 250)), _bracket_even_roots(g, 250)):
             certify_root(sol, g)
-            whole, _ = spectrum._refine_root(func, lo, hi)
-            assert _ulps_apart(sol.nu, whole) <= 4, (g, sol.index, sol.nu, whole)
+            whole, _ = _reference_refine(func, lo, hi)
+            assert _ulps_apart(sol.nu, whole) <= _WHOLE_ULPS[sol.index > 0], (g, sol.index, sol.nu, whole)
             roots += 1
     assert roots >= 100_000
 
 
-def test_a_narrowed_bracket_that_misses_falls_back_to_the_whole_one(monkeypatch):
-    # with no allowance the radius is |G|/(1 - ln2/pi) alone, mostly below
-    # half an ulp, so most walks are held up at nu +- r before the sign changes
-    monkeypatch.setattr(spectrum, "_ALLOWANCE", 0.0)
-    walk, refine, missed, refined = spectrum._walk, spectrum._refine_root, [], []
+@pytest.mark.parametrize("g", [-2.5, -1e-3, 1e-3, 1.0, 2.5, 7.7, 1e4])
+def test_a_walk_from_the_far_end_closes_to_the_whole_bracket_root(monkeypatch, g):
+    # a start at the end of the bracket farther from the root: the steps
+    # double up to the root and halve back, each about log2(width/4 ulps)
+    brackets = _bracket_even_roots(g, 12)
+    func = lambda nu: eigen_equation(nu, g)
+    wholes = [_reference_refine(func, lo, hi)[0] for lo, hi in brackets]
+    starts = [lo if root - lo > hi - root else hi for root, (lo, hi) in zip(wholes, brackets)]
+    monkeypatch.setattr(spectrum, "_estimate", lambda g, k, d, lo, hi: starts[k])
+    walk, evaluations = spectrum._refine_root, []
 
-    def recorded_walk(func, k, nu, r, lo, hi):
-        result = walk(func, k, nu, r, lo, hi)
-        if result is None:
-            missed.append(k)
+    def counted_walk(func, k, nu, lo, hi):
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return func(x)
+
+        result = walk(counted, k, nu, lo, hi)
+        evaluations.append(len(points))
         return result
 
-    def recorded_refine(func, lo, hi):
-        refined.append((lo, hi))
-        return refine(func, lo, hi)
-
-    monkeypatch.setattr(spectrum, "_walk", recorded_walk)
-    monkeypatch.setattr(spectrum, "_refine_root", recorded_refine)
-    for g in (-2.5, 1e-3, 7.7):
-        missed.clear()
-        refined.clear()
-        sols = solve_even(g, 40)
-        assert len(missed) >= 30
-        brackets = _bracket_even_roots(g, 40)
-        # the ground root and each root that missed, on its whole bracket
-        assert refined == [brackets[k] for k in [0] + missed]
-        for k in missed:
-            lo, hi = brackets[k]
-            assert (sols[k].nu, sols[k].bracket) == refine(lambda nu: eigen_equation(nu, g), lo, hi)
+    monkeypatch.setattr(spectrum, "_refine_root", counted_walk)
+    for sol, whole, start, (lo, hi), count in zip(solve_even(g, 12), wholes, starts, brackets, evaluations):
+        certify_root(sol, g)
+        assert _ulps_apart(sol.nu, whole) <= _WHOLE_ULPS[sol.index > 0], (g, sol.index, sol.nu, whole)
+        four_ulps = 4.0 * min(math.ulp(start), math.ulp(whole))
+        assert count <= 2 * math.log2((hi - lo) / four_ulps) + 2, (g, sol.index, count)
 
 
 def _line(k, c, h):
@@ -697,45 +696,49 @@ def test_the_walk_steps_four_ulps_toward_the_root(k, start):
         return _line(k, c, 0.5 * u)(x)
 
     nu = c + start * u
-    got, (a, b) = spectrum._walk(func, k, nu, 100 * u, 2.0 * k, 2.0 * k + 1.0)
+    got, (a, b) = spectrum._refine_root(func, k, nu, 2.0 * k, 2.0 * k + 1.0)
     assert (a, b) == (c - 2 * u, c + 2 * u) and got == c + 2 * u
-    # one point at nu, then one per 4 ulps until the sign changes
-    assert points == [nu + math.copysign(4 * u * j, -start) for j in range(14)]
+    # one point at nu, then steps of 4, 8, 16 and 32 ulps toward the root,
+    # the last past it, then three halvings back to a width of 4 ulps
+    side = 1 if start > 0 else -1
+    assert points == [c + side * j * u for j in (50, 46, 38, 22, -10, 6, -2, 2)]
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_a_walk_stops_at_the_radius(k):
+def test_a_walk_is_held_to_its_bracket(k):
     u = math.ulp(2.0 * k)
     nu = 2.0 * k + 0.25
+    hi = nu + 20 * u  # the root, nu + 18.5 ulps, lies past the third step
     points = []
 
     def func(x):
         points.append(x)
-        return _line(k, nu, 50 * u)(x)
+        return _line(k, nu, 18.5 * u)(x)
 
-    # the root lies 50 ulps away, past nu + r: the walk goes to nu + r, no further
-    assert spectrum._walk(func, k, nu, 21 * u, 2.0 * k, 2.0 * k + 1.0) is None
-    assert points == [nu + 4 * u * j for j in range(6)] + [nu + 21 * u]
+    # the third step stops at hi, which is never the root unless the condition is 0.0 there
+    got, (a, b) = spectrum._refine_root(func, k, nu, 2.0 * k, hi)
+    assert points == [nu, nu + 4 * u, nu + 12 * u, hi, nu + 16 * u]
+    assert (got, a, b) == (nu + 16 * u, nu + 16 * u, hi)
 
 
 def test_every_walk_closes_in_one_step(monkeypatch):
-    # the sign of eigen_equation at nu sends the walk toward the root;
-    # the sign of G, in which the estimate stopped, points away from it
-    # for some roots, whose walks then run to nu +- r and fall back
-    walk, evaluations = spectrum._walk, []
+    # the sign of eigen_equation at nu sends each excited walk toward the
+    # root, and its first 4-ulp step crosses it
+    walk, evaluations = spectrum._refine_root, []
 
-    def counted_walk(func, k, nu, r, lo, hi):
+    def counted_walk(func, k, nu, lo, hi):
         points = []
 
         def counted(x):
             points.append(x)
             return func(x)
 
-        result = walk(counted, k, nu, r, lo, hi)
-        evaluations.append(len(points) if result is not None else math.inf)
+        result = walk(counted, k, nu, lo, hi)
+        if k > 0:
+            evaluations.append(len(points))
         return result
 
-    monkeypatch.setattr(spectrum, "_walk", counted_walk)
+    monkeypatch.setattr(spectrum, "_refine_root", counted_walk)
     rng = random.Random(20201005)
     for _ in range(100):
         g = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
@@ -802,6 +805,42 @@ def test_high_even_states_match_mpmath(g):
         _assert_mpmath_root(g, sols[k])
 
 
+_ground_rng = random.Random(20261021)
+GROUND_GATE_COUPLINGS = (
+    [-_ground_rng.uniform(0.5, 30.0) for _ in range(200)]
+    + [-10.0 ** _ground_rng.uniform(math.log10(30.0), 6.0) for _ in range(100)]
+    + [_ground_rng.uniform(0.5, 3.0) for _ in range(100)]
+    # the condition is exactly 0.0 at several consecutive doubles near the
+    # first root, and sign-noisy over several ulps near the other two
+    + [1.3533943913814945, -2.51, -3.8]
+)
+
+
+def _mpmath_root(g, nu):
+    """The root of eigen_equation's scaled condition nearest nu, to 40 digits, as a double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def condition(x):
+            y = abs(x) / 2
+            q = mpmath.gamma(y + 0.5) / mpmath.gamma(y + 1)
+            if x > 0:
+                return 2 * mpmath.sinpi(y) - g * mpmath.cospi(y) * q
+            return x - g / q
+
+        x0 = mpmath.mpf(nu)
+        return float(mpmath.findroot(condition, (x0, x0 * (1 + mpmath.mpf(2) ** -40)), solver="secant"))
+
+
+def test_ground_roots_match_mpmath_to_ten_ulps():
+    # the walk closes each ground root to a 4-ulp bracket of the
+    # condition's sign change; deep attractive roots lose a few ulps more
+    # to the cancellation in nu - g/Q(-nu/2), up to 8 over these couplings
+    for g in GROUND_GATE_COUPLINGS:
+        (sol,) = solve_even(g, 1)
+        certify_root(sol, g)
+        assert _ulps_apart(sol.nu, _mpmath_root(g, sol.nu)) <= 10, (g, sol.nu)
+
+
 def test_root_171_with_343_states():
     # this root once came back as 342.1097..., whatever the coupling
     sol = full_spectrum(7.7, 343)[342]
@@ -815,6 +854,9 @@ def test_root_171_with_343_states():
 
 WEAK_COUPLINGS = [sign * 10.0 ** e for sign in (1.0, -1.0)
                   for e in (-300, -250, -200, -150, -100, -50, -30, -16, -12, -8)]
+# g/sqrt(pi) rounds to g itself; for g < 0 the estimate's y = -nu/2 is
+# held to 5e-324, and its g/Q(y) lands on g
+WEAK_COUPLINGS += [5e-324, -5e-324]
 
 
 @pytest.mark.parametrize("g", WEAK_COUPLINGS, ids=lambda g: f"{g:.0e}")
