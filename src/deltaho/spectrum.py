@@ -175,8 +175,10 @@ def _estimate(g, k, d, lo, hi):
         h0 = h(y0)
         y1 = clamp(y0 * math.exp(-h0))
         h1 = h(y1)
-        for _ in range(6):  # secant steps in ln y, each applied to y as a factor
-            if (h1 if h1 > 0.0 else -h1) <= math.ulp(y1) / y1 or h1 == h0:
+        # secant steps in ln y, each applied to y as a factor, until |h| is 4 ulps of y,
+        # inside h's own rounding (up to 4 ulps of 1, from gamma_ratio's error)
+        for _ in range(6):
+            if (h1 if h1 > 0.0 else -h1) <= 4.0 * math.ulp(y1) / y1 or h1 == h0:
                 break
             y = clamp(y1 * math.exp(-h1 * math.log(y1 / y0) / (h1 - h0)))
             y0, h0, y1, h1 = y1, h1, y, h(y)
@@ -185,8 +187,10 @@ def _estimate(g, k, d, lo, hi):
     gap = lambda d: d - c * math.atan(a * gamma_ratio(k + 0.5 * d))  # G(d)
     d0, g0 = d, gap(d)
     d1, g1 = d0 - g0, gap(d0 - g0)  # T(d), which has g's sign and so lies in the bracket
-    for _ in range(6):  # secant steps, most stopped once |G| is an ulp of nu
-        if (g1 if g1 > 0.0 else -g1) <= math.ulp(2.0 * k + d1) or g1 == g0:
+    # secant steps, most stopped once |G| is an ulp of nu; a ground root's at 4 ulps, inside
+    # G's own rounding (up to 6 ulps of nu < 1, from gamma_ratio's error)
+    for _ in range(6):
+        if (g1 if g1 > 0.0 else -g1) <= (1.0 if k else 4.0) * math.ulp(2.0 * k + d1) or g1 == g0:
             break
         d = lo if (d := d1 - g1 * (d1 - d0) / (g1 - g0)) < lo else hi if d > hi else d
         d0, g0, d1, g1 = d1, g1, d, gap(d)

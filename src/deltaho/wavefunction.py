@@ -11,6 +11,7 @@ Amplitudes are fixed by unit L2 norm with a positive value just right of
 the origin.
 """
 
+import functools
 import math
 import sys
 
@@ -120,6 +121,8 @@ def eval_even(nu, y):
     with np.errstate(over="ignore", invalid="ignore"):
         z = y * y
         x = np.sqrt(2.0 * np.minimum(z, _EVEN_FLOOR)).ravel()
+        if x.size % _CHUNK == 1:  # numpy sums one column in another order: pad it to two
+            x = np.append(x, x[-1])
         m = max(0, math.ceil(nu + _MIN_ORDER))
         c = m - nu
         t_peak = 2.0 * c / (np.sqrt(x * x + 4.0 * c) + x)
@@ -132,7 +135,9 @@ def eval_even(nu, y):
         rows = np.arange(np.fmin.reduce(low, initial=0.0), np.fmax.reduce(high, initial=0.0) + 1.0)
         t = t_0 * np.exp(rows * step)
         # node j, t = t_0 e^(j h): phi - phi(peak) = (t, 1, j c h - t^2/2).(-x, peak - c rel, 1);
-        # einsum calls no BLAS, so no thread count reorders a sum, and runs fastest on copied rows
+        # two of its three products are by an exact 1, so any kernel that keeps the order of
+        # the three terms, BLAS at any thread count included, gives the same doubles; the
+        # sums over nodes stay on einsum, which calls no BLAS, so no thread count reorders them
         lattice = np.array((t, np.ones_like(t), rows * (c * step) - 0.5 * t * t)).T
         points = np.array((-x, peak - c * rel, np.ones_like(x)))
         sums, work = np.zeros((2, x.size)), np.empty(rows.size * min(x.size, _CHUNK))
@@ -142,7 +147,7 @@ def eval_even(nu, y):
             if lo <= hi:  # else every point of the chunk is NaN: its sums stay 0, its scale NaN
                 at, near = slice(start, start + _CHUNK), slice(int(lo), int(hi) + 1)
                 f = work[: (near.stop - near.start) * x[at].size].reshape(-1, x[at].size)
-                np.einsum("jk,ki->ji", lattice[near], points[:, at].copy(), out=f)
+                np.matmul(lattice[near], points[:, at], out=f)
                 np.exp(f, out=f)
                 np.einsum("jk,ji->ki", lattice[near, :2], f, out=sums[:, at])  # sum t f, sum f
         log_scale = c * np.log(t_peak) - peak - 0.25 * x * x
@@ -153,7 +158,7 @@ def eval_even(nu, y):
             prev *= nu - k
             np.subtract(x * cur, prev, out=prev)
             prev, cur = cur, prev
-        out = np.where(z > _EVEN_FLOOR, 0.0, cur.reshape(z.shape))
+        out = np.where(z > _EVEN_FLOOR, 0.0, cur[: z.size].reshape(z.shape))
     if not np.all(np.isfinite(out) | np.isnan(y)):
         raise OverflowError(f"even state nu={nu!r}: a sample leaves the double range")
     return out if out.ndim else float(out)
@@ -245,10 +250,11 @@ def sample_state(sol):
     """Normalized eigenfunction samples, positive just right of the origin.
 
     One array call evaluates the right half of points() on [-w, w], the
-    origin included, at the grid's spacing dy: 0.01 up to its last bits.  dy sqrt(2|nu| + 1), dy over the state's shortest
-    length (the wavelength over 2 pi, or a deep state's decay length 1/|g|),
-    is at most 0.262 (even, |nu| = 342.25) and 0.195 (odd, n = 189); at 0.3
-    the ground state's peak would be off by 4.1e-13 relative.
+    origin included, at the grid's spacing dy: 0.01 up to its last bits.
+    dy sqrt(2|nu| + 1), dy over the state's shortest length (the wavelength
+    over 2 pi, or a deep state's decay length 1/|g|), is at most 0.262
+    (even, |nu| = 342.25) and 0.195 (odd, n = 189); at 0.3 the ground
+    state's peak would be off by 4.1e-13 relative.
 
     w comes from nu.  For y > 0, psi'' = (y^2 - y0^2) psi, y0 = sqrt(max(2 nu + 1, 0)),
     and past y0 -psi'/psi >= sqrt(y^2 - y0^2) (Riccati comparison; Olver,
@@ -259,22 +265,37 @@ def sample_state(sol):
     low states share [-10, 10], rounded up to an even interval count: the
     origin sits on a Simpson panel boundary.  normalize still checks the decay.
 
+    An odd state depends on n alone, not on g, so each n is sampled once per
+    process and kept: at most 95 arrays (n = 1, 3, ..., 189), 2.6 MB.  Every
+    call returns its own copy, so no caller can change what the next gets.
+
     Domain: even nu in (-342.25, 341.74) and odd n up to 189.  Past them the
     norm or a sample leaves the double range, and normalize or eval_even
     raises OverflowError; an odd n past 189 is refused before evaluating.
     """
-    if sol.parity == "odd" and sol.index > _ODD_MAX:
+    if sol.parity == "even":
+        return _sample(eval_even, sol.nu, 1.0)
+    if sol.index > _ODD_MAX:
         raise OverflowError(f"odd state n={sol.index} > {_ODD_MAX}: H_n leaves the double range")
+    state = _odd_state(sol.nu)
+    return GridFunction(state.half_width, state.values)  # copies the samples
+
+
+@functools.cache
+def _odd_state(n):
+    return _sample(eval_odd, n, -1.0)
+
+
+def _sample(evaluate, nu, mirror):
     step = 0.01
-    y0 = math.sqrt(max(2.0 * sol.nu + 1.0, 0.0))
+    y0 = math.sqrt(max(2.0 * nu + 1.0, 0.0))
     d = math.sqrt(2.0 * _REACH)
     if y0 > 0.0:
         d = min(d, (1.5 * _REACH / math.sqrt(2.0 * y0)) ** (2.0 / 3.0))
     # past the even floor every sample is 0, so an absurd nu asks for no more
     half = 2 * max(500, math.ceil(min(y0 + d, math.sqrt(_EVEN_FLOOR)) / (2.0 * step)))
-    evaluate, mirror = (eval_even, 1.0) if sol.parity == "even" else (eval_odd, -1.0)
     # the right half of the grid's points(); the left half mirrors it
-    right = evaluate(sol.nu, np.arange(half + 1) * _spacing(half * step, 2 * half + 1))
+    right = evaluate(nu, np.arange(half + 1) * _spacing(half * step, 2 * half + 1))
     # orient before normalizing: the norm is positive, so dividing by it
     # keeps every sign, and negating first is exact
     sign = next((math.copysign(1.0, v) for v in right[1:] if v != 0.0), 1.0)

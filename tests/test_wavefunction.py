@@ -253,6 +253,45 @@ def test_even_evaluation_gives_nan_at_a_nan_point(nu):
     assert np.isnan(eval_even(nu, np.full((2, 3), math.nan))).all()
 
 
+def test_a_nan_point_leaves_the_other_samples_bits():
+    """137 orders, calls of 1, 256 and 257 points, each with a NaN appended: 0 of 411 move.
+
+    A NaN point may complete a chunk that was one point wide; a one-point
+    chunk is padded to two, so every chunk is summed in the same order.
+    """
+    rng = np.random.default_rng(411)
+    moved = []
+    for nu in np.linspace(-340.0, 340.0, 137).tolist():
+        for size in (1, 256, 257):
+            y = rng.uniform(0.0, 30.0, size)
+            out = eval_even(nu, np.append(y, math.nan))
+            if out[:-1].tobytes() != eval_even(nu, y).tobytes():
+                moved.append((nu, size))
+        assert eval_even(nu, y[-1]) == eval_even(nu, np.array([y[-1], y[-1]]))[0], nu
+    assert moved == [], f"{len(moved)} of 411 calls moved: {moved[:5]}"
+
+
+def test_lattice_product_equals_its_einsum_form(monkeypatch):
+    """Every lattice exponent eval_even builds by np.matmul, bit for bit the einsum sum.
+
+    Calls of 1 to 600 points at seeded orders reach every chunk width from
+    2 to 256; a one-point chunk is padded, so no product is one column wide.
+    """
+    matmul, widths = np.matmul, set()
+
+    def checked(a, b, out):
+        widths.add(b.shape[1])
+        matmul(a, b, out=out)
+        assert out.tobytes() == np.einsum("jk,ki->ji", a, b.copy()).tobytes(), b.shape
+        return out
+
+    monkeypatch.setattr(np, "matmul", checked)
+    rng = np.random.default_rng(600)
+    for size in range(1, 601):
+        eval_even(float(rng.uniform(-341.0, 340.0)), rng.uniform(0.0, 30.0, size))
+    assert widths == set(range(2, 257))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nu", [341.75, 341.8])
 def test_even_state_whose_norm_leaves_the_double_range_is_refused_by_name(nu):
@@ -359,8 +398,17 @@ def test_sample_state_refuses_an_overflowing_odd_state(n):
         sample_state(EigenSolution("odd", float(n), n))
 
 
+@pytest.fixture
+def cold_odd_cache():
+    # sample_state keeps every odd state it samples; a test that counts or
+    # replaces eval_odd starts, and leaves, with none kept
+    wavefunction._odd_state.cache_clear()
+    yield
+    wavefunction._odd_state.cache_clear()
+
+
 @pytest.mark.parametrize("n", [191, 16001, 10**9 + 1])
-def test_odd_state_past_n_189_is_refused_before_evaluating(monkeypatch, n):
+def test_odd_state_past_n_189_is_refused_before_evaluating(monkeypatch, cold_odd_cache, n):
     # the Hermite recurrence runs n steps before it overflows, 0.15 s at
     # n = 16,001 and growing linearly in n, so the refusal comes first
     def unreachable(order, y):
@@ -539,8 +587,8 @@ def test_sample_state_window_reaches_past_the_turning_point():
     assert float(w @ (state.values**2)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sample_state_makes_one_evaluator_call_per_state(monkeypatch):
-    """Every state is one array call over the right half, the origin included."""
+def test_sample_state_makes_one_evaluator_call_per_state(monkeypatch, cold_odd_cache):
+    """Every state sampled first is one array call over the right half, the origin included."""
     calls = []
     for name in ("eval_even", "eval_odd"):
         inner = getattr(wavefunction, name)
@@ -554,9 +602,51 @@ def test_sample_state_makes_one_evaluator_call_per_state(monkeypatch):
             for sol in full_spectrum(g, 41)]
     sols += [EigenSolution("odd", float(n), n) for n in range(41, 190, 4)]
     for sol in sols:
+        wavefunction._odd_state.cache_clear()
         calls.clear()
         state = sample_state(sol)
         assert calls == [(state.n_points + 1) // 2], (sol.parity, sol.nu)
+
+
+def test_a_kept_odd_state_keeps_the_bits_of_a_fresh_one(cold_odd_cache):
+    # every odd n the window takes: sampled, kept, and sampled afresh
+    for n in range(1, 190, 2):
+        sol = EigenSolution("odd", float(n), n)
+        first, kept = sample_state(sol), sample_state(sol)
+        wavefunction._odd_state.cache_clear()
+        fresh = sample_state(sol)
+        for state in (kept, fresh):
+            assert state.half_width == first.half_width, n
+            assert state.values.tobytes() == first.values.tobytes(), n
+
+
+def test_a_repeated_odd_state_makes_no_evaluator_call(monkeypatch, cold_odd_cache):
+    calls = []
+    inner = wavefunction.eval_odd
+
+    def counted(n, y):
+        calls.append(n)
+        return inner(n, y)
+
+    monkeypatch.setattr(wavefunction, "eval_odd", counted)
+    for g in (-10.0, 0.0, 2.5, 1e300):
+        for sol in full_spectrum(g, 8)[1::2]:
+            sample_state(sol)
+    assert calls == [1.0, 3.0, 5.0, 7.0]
+
+
+def test_a_caller_cannot_change_a_kept_odd_state(cold_odd_cache):
+    sol = EigenSolution("odd", 5.0, 5)
+    state = sample_state(sol)
+    want = state.values.tobytes(), state.half_width
+    with pytest.raises(ValueError):
+        state.values[0] = 1.0
+    state.values.setflags(write=True)  # the caller's own copy may be made writeable
+    state.values[:] = 0.0
+    state.half_width = 1.0
+    again = sample_state(sol)
+    assert (again.values.tobytes(), again.half_width) == want
+    assert not np.shares_memory(again.values, wavefunction._odd_state(5.0).values)
 
 
 def test_sample_state_evaluates_where_points_says_it_sampled(monkeypatch):
