@@ -13,9 +13,13 @@ the two grids last asked for are kept until the process ends, about
 block's eigenvalues come lowest first from its own Sturm counts, and
 each eigenvalue carries the parity of the block it came from;
 eigen_lowest never orders one block's levels against the other's.
+Each eigenvalue is the midpoint of its cell on one grid, the multiples
+of 2**-34 (every double past 2**18): the pair of grid points where the
+count first reaches its index, so the double depends on the block alone.
 Every count on a block goes into one table, since it bounds all that
 block's eigenvalues; bisection on counts isolates each eigenvalue, and
-Newton steps on det(H - x) then narrow its count-certified bracket.
+Newton steps on det(H - x), fitted for the far eigenvalues, then narrow
+its count-certified bracket until two counts close it on the cell.
 The steps take the determinant's log-derivative from the whole pivot
 recurrence.  The last pivot alone,
 q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
@@ -43,11 +47,9 @@ import math
 import operator
 import sys
 
-# width of the count-certified bracket at which an eigenvalue is done
-_WIDTH_TOL = 1e-10
-# counts this far either side of a converged Newton step close a bracket
-# narrower than _WIDTH_TOL
-_CLOSE_OFFSET = 0.4 * _WIDTH_TOL
+# each eigenvalue is the midpoint of its cell on the grid of multiples of
+# _CELL (5.8e-11), which is every double past 2**18 (see _eigenvalue)
+_CELL = 2.0**-34
 
 
 class Tridiagonal:
@@ -258,26 +260,76 @@ def _newton_pass(h, x):
     return count, total
 
 
+def _cell(x):
+    """The grid cell [a, b] that holds x: a is the grid's last point <= x, b its next."""
+    a = math.floor(x / _CELL) * _CELL if math.ulp(x) < _CELL else x
+    return a, max(a + _CELL, math.nextafter(a, math.inf))
+
+
+def _fitted_step(x, slope, above, last):
+    """Step from x to the level of the fit s(t) = 1/(t - lam) + F, and F.
+
+    last is the previous Newton pass (x1, s1, above1); above says which
+    side of the level a pass lies on.  With v = x - lam and d = x - x1 the
+    two slopes give v (v - d) = d/(s1 - slope) = p, whose two roots have
+    opposite signs when both passes lie on one side (p > 0): the one on
+    x's side is taken, in the form that does not cancel.  None when the
+    passes straddle the level or the fit is not finite and positive.
+    """
+    x1, s1, above1 = last
+    d = x - x1
+    if above != above1 or s1 == slope:
+        return None
+    p = d / (s1 - slope)
+    disc = d * d + 4.0 * p
+    if not (p > 0.0 and math.isfinite(disc)):
+        return None
+    r = math.copysign(math.sqrt(disc), 1.0 if above else -1.0)
+    v = 0.5 * (d + r) if (d > 0.0) == above else -2.0 * p / (d - r)
+    return -v, slope - 1.0 / v
+
+
 def _eigenvalue(h, j, table):
-    """Eigenvalue j (from 1) of h, bracketed by Sturm counts.
+    """Eigenvalue j (from 1) of h: the midpoint of its cell on the grid.
+
+    The grid is the doubles that are multiples of _CELL, which past 2**18
+    is every double, and the level's cell is the pair of neighbouring grid
+    points [a, b] with count(a) <= j - 1 < j <= count(b).  Counts rise with
+    x, so the cell, and the double returned, depend on h alone, not on the
+    path the search takes.
 
     table holds every (x, count, bound) sample made on h so far, sorted by
     x, and takes the samples made here too; bound marks a count that
     stopped early, a lower bound.  The bracket starts as the pair of
     samples where the count first reaches j; a bound of j or less met on
     the way is counted again in full.  It is bisected until it holds
-    eigenvalue j alone.  From then on each pass is a Newton
-    step on det(h - x) that also counts, so every pass still shrinks the
-    bracket.  A step that leaves the bracket, or two passes that halve
-    neither the bracket nor the step, give way to the midpoint.  (The
-    bracket alone is the wrong measure: Newton converges from one side, so
-    the far end stays put until the closing counts.)  Once a step drops
-    below _WIDTH_TOL, or below one ulp where doubles lie farther apart,
-    plain counts just either side of where it lands close the bracket.
-    Bisection and closing only ask whether a count is below j, j or above
-    it, so their counts stop past j.
-    The search stops when the bracket is _WIDTH_TOL wide or holds no
-    double strictly inside, and returns its midpoint.
+    eigenvalue j alone.  From then on each pass is a Newton step on
+    det(h - x) that also counts, so every pass still shrinks the bracket.
+    The pass's log-derivative s(x) sums 1/(x - lam) over every eigenvalue
+    lam, and the far ones shorten a plain Newton step; so from the second
+    pass on, the last two passes fit s(x) = 1/(x - lam) + F, F standing
+    for the far field (as in the secular-equation solvers of Bunch,
+    Nielsen & Sorensen, Numer. Math. 31 (1978) 31), and the step goes to
+    the fitted lam.  A step that leaves the bracket, or two passes that
+    halve neither the bracket nor the step, give way to the midpoint.
+    (The bracket alone is the wrong measure: Newton converges from one
+    side, so the far end stays put until the closing counts.)
+
+    The close: a plain Newton step of length t on 1/(x - lam) + F leaves
+    an error of about F t^2 (F is det's f''/2f' at lam).  The fitted step
+    takes F out; it reads F about F' u off, u the distance from lam of the
+    pass before, and leaves an error of about F' u t^2.  The fit before it
+    read F about F' u' off, u' the distance of the pass before that, so
+    two fits in a row differ by about F' (u' - u), which times t^2 is at
+    least the error while the passes converge (u' >= 2u).  So once
+    |F - F_before| t^2 (|F| t^2 after one fit) is
+    below one cell, plain counts at the ends of the cell the step lands
+    in close the bracket, and no pass confirms the step.  A close that
+    misses leaves the bracket's end on the cell's edge, and Newton
+    resumes from the midpoint.  Bisection and closing
+    only ask whether a count is below j, j or above it, so their counts
+    stop past j.  The search stops when the bracket lies in one cell, and
+    returns that cell's midpoint.
     """
     for i, (x, c, bound) in enumerate(table):
         if bound and c <= j:
@@ -288,12 +340,14 @@ def _eigenvalue(h, j, table):
     lo, c_lo, _ = table[i - 1]
     hi, c_hi = x, c
     target = None  # where the last Newton step lands
-    closing = []  # plain counts still due around a converged step
+    closing = []  # cell ends still due around a converged step
+    last = far = None  # the last Newton pass (x, slope, side), and the last fit's F
     passes, reference = 0, hi - lo  # Newton passes, and the progress they must halve
-    while hi - lo > _WIDTH_TOL:
+    while True:
+        a, b = _cell(lo)
+        if hi <= b:
+            return a + 0.5 * (b - a)
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         slope = None
         if c_lo != j - 1 or c_hi != j:
             x = mid
@@ -317,18 +371,24 @@ def _eigenvalue(h, j, table):
         if slope is None:
             target, passes, reference = None, 0, hi - lo
             continue
-        step = -1.0 / slope if slope else math.inf
+        fit = _fitted_step(x, slope, c >= j, last) if last else None
+        last = (x, slope, c >= j)
+        if fit:
+            step, fitted = fit
+            curve = abs(fitted if far is None else fitted - far)
+            far = fitted
+        else:
+            step = -1.0 / slope if slope else math.inf
+            curve = math.inf if far is None else abs(far)
         target = x + step
-        if abs(step) < max(_WIDTH_TOL, math.ulp(target)):
-            offset = max(_CLOSE_OFFSET, math.ulp(target))
-            closing = [target - offset, target + offset]
+        if curve * step * step < _CELL:
+            closing = list(_cell(target))
         passes += 1
         if passes == 2:
             progress = min(hi - lo, abs(step))
             if not progress <= 0.5 * reference:
                 target = None
             passes, reference = 0, progress
-    return 0.5 * (lo + hi)
 
 
 def _lowest(h, n):
@@ -339,7 +399,7 @@ def _lowest(h, n):
     call solves only the levels past those, on a copy of the table, and
     then replaces the pair in one assignment, so calls at once on a shared
     block may solve a level twice but never see a pair half made.
-    Eigenvalue j depends only on the table that eigenvalues 1 .. j-1 left,
+    Each level is the midpoint of its grid cell, which no table changes,
     so levels solved over several calls have the bits of one call's.
     """
     table, levels = h.solved
@@ -362,13 +422,13 @@ def eigen_lowest(blocks, k):
     one row shorter than the even one, or as long, is a ValueError, as a
     block could then run out of levels, and so is a k that is not an
     integer from 1 to the two blocks' rows.  They give their (k + 1) // 2 and
-    k // 2 lowest eigenvalues, each bracketed by its block's own Sturm
-    counts to 1e-10 absolute, or to adjacent doubles where those lie
-    farther apart (see _eigenvalue), and labelled by its block.  Even,
-    odd, even, ... is the order of the analytic spectrum, whose ground
-    state is even.  The two blocks are never ordered against each other,
-    so their levels may lie as close as they like: 1.7e-11 apart at
-    g = 1e12 on the default grid.
+    k // 2 lowest eigenvalues, each the midpoint of its cell on the grid
+    of multiples of 2**-34 (5.8e-11; neighbouring doubles past 2**18),
+    found by its block's own Sturm counts (see _eigenvalue), and labelled
+    by its block.  Even, odd, even, ... is the order of the analytic
+    spectrum, whose ground state is even.  The two blocks are never
+    ordered against each other, so their levels may lie as close as they
+    like: 1.7e-11 apart at g = 1e12 on the default grid.
     """
     even, odd = blocks
     if not 0 <= even.size - odd.size <= 1:

@@ -171,18 +171,23 @@ def _estimate(g, k, d, lo, hi):
         b, top = -g, -0.5 * lo  # y = -nu/2 in (0, top) solves 2 y Q(y) = b
         clamp = lambda y: 5e-324 if y < 5e-324 else top if y > top else y
         h = lambda y: math.log(2.0 * (y / b) * gamma_ratio(y))  # rises in ln y
-        y0 = clamp(b / (2.0 * math.sqrt(math.pi)))
-        h0 = h(y0)
-        y1 = clamp(y0 * math.exp(-h0))
-        h1 = h(y1)
-        # secant steps in ln y, each applied to y as a factor, until |h| is 4 ulps of y,
-        # inside h's own rounding (up to 4 ulps of 1, from gamma_ratio's error)
-        for _ in range(6):
-            if (h1 if h1 > 0.0 else -h1) <= 4.0 * math.ulp(y1) / y1 or h1 == h0:
+        # 2y = b sqrt(y + 1/pi), as Q(y) ~ 1/sqrt(y + 1/pi) at both ends: y -> b/(2 sqrt(pi))
+        # as b -> 0 and y -> b^2/4 as b grows; the first slope is that model's
+        y1 = clamp(b / 8.0 * (b + math.sqrt(b * b + 16.0 / math.pi)))
+        h1, slope = h(y1), 1.0 - 0.5 * y1 / (y1 + 1.0 / math.pi)
+        # steps in ln y, each applied to y as a factor, until |h| is 4 ulps of y, inside
+        # h's own rounding (up to 4 ulps of 1, from gamma_ratio's error); after the first,
+        # each takes the secant's slope, held to (1/2, 1], where the slope lies
+        for _ in range(7):
+            if (h1 if h1 > 0.0 else -h1) <= 4.0 * math.ulp(y1) / y1:
                 break
-            y = clamp(y1 * math.exp(-h1 * math.log(y1 / y0) / (h1 - h0)))
-            y0, h0, y1, h1 = y1, h1, y, h(y)
-        return -2.0 * y1 * math.exp(-h1)  # g/Q(y1): one more step, and below -2 y1 at the floor
+            y0, h0, y1 = y1, h1, clamp(y1 * math.exp(-h1 / slope))
+            h1 = h(y1)
+            if h1 == h0:
+                break
+            slope = min(1.0, max(0.5, (h1 - h0) / math.log(y1 / y0)))
+        # one more step; at slope 1 it is g/Q(y1), below -2 y1 at the floor
+        return -2.0 * y1 * math.exp(-h1 / slope)
     a, c, lo, hi = 0.5 * g, 2.0 / math.pi, lo - 2.0 * k, hi - 2.0 * k  # the bracket in d
     gap = lambda d: d - c * math.atan(a * gamma_ratio(k + 0.5 * d))  # G(d)
     d0, g0 = d, gap(d)

@@ -255,7 +255,7 @@ class TestCompare:
     @pytest.mark.parametrize("g", ["1e7", "1e8"])
     def test_strong_coupling_levels_keep_their_parity(self, capsys, g):
         # the even ground level sits about 1e-7 under the odd one on the
-        # grid: far apart for the oracle's 1e-10 brackets
+        # grid: far apart for the oracle's 5.8e-11 grid cells
         code, out = run_cli(capsys, "compare", "--g", g, "--states", "2")
         assert code == 0
         result = json.loads(out)
@@ -265,7 +265,7 @@ class TestCompare:
     @pytest.mark.parametrize("g", ["1e12", "1e16", "1e100", "1e300"])
     def test_levels_closer_than_the_oracle_brackets_keep_their_parity(self, capsys, g):
         # on the grid each even level lies within 1.7e-11 of the odd one
-        # above it, below the 1e-10 brackets; each is matched within its
+        # above it, less than one 5.8e-11 grid cell; each is matched within its
         # own block, so no order across the blocks is needed
         code, out = run_cli(capsys, "compare", "--g", g, "--states", "8")
         assert code == 0
@@ -325,7 +325,7 @@ class TestCompare:
     @pytest.mark.parametrize("g", ["0.9328", "1.557"])
     def test_ratio_under_the_gap_floor_is_not_refused(self, capsys, g):
         # closer still to a sign change the fine gap is a few 1e-11, near
-        # the oracle's brackets, and the ratio leaves the window: only the
+        # the oracle's grid cells, and the ratio leaves the window: only the
         # 1e-7 floor lets these pass
         code, out = run_cli(capsys, "compare", "--g", g, "--states", "1")
         assert code == 0

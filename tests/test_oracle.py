@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -80,8 +81,8 @@ class TestSmallMatrices:
         assert np.max(np.abs(np.array(oracle._lowest(h, 5)) - dense[:5])) < 1e-8
 
     def test_bisection_ends_where_doubles_are_wider_than_its_tolerance(self, monkeypatch):
-        # near 1e7 adjacent doubles lie 1.9e-9 apart, so a width of 1e-10
-        # is never reached; the cap turns a hang into a failure
+        # near 1e7 adjacent doubles lie 1.9e-9 apart, so a cell of the grid
+        # is two neighbouring doubles there; the cap turns a hang into a failure
         passes = _counted_passes(monkeypatch, cap=1000)
         blocks = (Tridiagonal((1e7, 1e7), (-1.0,)), Tridiagonal((1e7 + 2.0, 1e7 + 2.0), (-1.0,)))
         spec = eigen_lowest(blocks, 2)
@@ -123,26 +124,45 @@ def _counted_passes(monkeypatch, cap=math.inf):
     return passes
 
 
+def _counted_newton_passes(monkeypatch):
+    """Record the point of every Newton pass, on top of _counted_passes."""
+    newton = []
+    sturm_pass = oracle._newton_pass
+
+    def wrapper(h, x):
+        newton.append(x)
+        return sturm_pass(h, x)
+
+    monkeypatch.setattr(oracle, "_newton_pass", wrapper)
+    return newton
+
+
 class TestPassBudget:
     @pytest.mark.parametrize("g", [-5.0, 1.0, 5.0])
     def test_sturm_passes_per_eigenvalue(self, monkeypatch, g):
-        # 102-105 passes; plain bisection to 1e-10 from the Gershgorin
-        # interval needs about 55 per eigenvalue.  The odd block, and the
-        # levels kept on it, are built afresh, so the count is a cold one
+        # 35-37 Newton passes and 55-57 plain counts; the Newton passes,
+        # which walk every row, were 52-57 before the far-field fit and the
+        # close on the grid cell.  Plain bisection to one cell from the
+        # Gershgorin interval needs about 55 counts per eigenvalue.  The
+        # odd block, and the levels kept on it, are built afresh, so the
+        # count is a cold one
         oracle._odd_block.cache_clear()
         passes = _counted_passes(monkeypatch)
+        newton = _counted_newton_passes(monkeypatch)
         spec = eigen_lowest(build_hamiltonian(g), 8)
         assert len(spec.parities) == 8
-        assert len(passes) <= 15 * 8
+        assert len(newton) <= 37
+        assert len(passes) - len(newton) <= 57
         # pivot rows walked, at most: each pass runs over one half-size
         # mirror block, where passes over the full matrix walked 368k-404k.
         # The sum counts every pass as a full one, though a bisection or
         # closing count stops once it passes j: within a handful of rows at
         # the Gershgorin top, a few hundred near the low levels; and a count
-        # stops past the turning point once a pivot passes the bond (130k-137k
-        # rows walked in all, 161k-168k before that stop, 204k-210k when
-        # every count ran full; see TestWallStop)
-        assert sum(size for _, size in passes) <= 240_000
+        # stops past the turning point once a pivot passes the bond (107k-110k
+        # rows walked in all, 130k-137k before the fitted step, 161k-168k
+        # before that stop, 204k-210k when every count ran full; see
+        # TestWallStop)
+        assert sum(size for _, size in passes) <= 190_000
 
 
 def _mirror_pair(d, e):
@@ -235,7 +255,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("bond", [0.0, 1e-7])
     def test_cluster_below_the_stop_splits_by_parity(self, bond):
         # the even 3 - sqrt(4 + 2 bond^2) = 1 - bond^2/2 + ... and the odd 1
-        # lie closer than the 1e-10 stop; each block brackets its own
+        # lie closer than a 5.8e-11 grid cell; each block brackets its own
         blocks, _ = _mirror_pair(np.array([5.0, 1.0]), np.array([bond]))
         spec = eigen_lowest(blocks, 3)
         assert spec.parities == ("even", "odd", "even")
@@ -720,9 +740,9 @@ class TestWallStop:
 
     def test_counts_stop_past_the_turning_point(self):
         # at g = 1 on the N = 4000 grid a mid-gap count walks 478 of the
-        # even block's 2,000 rows and a closing count at the ground level
-        # +-4e-11 walks 1,297-1,322: a walk that ran to the last row, as
-        # before the stop, would walk 2,000 each
+        # even block's 2,000 rows and a count at the ground level +-4e-11,
+        # where the closing counts fall, walks 1,297-1,322: a walk that ran
+        # to the last row, as before the stop, would walk 2,000 each
         even, odd = build_hamiltonian(1.0)
         levels = eigen_lowest((even, odd), 3).epsilons
         assert _walked(even, 0.5 * (levels[0] + levels[2])) <= 500
@@ -731,8 +751,9 @@ class TestWallStop:
 
     @pytest.mark.parametrize("g", [-5.0, -2.5, 0.0, 1.0, 5.0])
     def test_cold_solve_walks_fewer_rows(self, g):
-        # a cold 8-level solve walks 130k-141.5k rows, against 161k-172k
-        # when every count ran to the end or to its limit
+        # a cold 8-level solve walks 107.1k-112k rows (130k-141.5k before
+        # the fitted Newton step), against 161k-172k when every count ran to
+        # the end or to its limit
         oracle._odd_block.cache_clear()
         try:
             even, odd = build_hamiltonian(g)
@@ -740,7 +761,7 @@ class TestWallStop:
             even.diag = _CountedRows(even.diag)
             _CountedRows.walked = 0
             eigen_lowest((even, odd), 8)
-            assert _CountedRows.walked <= 142_000
+            assert _CountedRows.walked <= 113_000
         finally:
             oracle._odd_block.cache_clear()
 
@@ -793,69 +814,70 @@ class TestPivotFloor:
         assert oracle._newton_pass(h, math.nan)[0] == 0
 
 class TestPinnedBits:
-    # float.hex of eigen_lowest(build_hamiltonian(g, n_intervals=N), 8),
-    # recorded before the Sturm passes were last reworked: a faster pass
-    # must return the same doubles, not merely close ones
+    # float.hex of eigen_lowest(build_hamiltonian(g, n_intervals=N), 8):
+    # each is the midpoint of its level's cell on the 2**-34 grid, so the
+    # doubles are the matrix's, not the search path's; a faster search
+    # must return the same doubles, and TestCanonicalCells bisects to each
     PINNED = {
         (-5.0, 4000): (
-            "-0x1.8fa41182f694ap+3",
-            "0x1.7fffd60e8df13p+0",
-            "0x1.bb03d55016e89p+0",
-            "0x1.bfff972451aa2p+1",
-            "0x1.e94d84ad1206ep+1",
-            "0x1.5fff8012ab4cbp+2",
-            "0x1.7887c06068deap+2",
-            "0x1.dfff13051ae17p+2",
+            "-0x1.8fa41182f4000p+3",
+            "0x1.7fffd60ea0000p+0",
+            "0x1.bb03d55020000p+0",
+            "0x1.bfff972450000p+1",
+            "0x1.e94d84ad10000p+1",
+            "0x1.5fff8012b8000p+2",
+            "0x1.7887c06068000p+2",
+            "0x1.dfff130528000p+2",
         ),
         (-2.5, 4000): (
-            "-0x1.8b1021f0ff7fep+1",
-            "0x1.7fffd60e8df13p+0",
-            "0x1.edb1c8f65e082p+0",
-            "0x1.bfff972451aa2p+1",
-            "0x1.02afd70eb5f1cp+2",
-            "0x1.5fff8012ab4cbp+2",
-            "0x1.86b9f0dea1834p+2",
-            "0x1.dfff13051ae17p+2",
+            "-0x1.8b1021f0f0000p+1",
+            "0x1.7fffd60ea0000p+0",
+            "0x1.edb1c8f660000p+0",
+            "0x1.bfff972450000p+1",
+            "0x1.02afd70eb8000p+2",
+            "0x1.5fff8012b8000p+2",
+            "0x1.86b9f0dea8000p+2",
+            "0x1.dfff130528000p+2",
         ),
         (0.0, 4000): (
-            "0x1.ffffde726809ep-2",
-            "0x1.7fffd60e8df13p+0",
-            "0x1.3fffc9795d221p+1",
-            "0x1.bfff972451aa2p+1",
-            "0x1.1fffaa042ba96p+2",
-            "0x1.5fff8012ab4cbp+2",
-            "0x1.9fff4dbdb2616p+2",
-            "0x1.dfff13051ae17p+2",
+            "0x1.ffffde7280000p-2",
+            "0x1.7fffd60ea0000p+0",
+            "0x1.3fffc97950000p+1",
+            "0x1.bfff972450000p+1",
+            "0x1.1fffaa0438000p+2",
+            "0x1.5fff8012b8000p+2",
+            "0x1.9fff4dbda8000p+2",
+            "0x1.dfff130528000p+2",
         ),
         (1.0, 4000): (
-            "0x1.c915bfbaf591dp-1",
-            "0x1.7fffd60e8df13p+0",
-            "0x1.6097ed13d42d9p+1",
-            "0x1.bfff972451aa2p+1",
-            "0x1.2ccfb4bc67c2dp+2",
-            "0x1.5fff8012ab4cbp+2",
-            "0x1.aadf22b78c15ap+2",
-            "0x1.dfff13051ae17p+2",
+            "0x1.c915bfbb40000p-1",
+            "0x1.7fffd60ea0000p+0",
+            "0x1.6097ed13d0000p+1",
+            "0x1.bfff972450000p+1",
+            "0x1.2ccfb4bc68000p+2",
+            "0x1.5fff8012b8000p+2",
+            "0x1.aadf22b788000p+2",
+            "0x1.dfff130528000p+2",
         ),
         (5.0, 4000): (
-            "0x1.4bcea67f8d10ep+0",
-            "0x1.7fffd60e8df13p+0",
-            "0x1.99a3566ff0a8bp+1",
-            "0x1.bfff972451aa2p+1",
-            "0x1.48baf22b015a2p+2",
-            "0x1.5fff8012ab4cbp+2",
-            "0x1.c5acd252fb51ep+2",
-            "0x1.dfff13051ae17p+2",
+            "0x1.4bcea67fa0000p+0",
+            "0x1.7fffd60ea0000p+0",
+            "0x1.99a3566ff0000p+1",
+            "0x1.bfff972450000p+1",
+            "0x1.48baf22b08000p+2",
+            "0x1.5fff8012b8000p+2",
+            "0x1.c5acd25308000p+2",
+            "0x1.dfff130528000p+2",
         ),
         (1.0, 2000): (
-            "0x1.c915c0d71e992p-1",
-            "0x1.7fff583a01404p+0",
-            "0x1.60976c4d04262p+1",
-            "0x1.bffe5c904c534p+1",
-            "0x1.2ccecc7af9912p+2",
-            "0x1.5ffe00488bc94p+2",
-            "0x1.aadd2c3591c2bp+2",
-            "0x1.dffc4c0efb2aep+2",
+            "0x1.c915c0d6c0000p-1",
+            "0x1.7fff583a20000p+0",
+            "0x1.60976c4cf0000p+1",
+            "0x1.bffe5c9050000p+1",
+            "0x1.2ccecc7af8000p+2",
+            "0x1.5ffe004898000p+2",
+            "0x1.aadd2c3588000p+2",
+            "0x1.dffc4c0f08000p+2",
         ),
     }
 
@@ -870,6 +892,87 @@ class TestPinnedBits:
         spec = eigen_lowest(build_hamiltonian(g, n_intervals=n), 8)
         assert tuple(x.hex() for x in spec.epsilons) == self.PINNED[g, n]
         assert spec.parities == ("even", "odd") * 4
+
+
+def _ordinal(x):
+    """x's place in the order of the doubles, as an integer."""
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return bits if x >= 0.0 else -bits
+
+
+def _from_ordinal(k):
+    return math.copysign(struct.unpack("<d", struct.pack("<q", abs(k)))[0], k)
+
+
+def _bisected_level(h, j, near):
+    """Eigenvalue j of h by plain bisection on count_below over the grid.
+
+    The grid is the multiples of 2**-34 below 2**18 and every double past
+    it.  Starting from grid points a millionth (relative, past 2**18) either
+    side of near, which must hold the level between them, it halves down to
+    the neighbouring grid points a, b with count(a) <= j - 1 < j <= count(b),
+    and returns their midpoint.
+    """
+    reach = 1e-6 * max(1.0, abs(near))
+    if abs(near) + reach < 2.0**18:
+        # grid points as integer multiples of 2**-34
+        lo, hi = math.floor((near - reach) * 2**34), math.ceil((near + reach) * 2**34)
+        point = lambda m: m * 2.0**-34
+    else:
+        lo, hi = _ordinal(near - reach), _ordinal(near + reach)
+        assert abs(near) - reach >= 2.0**18
+        point = _from_ordinal
+    assert count_below(h, point(lo)) <= j - 1 and count_below(h, point(hi)) >= j
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count_below(h, point(mid)) >= j:
+            hi = mid
+        else:
+            lo = mid
+    a, b = point(lo), point(hi)
+    return a + 0.5 * (b - a)
+
+
+def _assert_bisected(blocks, spec):
+    for index, (level, parity) in enumerate(zip(spec.epsilons, spec.parities)):
+        h = blocks[parity == "odd"]
+        assert level.hex() == _bisected_level(h, index // 2 + 1, level).hex(), (index, parity)
+
+
+class TestCanonicalCells:
+    # every level is the midpoint of its cell on the 2**-34 grid, whatever
+    # the search did before: solved cold, on a cached odd block, or one
+    # level per call; past 2**18 a cell is two neighbouring doubles
+    @pytest.mark.parametrize("n_intervals", [2000, 4000])
+    @pytest.mark.parametrize("g", [-1e4, -5.0, -3.7, -2.5, -1.0, -0.3, 0.0, 0.45, 1.0, 2.5, 5.0, 1e12])
+    def test_levels_are_the_bisected_cells(self, g, n_intervals):
+        oracle._odd_block.cache_clear()
+        blocks = build_hamiltonian(g, n_intervals=n_intervals)
+        cold = eigen_lowest(blocks, 10)
+        _assert_bisected(blocks, cold)
+        # a second coupling reads the odd levels the first left on the block
+        warm_blocks = build_hamiltonian(-g, n_intervals=n_intervals)
+        warm = eigen_lowest(warm_blocks, 10)
+        _assert_bisected(warm_blocks, warm)
+        oracle._odd_block.cache_clear()
+        stepped_blocks = build_hamiltonian(g, n_intervals=n_intervals)
+        for k in range(1, 11):
+            stepped = eigen_lowest(stepped_blocks, k)
+        assert stepped.epsilons == cold.epsilons
+        if g == -1e4:
+            # the spike's bound state near -2.4e6, where a cell is two doubles
+            assert cold.epsilons[0] < -2.0**18
+
+    def test_cells_past_two_to_the_eighteen_are_neighbouring_doubles(self):
+        # the blocks of test_bisection_ends_where_doubles_are_wider_than_its_tolerance
+        blocks = (Tridiagonal((1e7, 1e7), (-1.0,)), Tridiagonal((1e7 + 2.0, 1e7 + 2.0), (-1.0,)))
+        _assert_bisected(blocks, eigen_lowest(blocks, 4))
+
+    @pytest.mark.parametrize("g, n", list(TestPinnedBits.PINNED))
+    def test_pins_are_the_bisected_cells(self, g, n):
+        blocks = build_hamiltonian(g, n_intervals=n)
+        levels = [float.fromhex(x) for x in TestPinnedBits.PINNED[g, n]]
+        _assert_bisected(blocks, oracle.OracleSpectrum(levels, ("even", "odd") * 4))
 
 
 class TestIndependence:
