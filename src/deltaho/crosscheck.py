@@ -20,9 +20,11 @@ def compare(g, k, half_width=8.0, n_intervals=4000):
     the oracle's OracleSpectrum, each |oracle - analytic|, and the ground
     state's gap on the half-size grid over its gap on this one.  n_intervals
     must be a multiple of 4 and at least 8, so that the half-size grid keeps
-    a node at the origin; that is checked before either grid is built, then
-    the grid, then k against it, all before the analytic solve, so a bad
-    one is reported before a bad coupling and costs no solve.  A ground gap
+    a node at the origin; that is checked first, then both grids are built
+    and k is checked against the fine one, all before the analytic solve,
+    so a bad one is reported before a bad coupling and costs no solve.  The
+    analytic levels then start the oracle's searches, the ground level's
+    on both grids, which moves no oracle bit.  A ground gap
     above _HALVING_GAP_FLOOR whose halving_ratio leaves _HALVING_WINDOW
     raises InsufficientDomainError.  That guards state 0 only, and by ratio
     only: g = -60 passes with a ground gap of 25 at 3.70.
@@ -31,9 +33,11 @@ def compare(g, k, half_width=8.0, n_intervals=4000):
         raise ValueError(f"n_intervals must be a multiple of 4 and at least 8, got {n_intervals!r}")
     h_fine = oracle.build_hamiltonian(g, half_width, n_intervals)
     h_coarse = oracle.build_hamiltonian(g, half_width, n_intervals // 2)
-    fine = oracle.eigen_lowest(h_fine, k)
+    oracle.check_k(h_fine, k)
     analytic = spectrum.full_spectrum(g, k)
-    coarse = oracle.eigen_lowest(h_coarse, 1)
+    near = [a.epsilon for a in analytic]
+    fine = oracle.eigen_lowest(h_fine, k, near)
+    coarse = oracle.eigen_lowest(h_coarse, 1, near[:1])
     gaps = [abs(o - a.epsilon) for o, a in zip(fine.epsilons, analytic)]
     gap_coarse = abs(coarse.epsilons[0] - analytic[0].epsilon)
     halving_ratio = gap_coarse / gaps[0] if gaps[0] > 0.0 else math.inf

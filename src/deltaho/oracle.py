@@ -4,40 +4,26 @@ The dimensionless Hamiltonian is discretized on a symmetric grid with
 Dirichlet walls (build_hamiltonian takes its half-width and interval
 count as plain arguments, 8 and 4000 by default), the contact term
 entering as a single on-site spike of size g over the grid spacing.
-build_hamiltonian returns the matrix's even and odd mirror blocks, each
-built from the grid; the spike sits on the centre node, so it enters the
-even block only, as in the continuum problem.  So the odd block, and
-the levels solved on it, are built once per grid and shared by every g:
-the two grids last asked for are kept until the process ends, about
-150 KB each at the default 4000 intervals, more on a finer grid.  Each
-block's eigenvalues come lowest first from its own Sturm counts, and
-each eigenvalue carries the parity of the block it came from;
-eigen_lowest never orders one block's levels against the other's.
-Each eigenvalue is the midpoint of its cell on one grid, the multiples
-of 2**-34 (every double past 2**18): the pair of grid points where the
-count first reaches its index, so the double depends on the block alone.
-Every count on a block goes into one table, since it bounds all that
-block's eigenvalues; bisection on counts isolates each eigenvalue, and
-Newton steps on det(H - x), fitted for the far eigenvalues, then narrow
-its count-certified bracket until two counts close it on the cell.
-The steps take the determinant's log-derivative from the whole pivot
-recurrence.  The last pivot alone,
-q_n = det(H - x)/det(H' - x) with H' short of its last row and column,
-would not do: eigenvectors vanish like e^-32 at the walls, so each zero
-of q_n sits next to a pole, closer than a double resolves, and q_n keeps
-its sign across the eigenvalue.  Bisection and closing counts stop once
-they pass the index sought, and enter the table as lower bounds, to be
-counted in full only if a later eigenvalue needs them.  A count also
-stops a few rows past the classical turning point of x, where d - x
-passes 2|e|: once a pivot reaches |e| there, the rounded recurrence
-q' = d - x - e^2/q, monotone in q and d, keeps every later one there
-(see _wall).  The Newton steps sum every row.  Each block keeps its bond
-squares, and the row where its plain bonds and growing diagonal begin,
-once for every pass; the even block takes both from the odd one.  The
-Sturm recurrence is sequential, so the module is plain Python on tuples
-of floats.  It imports bisect, functools, itertools, math, operator and
-sys, and nothing from spectrum or wavefunction: agreement between the
-two routes is the point.
+build_hamiltonian returns the matrix's even and odd mirror blocks; the
+spike sits on the centre node, so it enters the even block only, as in
+the continuum problem.  So the odd block, and the levels solved on it,
+are built once per grid and shared by every g: the two grids last asked
+for are kept until the process ends, about 150 KB each at the default
+4000 intervals.  Each block's eigenvalues come lowest first from its own
+Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386) and
+carry the parity of their block; eigen_lowest never orders one block's
+levels against the other's.  Each eigenvalue is the midpoint of its cell
+on one grid, the multiples of 2**-34 (every double past 2**18): the pair
+of grid points where the count first reaches its index, so the double
+depends on the block alone, and a start near it (eigen_lowest's near)
+changes how long the search takes, never what it returns.  Every count
+on a block goes into one table, since it bounds all that block's
+eigenvalues; bisection isolates each eigenvalue, Newton steps on
+det(H - x) narrow its bracket, and counts close it on the cell (see
+_eigenvalue).  The Sturm recurrence is sequential, so the module is
+plain Python on tuples of floats.  It imports bisect, functools,
+itertools, math, operator and sys, and nothing from spectrum or
+wavefunction: agreement between the two routes is the point.
 """
 
 import bisect
@@ -242,6 +228,9 @@ def _newton_pass(h, x):
     too; it is always the full count.  Their derivatives obey
     q_i' = -1 + e_{i-1}^2 q_{i-1}'/q_{i-1}^2, and the pass sums
     w_i = q_i'/q_i, which is the log-derivative of det(h - x) = prod q_i.
+    The last pivot alone, det(h - x)/det(h' - x) with h' short of its last
+    row, would not do: eigenvectors vanish like e^-32 at the walls, so its
+    zeros sit next to poles, closer than a double resolves.
     """
     pivmin = h.pivmin
     count = 0
@@ -289,7 +278,7 @@ def _fitted_step(x, slope, above, last):
     return -v, slope - 1.0 / v
 
 
-def _eigenvalue(h, j, table):
+def _eigenvalue(h, j, table, start=None):
     """Eigenvalue j (from 1) of h: the midpoint of its cell on the grid.
 
     The grid is the doubles that are multiples of _CELL, which past 2**18
@@ -302,16 +291,21 @@ def _eigenvalue(h, j, table):
     x, and takes the samples made here too; bound marks a count that
     stopped early, a lower bound.  The bracket starts as the pair of
     samples where the count first reaches j; a bound of j or less met on
-    the way is counted again in full.  It is bisected until it holds
-    eigenvalue j alone.  From then on each pass is a Newton step on
-    det(h - x) that also counts, so every pass still shrinks the bracket.
-    The pass's log-derivative s(x) sums 1/(x - lam) over every eigenvalue
-    lam, and the far ones shorten a plain Newton step; so from the second
-    pass on, the last two passes fit s(x) = 1/(x - lam) + F, F standing
-    for the far field (as in the secular-equation solvers of Bunch,
-    Nielsen & Sorensen, Numer. Math. 31 (1978) 31), and the step goes to
-    the fitted lam.  A step that leaves the bracket, or two passes that
-    halve neither the bracket nor the step, give way to the midpoint.
+    the way is counted again in full.  A start inside it gets up to three
+    Newton passes, each at the last one's target while that stays inside;
+    if they close nothing, the search begins again from that bracket
+    (their samples stay in the table), since a start at another level can
+    leave a bracket that holds level j alone yet reaches the Gershgorin
+    bound, where Newton creeps.  Otherwise the bracket is bisected until
+    it holds eigenvalue j alone.  From then on each pass is a Newton step
+    on det(h - x) that also counts, so every pass still shrinks the
+    bracket.  The pass's log-derivative s(x) sums 1/(x - lam) over every
+    eigenvalue lam, and the far ones shorten a plain Newton step; so from
+    the second pass on, the last two passes fit s(x) = 1/(x - lam) + F, F
+    standing for the far field (as in the secular-equation solvers of
+    Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978) 31), and the step
+    goes to the fitted lam.  A step that leaves the bracket, or two passes
+    that halve neither the bracket nor the step, give way to the midpoint.
     (The bracket alone is the wrong measure: Newton converges from one
     side, so the far end stays put until the closing counts.)
 
@@ -320,16 +314,16 @@ def _eigenvalue(h, j, table):
     takes F out; it reads F about F' u off, u the distance from lam of the
     pass before, and leaves an error of about F' u t^2.  The fit before it
     read F about F' u' off, u' the distance of the pass before that, so
-    two fits in a row differ by about F' (u' - u), which times t^2 is at
-    least the error while the passes converge (u' >= 2u).  So once
-    |F - F_before| t^2 (|F| t^2 after one fit) is
-    below one cell, plain counts at the ends of the cell the step lands
-    in close the bracket, and no pass confirms the step.  A close that
-    misses leaves the bracket's end on the cell's edge, and Newton
-    resumes from the midpoint.  Bisection and closing
-    only ask whether a count is below j, j or above it, so their counts
-    stop past j.  The search stops when the bracket lies in one cell, and
-    returns that cell's midpoint.
+    F' u is about |F - F_before| u/(u' - u), u and u' taken from the
+    step's target.  Once that times t^2 (|F| t^2 after one fit), or t
+    itself, is below one cell, plain counts close the bracket on the cell
+    the step lands in, or on a neighbour of it, and no pass confirms the
+    step.  A close that misses all three cells leaves the bracket's end on
+    their edge, and Newton resumes from the midpoint.  Bisection and
+    closing only ask whether a count is below j, j or above it, so their
+    counts stop past j; a Newton pass always counts in full.  The search
+    stops when the bracket lies in one cell, and returns that cell's
+    midpoint.
     """
     for i, (x, c, bound) in enumerate(table):
         if bound and c <= j:
@@ -339,9 +333,11 @@ def _eigenvalue(h, j, table):
             break
     lo, c_lo, _ = table[i - 1]
     hi, c_hi = x, c
-    target = None  # where the last Newton step lands
+    first = lo, c_lo, hi, c_hi
+    target = start  # where the next Newton pass goes
+    early = None if start is None else 3  # Newton passes the start may still take
     closing = []  # cell ends still due around a converged step
-    last = far = None  # the last Newton pass (x, slope, side), and the last fit's F
+    last = far = None  # the last Newton pass (x, slope, side); the last fit's F, and its x1
     passes, reference = 0, hi - lo  # Newton passes, and the progress they must halve
     while True:
         a, b = _cell(lo)
@@ -349,40 +345,54 @@ def _eigenvalue(h, j, table):
             return a + 0.5 * (b - a)
         mid = 0.5 * (lo + hi)
         slope = None
-        if c_lo != j - 1 or c_hi != j:
-            x = mid
-            c = count_below(h, x, j)
-        elif closing:
+        inside = target is not None and lo < target < hi
+        if closing:
             x = closing.pop()
             if not lo < x < hi:
                 continue
             c = count_below(h, x, j)
-        else:
-            x = target if target is not None and lo < target < hi else mid
+        elif early and inside:
+            early -= 1
+            x = target
             c, slope = _newton_pass(h, x)
-        # a count past j stopped early (a Newton pass, inside a bracket
-        # that holds eigenvalue j alone, never gets past it)
-        table.insert(i, (x, c, c > j))
+        elif early is not None:
+            # the start closed nothing: search as if it had not been given
+            lo, c_lo, hi, c_hi = first
+            early = target = last = far = None
+            passes, reference = 0, hi - lo
+            continue
+        elif c_lo == j - 1 and c_hi == j:
+            x = target if inside else mid
+            c, slope = _newton_pass(h, x)
+        else:
+            x = mid
+            c = count_below(h, x, j)
+        # a count past j stopped early; a Newton pass is always a full count
+        bisect.insort(table, (x, c, slope is None and c > j))
         if c >= j:
             hi, c_hi = x, c
         else:
             lo, c_lo = x, c
-            i += 1
         if slope is None:
             target, passes, reference = None, 0, hi - lo
             continue
         fit = _fitted_step(x, slope, c >= j, last) if last else None
-        last = (x, slope, c >= j)
         if fit:
             step, fitted = fit
-            curve = abs(fitted if far is None else fitted - far)
-            far = fitted
+            if far is None:
+                curve = abs(fitted)
+            else:
+                u, u2 = abs(last[0] - x - step), abs(far[1] - x - step)
+                curve = abs(fitted - far[0]) * u / (u2 - u) if u2 > u else math.inf
+            far = (fitted, last[0])
         else:
             step = -1.0 / slope if slope else math.inf
-            curve = math.inf if far is None else abs(far)
+            curve = math.inf if far is None else abs(far[0])
         target = x + step
-        if curve * step * step < _CELL:
-            closing = list(_cell(target))
+        last = (x, slope, c >= j)
+        if abs(step) < _CELL or curve * step * step < _CELL:
+            a, b = _cell(target)
+            closing = [_cell(math.nextafter(a, -math.inf))[0], _cell(b)[1], a, b]
         passes += 1
         if passes == 2:
             progress = min(hi - lo, abs(step))
@@ -391,7 +401,7 @@ def _eigenvalue(h, j, table):
             passes, reference = 0, progress
 
 
-def _lowest(h, n):
+def _lowest(h, n, near=()):
     """The n lowest eigenvalues of h, lowest first.
 
     All of them share one table of Sturm samples (see _eigenvalue), which
@@ -410,12 +420,28 @@ def _lowest(h, n):
             # the Gershgorin bounds alone scan every row, so n = 0 takes none
             glo, ghi = _gershgorin(h)
             table = [(glo, 0, False), (ghi, h.size, False)]
-        levels += tuple(_eigenvalue(h, j, table) for j in range(len(levels) + 1, n + 1))
+        levels += tuple(_eigenvalue(h, j, table, near[j - 1] if j <= len(near) else None)
+                        for j in range(len(levels) + 1, n + 1))
         h.solved = (tuple(table), levels)
     return list(levels[:n])
 
 
-def eigen_lowest(blocks, k):
+def check_k(blocks, k):
+    """k as an int, or the ValueError eigen_lowest(blocks, k) raises before any pass."""
+    even, odd = blocks
+    if not 0 <= even.size - odd.size <= 1:
+        raise ValueError(f"need an odd block as long as the even one or one row shorter, "
+                         f"got {even.size} and {odd.size} rows")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if not 1 <= k <= even.size + odd.size:
+        raise ValueError(f"need 1 <= k <= {even.size + odd.size}, got {k}")
+    return k
+
+
+def eigen_lowest(blocks, k, near=None):
     """The lowest levels of each mirror block, interleaved even first.
 
     blocks is the (even, odd) pair of build_hamiltonian; an odd block not
@@ -428,19 +454,15 @@ def eigen_lowest(blocks, k):
     by its block.  Even, odd, even, ... is the order of the analytic
     spectrum, whose ground state is even.  The two blocks are never
     ordered against each other, so their levels may lie as close as they
-    like: 1.7e-11 apart at g = 1e12 on the default grid.
+    like: 1.7e-11 apart at g = 1e12 on the default grid.  near, in the same
+    order, starts each level's search at its float; no bit depends on it,
+    and a NaN, a float off the level or a list short of k costs at most
+    three passes a level (see _eigenvalue).
     """
+    k = check_k(blocks, k)
     even, odd = blocks
-    if not 0 <= even.size - odd.size <= 1:
-        raise ValueError(f"need an odd block as long as the even one or one row shorter, "
-                         f"got {even.size} and {odd.size} rows")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if not 1 <= k <= even.size + odd.size:
-        raise ValueError(f"need 1 <= k <= {even.size + odd.size}, got {k}")
+    near = () if near is None else tuple(near)
     levels = [None] * k
-    levels[::2] = _lowest(even, (k + 1) // 2)
-    levels[1::2] = _lowest(odd, k // 2)
+    levels[::2] = _lowest(even, (k + 1) // 2, near[::2])
+    levels[1::2] = _lowest(odd, k // 2, near[1::2])
     return OracleSpectrum(levels, (("even", "odd") * k)[:k])

@@ -73,6 +73,28 @@ def test_non_integer_grid_is_refused_by_name(n_intervals):
         crosscheck.compare(1.0, 2, 8.0, n_intervals)
 
 
+@pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0, 1e12])
+def test_analytic_starts_move_no_oracle_bit(monkeypatch, g):
+    # compare starts each oracle search at the analytic level; a cold
+    # start-free solve must return the same doubles, on both grids
+    starts = []
+    solve = oracle.eigen_lowest
+
+    def started(blocks, k, near=None):
+        starts.append(near)
+        return solve(blocks, k, near)
+
+    monkeypatch.setattr(oracle, "eigen_lowest", started)
+    oracle._odd_block.cache_clear()
+    analytic, fine, _, halving_ratio = crosscheck.compare(g, 8)
+    assert starts == [[s.epsilon for s in analytic], [analytic[0].epsilon]]
+    oracle._odd_block.cache_clear()
+    assert fine.epsilons == solve(oracle.build_hamiltonian(g), 8).epsilons
+    coarse = solve(oracle.build_hamiltonian(g, n_intervals=2000), 1).epsilons[0]
+    gap = abs(fine.epsilons[0] - analytic[0].epsilon)
+    assert gap == 0.0 or halving_ratio == abs(coarse - analytic[0].epsilon) / gap
+
+
 def test_defaults_are_the_oracle_grid():
     own = inspect.signature(crosscheck.compare).parameters
     grid = inspect.signature(oracle.build_hamiltonian).parameters

@@ -165,6 +165,24 @@ class TestPassBudget:
         assert sum(size for _, size in passes) <= 190_000
 
 
+class TestStartedPassBudget:
+    @pytest.mark.parametrize("g", [-5.0, 1.0, 5.0])
+    def test_analytic_starts_cut_the_passes(self, monkeypatch, g):
+        # TestPassBudget's cold solve with each search started at the
+        # analytic level, as crosscheck.compare starts it: 21-22 Newton
+        # passes and 9-11 plain counts, 60k-64k rows walked, against 35-38,
+        # 56-58 and 184k-188k without the starts
+        near = [s.epsilon for s in spectrum.full_spectrum(g, 8)]
+        oracle._odd_block.cache_clear()
+        passes = _counted_passes(monkeypatch)
+        newton = _counted_newton_passes(monkeypatch)
+        spec = eigen_lowest(build_hamiltonian(g), 8, near)
+        assert spec.parities == ("even", "odd") * 4
+        assert len(newton) <= 22
+        assert len(passes) - len(newton) <= 11
+        assert sum(size for _, size in passes) <= 64_000
+
+
 def _mirror_pair(d, e):
     """The even and odd blocks, and the dense full matrix, of the
     mirror-symmetric tridiagonal matrix whose diagonal and bonds read d
@@ -973,6 +991,61 @@ class TestCanonicalCells:
         blocks = build_hamiltonian(g, n_intervals=n)
         levels = [float.fromhex(x) for x in TestPinnedBits.PINNED[g, n]]
         _assert_bisected(blocks, oracle.OracleSpectrum(levels, ("even", "odd") * 4))
+
+
+class TestStarts:
+    # near changes where each search starts, never the double it returns:
+    # a start far off, at another level, or missing falls back to the
+    # start-free search after at most three Newton passes on its level
+    @staticmethod
+    def _bad_starts(reference, glo, ghi, rng):
+        k = len(reference)
+        return {
+            "nan": [math.nan] * k,
+            "inf": [math.inf] * k,
+            "-inf": [-math.inf] * k,
+            "1e300": [1e300] * k,
+            "-1e300": [-1e300] * k,
+            "zero": [0.0] * k,
+            "next level": list(reference[1:]) + [reference[-1] + 1.0],
+            "previous level": [reference[0] - 1.0] + list(reference[:-1]),
+            "next of its parity": list(reference[2:]) + [reference[-1] + 2.0] * 2,
+            "gershgorin": rng.uniform(glo, ghi, k).tolist(),
+            "short": list(reference[:3]),
+        }
+
+    @pytest.mark.parametrize("n_intervals", [4000, 2000])
+    @pytest.mark.parametrize("g", [-5.0, -1.0, 0.0, 1.0, 5.0, 1e12])
+    def test_a_bad_start_moves_no_bit(self, monkeypatch, g, n_intervals):
+        k = 8
+        newton = _counted_newton_passes(monkeypatch)
+        oracle._odd_block.cache_clear()
+        reference = eigen_lowest(build_hamiltonian(g, n_intervals=n_intervals), k).epsilons
+        free_passes = len(newton)
+        glo, ghi = oracle._gershgorin(build_hamiltonian(g, n_intervals=n_intervals)[0])
+        starts = self._bad_starts(reference, glo, ghi, np.random.default_rng(46))
+        for name, near in starts.items():
+            oracle._odd_block.cache_clear()
+            newton.clear()
+            cold = eigen_lowest(build_hamiltonian(g, n_intervals=n_intervals), k, near)
+            assert [x.hex() for x in cold.epsilons] == [x.hex() for x in reference], name
+            # at most three wasted Newton passes on each level started
+            assert len(newton) <= free_passes + 3 * min(len(near), k), name
+            # warm: the odd levels, and part of the even block's table, kept
+            # from calls without a start
+            oracle._odd_block.cache_clear()
+            blocks = build_hamiltonian(g, n_intervals=n_intervals)
+            eigen_lowest(blocks, 3)
+            warm = eigen_lowest(blocks, k, near)
+            assert [x.hex() for x in warm.epsilons] == [x.hex() for x in reference], name
+
+    def test_a_good_start_moves_no_bit(self):
+        # the analytic levels crosscheck.compare passes, on the pinned grids
+        for (g, n), pinned in TestPinnedBits.PINNED.items():
+            oracle._odd_block.cache_clear()
+            near = [s.epsilon for s in spectrum.full_spectrum(g, 8)]
+            spec = eigen_lowest(build_hamiltonian(g, n_intervals=n), 8, near)
+            assert tuple(x.hex() for x in spec.epsilons) == pinned
 
 
 class TestIndependence:
